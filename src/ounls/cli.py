@@ -46,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("scattering", "small-data pullback Cauchy ladder"),
         ("blowup", "focusing virial blow-up certificate"),
         ("identity", "divergence vs drift form operator identity"),
+        ("morawetz", "interaction functional bound along a defocusing run"),
         ("all", "run the full acceptance scenario suite"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -151,7 +152,7 @@ def _acceptance_suite(cfg: ScenarioConfig):
     det = reporting.Report("determinism")
     identical = reporting.rows_csv_bytes(rerun.rows) == stri_rows["rows"]
     det.add("byte_identical_rows", identical, float(identical), 1.0,
-            note=f"{len(rerun.rows)} rows compared")
+            note=f"{len(rerun.rows)} rows compared", comparator="==")
     reports.append(det)
     return reports
 
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
             outputs.append(path)
             rep = reporting.Report("simulate")
             rep.add("completed_unflagged", not state.blowup_flag,
-                    float(state.blowup_flag), 0.0)
+                    float(state.blowup_flag), 0.0, comparator="==")
             reports.append(rep)
         elif args.command == "all":
             reports = _acceptance_suite(cfg)
@@ -203,6 +204,7 @@ def main(argv=None) -> int:
                 "scattering": run_scattering,
                 "blowup": run_blowup,
                 "identity": run_identity,
+                "morawetz": run_morawetz,
             }[args.command]
             reports = [runner(cfg)]
     except NumericCheckError as exc:
@@ -230,7 +232,7 @@ def main(argv=None) -> int:
             for check in rep.checks:
                 status = "PASS" if check.passed else "FAIL"
                 print(f"[{status}] {rep.scenario}: {check.name} "
-                      f"value={check.value:.6g} limit={check.limit:.6g} {check.note}")
+                      f"value={check.value:.6g} {check.gate} {check.note}")
             for note in rep.notes:
                 print(f"       {rep.scenario}: {note}")
             all_passed &= rep.passed

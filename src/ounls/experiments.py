@@ -133,12 +133,14 @@ def run_conservation(cfg: ScenarioConfig) -> Report:
                     "energy_drift": abs(r.energy - energy0) / energy_scale,
                 }
             )
-    report.add("mass_drift", drifts[cfg.dt][0] < 1e-9, drifts[cfg.dt][0], 1e-9)
-    report.add("energy_drift", drifts[cfg.dt][1] < 1e-5, drifts[cfg.dt][1], 1e-5)
+    report.add("mass_drift", drifts[cfg.dt][0] < 1e-9, drifts[cfg.dt][0], 1e-9,
+               comparator="<")
+    report.add("energy_drift", drifts[cfg.dt][1] < 1e-5, drifts[cfg.dt][1], 1e-5,
+               comparator="<")
     ratio = drifts[2.0 * cfg.dt][1] / drifts[cfg.dt][1]
     report.add(
-        "energy_drift_halving_ratio", 3.5 <= ratio <= 4.5, ratio, 4.0,
-        note="expected ~4 for a second-order splitting",
+        "energy_drift_halving_ratio", 3.5 <= ratio <= 4.5, ratio, (3.5, 4.5),
+        note="expected ~4 for a second-order splitting", comparator="in",
     )
     return report
 
@@ -383,7 +385,8 @@ def run_embedding_ensembles(cfg: ScenarioConfig) -> EnsembleReport:
     for name in ("sobolev", "nonlinear"):
         lo = report.stats[(name, resolutions[0])]["max"]
         hi = report.stats[(name, resolutions[1])]["max"]
-        report.add(f"finite_{name}", math.isfinite(lo) and math.isfinite(hi), hi, math.inf)
+        report.add(f"finite_{name}", math.isfinite(lo) and math.isfinite(hi), hi, math.inf,
+                   comparator="finite")
         rel = abs(hi - lo) / lo
         report.add(f"resolution_stability_{name}", rel <= 0.15, rel, 0.15,
                    note=f"max ratio {lo:.6g} -> {hi:.6g}")
@@ -397,6 +400,7 @@ def run_embedding_ensembles(cfg: ScenarioConfig) -> EnsembleReport:
         growth[0] < growth[1] < growth[2],
         growth[2] / growth[0],
         math.inf,
+        comparator="increasing",
         note="unweighted ratio must grow with the truncation radius",
     )
     return report
@@ -449,12 +453,14 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
     report.artifacts["u_plus"] = pullbacks[-1][1]  # the inferred scattering state
     values = [d for _, d in diffs]
     decreasing = all(a > b for a, b in zip(values, values[1:]))
-    report.add("cauchy_strictly_decreasing", decreasing, values[-1], values[-2] if len(values) > 1 else math.inf)
+    report.add("cauchy_strictly_decreasing", decreasing, values[-1],
+               values[-2] if len(values) > 1 else math.inf, comparator="decreasing")
     report.add(
         "cauchy_final_below_tenth",
         values[-1] < 0.1 * values[0],
         values[-1] / values[0],
         0.1,
+        comparator="<",
     )
     if not decreasing:
         report.notes.append("no numerical scattering at this scale")
@@ -540,7 +546,8 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     root, coeff = _fit_parabola_root(times, virials)
     if root is None:
         report.add("parabola_root", False, math.nan, math.nan,
-                   note="leading coefficient not negative beyond 3 sigma")
+                   note="leading coefficient not negative beyond 3 sigma",
+                   comparator="finite")
     else:
         report.add(
             "flag_before_1p5_root",
@@ -568,6 +575,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
         float(control_state.blowup_flag),
         0.0,
         note=f"control horizon {control_horizon:.6g}",
+        comparator="==",
     )
     return report
 
@@ -604,7 +612,7 @@ def run_identity(cfg: ScenarioConfig) -> Report:
         for n, res in zip(grids, residuals):
             report.rows.append({"profile": name, "nodes": n, "residual": res})
         report.add(f"order_{name}", order >= 1.8, order, 1.8,
-                   note=f"residuals {['%.3e' % r for r in residuals]}")
+                   note=f"residuals {['%.3e' % r for r in residuals]}", comparator=">=")
     return report
 
 
@@ -659,7 +667,8 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
     for rho in ("abs", "bracket"):
         lo = maxima[(rho, cfg.disc.n_x)]
         hi = maxima[(rho, 2 * cfg.disc.n_x)]
-        report.add(f"finite_ratio_{rho}", math.isfinite(lo) and math.isfinite(hi), lo, math.inf)
+        report.add(f"finite_ratio_{rho}", math.isfinite(lo) and math.isfinite(hi), lo, math.inf,
+                   comparator="finite")
         rel = abs(hi - lo) / lo
         report.add(f"resolution_stability_{rho}", rel <= 0.2, rel, 0.2,
                    note=f"max ratio {lo:.6g} -> {hi:.6g}")

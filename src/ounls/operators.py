@@ -193,14 +193,48 @@ class LinearPropagator:
     alpha_phase: np.ndarray | None = None
     alpha_matrix: np.ndarray | None = None
     basis: HermiteBasis | None = None
+    div_op: DivAlphaOperator | None = None
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
+    def apply(self, data: np.ndarray, mask: np.ndarray | None = None, h1: bool = False):
+        """exp(i t L) data; with ``mask`` the x multiplier is x_phase * mask,
+        so the substep also projects onto the kept Fourier modes.
+
+        With ``h1`` the result is (field, native H^1 of the field), the norm
+        read off the masked spectrum: the flow is unitary and commutes with
+        the H^1 form, so no further transform is needed.
+        """
+        x_mult = self.x_phase if mask is None else self.x_phase * mask
         if self.spec.model == MODEL_NONDIV:
             coeffs = hermite.forward_tensor(x_fft(data, self.grid), self.basis)
-            coeffs = coeffs * (self.x_phase[..., None] * self.alpha_phase)
-            return x_ifft(hermite.inverse_tensor(coeffs, self.basis), self.grid)
-        hat = x_fft(data, self.grid) * self.x_phase[..., None]
-        return x_ifft(hat, self.grid) @ self.alpha_matrix
+            norm = self._spectral_h1(coeffs, mask) if h1 else None
+            coeffs = coeffs * (x_mult[..., None] * self.alpha_phase)
+            out = x_ifft(hermite.inverse_tensor(coeffs, self.basis), self.grid)
+        else:
+            hat = x_fft(data, self.grid)
+            norm = self._spectral_h1(hat, mask) if h1 else None
+            out = x_ifft(hat * x_mult[..., None], self.grid) @ self.alpha_matrix
+        return (out, norm) if h1 else out
+
+    def _spectral_h1(self, spectrum: np.ndarray, mask: np.ndarray | None) -> float:
+        """Native H^1 of the field whose x-spectrum (times the mask) this is.
+
+        Drift form, Hermite coefficients c_kn: vol * sum (1 + |k|^2 + n)|c|^2.
+        Divergence form, alpha-nodal u_hat_k:
+        vol * h * [sum (1 + |k|^2)|u_hat|^2 + sum_f mu_f |diff_a u_hat|^2 / h^2].
+        """
+        power = spectrum.real**2 + spectrum.imag**2
+        dens = (1.0 - laplacian_symbol(self.grid)) * power.sum(axis=-1)
+        if self.spec.model == MODEL_NONDIV:
+            dens -= power @ self.basis.eigenvalues
+            scale = 1.0
+        else:
+            op = self.div_op
+            diff = np.diff(spectrum, axis=-1)
+            dens += (diff.real**2 + diff.imag**2) @ op.face_weights / op.spacing**2
+            scale = op.spacing
+        if mask is not None:
+            dens = dens * mask
+        return float(np.sqrt(self.grid.cell_volume * scale * dens.sum()))
 
 
 def build_linear_propagator(spec: ModelSpec, grid: BoxGrid, alpha_source, t: float) -> LinearPropagator:
@@ -215,7 +249,7 @@ def build_linear_propagator(spec: ModelSpec, grid: BoxGrid, alpha_source, t: flo
     op: DivAlphaOperator = alpha_source
     q = op.eigenvectors
     g = (q * np.exp(1j * t * op.eigenvalues)) @ q.T
-    return LinearPropagator(spec, grid, t, x_phase, alpha_matrix=g)
+    return LinearPropagator(spec, grid, t, x_phase, alpha_matrix=g, div_op=op)
 
 
 def nonlinear_gain(data: np.ndarray, spec: ModelSpec, mach: Machinery) -> np.ndarray:

@@ -16,6 +16,8 @@ from .observables import CSV_FIELDS, DiagnosticsRecord
 
 FIELD_MAGIC = b"OUNLSFIELDSNAP01"  # 16 bytes
 
+COMPARATORS = ("<", "<=", ">=", "==", "in", "finite", "increasing", "decreasing")
+
 
 class OutputError(OSError):
     """Unwritable or unreadable output target (exit-code-3 semantics)."""
@@ -23,11 +25,29 @@ class OutputError(OSError):
 
 @dataclass
 class Check:
+    """One verdict and the gate it was decided by, so that a reader can
+    recompute it: ``value <comparator> limit`` for "<", "<=", ">=", "==";
+    "in" takes ``limit`` as the closed interval (lo, hi); "finite" needs no
+    limit; "increasing" and "decreasing" mean the report's rows must be
+    strictly monotone, with ``value`` and ``limit`` summarising them."""
+
     name: str
     passed: bool
     value: float
-    limit: float
+    limit: float | tuple[float, float]
     note: str = ""
+    comparator: str = "<="
+
+    @property
+    def gate(self) -> str:
+        if self.comparator == "in":
+            lo, hi = self.limit
+            return f"in [{lo:.6g}, {hi:.6g}]"
+        if self.comparator == "finite":
+            return "finite"
+        if self.comparator in ("increasing", "decreasing"):
+            return f"rows strictly {self.comparator}"
+        return f"{self.comparator} {self.limit:.6g}"
 
 
 @dataclass
@@ -42,8 +62,11 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name, passed, value, limit, note="") -> Check:
-        check = Check(name, bool(passed), float(value), float(limit), note)
+    def add(self, name, passed, value, limit, note="", comparator="<=") -> Check:
+        if comparator not in COMPARATORS:
+            raise ValueError(f"unknown comparator {comparator!r}; expected one of {COMPARATORS}")
+        limit = tuple(map(float, limit)) if comparator == "in" else float(limit)
+        check = Check(name, bool(passed), float(value), limit, note, comparator)
         self.checks.append(check)
         return check
 
@@ -89,6 +112,7 @@ def verdict_lines(report: Report) -> bytes:
                     "passed": c.passed,
                     "value": c.value,
                     "limit": c.limit,
+                    "comparator": c.comparator,
                     "note": c.note,
                 },
                 sort_keys=True,

@@ -2,34 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class Field:
-    """Solution samples on the tensor grid (x axes first, alpha last).
-
-    ``spaces`` tags the representation per axis group; the time stepper
-    always hands fields around in nodal form.
-    """
+    """Solution samples on the tensor grid (x axes first, alpha last), in
+    nodal form."""
 
     data: np.ndarray
     time: float = 0.0
-    spaces: tuple[str, str] = ("nodal", "nodal")
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
 
     def copy(self) -> "Field":
-        return Field(self.data.copy(), self.time, self.spaces)
+        return Field(self.data.copy(), self.time)
 
     @property
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data.view(np.float64))))
-
-
-def require_nodal(fld: Field):
-    if fld.spaces != ("nodal", "nodal"):
-        raise ValueError(f"expected a fully nodal field, got spaces {fld.spaces}")

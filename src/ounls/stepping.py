@@ -3,6 +3,28 @@
 Both substeps are exact flows (diagonal linear phases, pointwise nonlinear
 phase rotation), so the native mass is conserved to roundoff per step and
 the splitting is second order and time reversible.
+
+One Strang evaluation is a leading half linear step, the nonlinear phase,
+and a trailing linear substep whose x multiplier is x_phase * dealias_mask:
+the 2/3 mask and the linear flow are both diagonal in k, so the trailing
+substep dealiases without a transform pair of its own.
+
+The fixed-step path merges the trailing half of step i with the leading
+half of step i+1 into one masked full step (first same as last; exact
+because both halves are exact flows).  A segment of n steps between sample
+times costs n + 1 linear applications: an opening half step, n - 1 merged
+full steps and a closing half step that makes the field synchronous for
+the sample.  Each step is one x-FFT pair, one alpha application (Hermite
+forward and inverse, or the dense div-form matrix) and one nonlinear phase.
+
+The blow-up guard needs the native H^1 after every step.  That norm is
+invariant under the linear flow: the x phase is unitary and diagonal in k,
+the drift-form alpha phase is diagonal in the Hermite modes, and the
+div-form matrix exp(itP_h) commutes with the face-difference form
+-<P_h u, u>.  So the masked spectrum that each linear substep holds already
+gives the H^1 of the field at the end of the step, and the guard reads it
+from there; the nonlinear substep's input check is the one finiteness test
+per step.
 """
 
 from __future__ import annotations
@@ -56,12 +78,13 @@ def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
     return x_ifft(hat, mach.grid)
 
 
-def _strang(data: np.ndarray, mach: Machinery, dt: float) -> np.ndarray:
+def _strang(data: np.ndarray, mach: Machinery, dt: float, h1: bool = False):
+    """One Strang evaluation: leading half linear step, nonlinear phase, and
+    a trailing half step that carries the dealias mask.  With ``h1`` the
+    result is (field, native H^1 of the field)."""
     half = mach.propagator(0.5 * dt)
-    out = half.apply(data)
-    out = apply_nonlinearity(out, mach.spec, mach, dt)
-    out = _dealias(out, mach)
-    return half.apply(out)
+    out = apply_nonlinearity(half.apply(data), mach.spec, mach, dt)
+    return half.apply(out, mach.dealias, h1=h1)
 
 
 def _native_l2(data: np.ndarray, mach: Machinery) -> float:
@@ -72,64 +95,96 @@ def strang_step(state: StepperState, mach: Machinery) -> StepperState:
     """Advance by state.dt: half linear, full nonlinear phase, half linear."""
     if state.blowup_flag:
         raise ValueError("stepper is flagged; integration has stopped")
-    if not state.field.finite:
-        return replace(
-            state, blowup_flag=True, blowup_time_estimate=state.field.time
-        )
     try:
-        data = _strang(state.field.data, mach, state.dt)
+        data, h1 = _strang(state.field.data, mach, state.dt, h1=True)
     except NonFiniteFieldError:
         return replace(
             state, blowup_flag=True, blowup_time_estimate=state.field.time
         )
     new_field = Field(data, state.field.time + state.dt)
     new_state = replace(state, field=new_field, step_count=state.step_count + 1)
-    if not new_field.finite:
+    if not math.isfinite(h1):
         new_state.blowup_flag = True
         new_state.blowup_time_estimate = new_field.time
     return new_state
 
 
 def detect_blowup(
-    state: StepperState, mach: Machinery, thresholds: BlowupThresholds
+    state: StepperState,
+    mach: Machinery,
+    thresholds: BlowupThresholds,
+    h1: float | None = None,
+    time: float | None = None,
 ) -> StepperState:
     """Flag on nonfinite values, on an H^1 ratio past the ceiling, or when
-    the step controller has been driven to dt_min with rejections."""
+    the step controller has been driven to dt_min with rejections.
+
+    ``h1`` is the native H^1 of the field at ``time`` when the caller holds
+    it already; by default both come from state.field.  A nonfinite ``h1``
+    means a nonfinite field.
+    """
     if state.blowup_flag:
         return state
+    if time is None:
+        time = state.field.time
+    if h1 is None:
+        h1 = (
+            observables.h1_native(state.field, mach.spec, mach)
+            if state.field.finite
+            else math.nan
+        )
     flagged = False
-    if not state.field.finite:
+    if not math.isfinite(h1):
         flagged = True
-    else:
-        if state.h1_initial is None:
-            state.h1_initial = observables.h1_native(state.field, mach.spec, mach)
-        elif state.h1_initial > 0:
-            ratio = (
-                observables.h1_native(state.field, mach.spec, mach) / state.h1_initial
-            )
-            if ratio > thresholds.norm_ratio_max:
-                flagged = True
-        if state.dt <= thresholds.dt_min and state.rejected_count > 0:
-            flagged = True
+    elif state.h1_initial is None:
+        state.h1_initial = h1
+    elif state.h1_initial > 0 and h1 / state.h1_initial > thresholds.norm_ratio_max:
+        flagged = True
+    if state.dt <= thresholds.dt_min and state.rejected_count > 0:
+        flagged = True
     if flagged:
         state.blowup_flag = True
-        state.blowup_time_estimate = state.field.time
+        state.blowup_time_estimate = time
     return state
 
 
 def _advance_fixed(state, mach, target, control, thresholds):
-    # uniform substeps per segment so the propagator cache stays tiny
+    # uniform substeps per segment; a dt within 1e-12 of the nominal one is
+    # snapped to it, so the float-keyed propagator cache sees one key per
+    # dt and not one per one-ulp jitter of remaining / n_sub
     remaining = target - state.field.time
     n_sub = max(1, round(remaining / control.dt))
     dt = remaining / n_sub
-    for _ in range(n_sub):
+    if abs(dt - control.dt) <= 1e-12 * abs(control.dt):
+        dt = control.dt
+    state.dt = dt
+    # first same as last: the trailing half step of step i and the leading
+    # half step of step i+1 are one masked full step, so the field is
+    # synchronous only at the segment end or at a flag
+    half = mach.propagator(0.5 * dt)
+    full = mach.propagator(dt) if n_sub > 1 else half
+    start = state.field.time
+    data = half.apply(state.field.data)
+    for i in range(1, n_sub + 1):
+        try:
+            phased = apply_nonlinearity(data, mach.spec, mach, dt)
+        except NonFiniteFieldError:
+            # only reachable on the first step: a later nonfinite field
+            # already gave a nonfinite H^1 and flagged the step before
+            state.blowup_flag = True
+            state.blowup_time_estimate = state.field.time
+            return state
+        last = i == n_sub
+        data, h1 = (half if last else full).apply(phased, mach.dealias, h1=True)
+        state.step_count += 1
+        time = start + i * dt
+        state = detect_blowup(state, mach, thresholds, h1=h1, time=time)
         if state.blowup_flag:
-            break
-        state = replace(state, dt=dt)
-        state = strang_step(state, mach)
-        state = detect_blowup(state, mach, thresholds)
-    if not state.blowup_flag:
-        state.field.time = target
+            if not last:
+                data = half.apply(phased, mach.dealias)
+            state.field = Field(data, time)
+            return state
+    state.field = Field(data, target)
     return state
 
 
@@ -141,7 +196,7 @@ def _advance_adaptive(state, mach, target, control, thresholds):
         try:
             full = _strang(state.field.data, mach, dt)
             half = _strang(state.field.data, mach, 0.5 * dt)
-            fine = _strang(half, mach, 0.5 * dt)
+            fine, h1 = _strang(half, mach, 0.5 * dt, h1=True)
         except NonFiniteFieldError:
             state.blowup_flag = True
             state.blowup_time_estimate = state.field.time
@@ -157,7 +212,7 @@ def _advance_adaptive(state, mach, target, control, thresholds):
         if err > control.err_grow:
             # still failing at the dt floor: hand off to the guard
             state.rejected_count += 1
-        state = detect_blowup(state, mach, thresholds)
+        state = detect_blowup(state, mach, thresholds, h1=h1)
         if err < control.err_shrink and dt == nominal:
             nominal = min(2.0 * dt, control.dt_max)
         state.dt = nominal

@@ -32,7 +32,7 @@ def announce(criterion: str, passed: bool, detail: str = ""):
 
 def report_detail(report) -> str:
     return "; ".join(
-        f"{c.name}={c.value:.4g} (limit {c.limit:.4g})" for c in report.checks
+        f"{c.name}={c.value:.4g} ({c.gate})" for c in report.checks
     )
 
 

@@ -95,3 +95,39 @@ def test_numeric_failure_exit_code(tmp_path):
         "--out", out,
     ])
     assert code == 2
+
+
+def test_verdict_lines_state_their_gate(tmp_path, capsys):
+    # the halving-ratio gate is an interval, not the nominal ratio 4
+    out = str(tmp_path / "gate")
+    run_cli([
+        "conservation",
+        "--set", "grid.n_x=32",
+        "--set", "grid.box_half_length=25.132741228718345",
+        "--set", "initial.x_width=0.4",
+        "--set", "run.t=0.2",
+        "--set", "run.dt=0.01",
+        "--set", "run.samples=5",
+        "--out", out,
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    ratio_line = next(line for line in lines if "energy_drift_halving_ratio" in line)
+    assert " in [3.5, 4.5] " in ratio_line
+    mass_line = next(line for line in lines if ": mass_drift " in line)
+    assert " < 1e-09" in mass_line
+    report = next(name for name in os.listdir(out) if name.startswith("report_"))
+    verdicts = [json.loads(line) for line in open(os.path.join(out, report))]
+    ratio = next(v for v in verdicts if v["check"] == "energy_drift_halving_ratio")
+    assert ratio["comparator"] == "in" and ratio["limit"] == [3.5, 4.5]
+
+
+def test_morawetz_subcommand_green(tmp_path):
+    # the drift-form criterion-8 configuration of the acceptance suite
+    out = str(tmp_path / "mor")
+    code = run_cli([
+        "morawetz", "--set", "model.model=nondiv", "--set", "model.p=4",
+        "--set", "grid.n_x=256", "--set", f"grid.box_half_length={8 * math.pi}",
+        "--set", "run.t=0.5", "--set", "run.dt=1e-3", "--out", out,
+    ])
+    assert code == 0
+    assert any(name.startswith("report_00_morawetz") for name in os.listdir(out))

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from ounls import operators, stepping
+from ounls.grids import x_fft, x_ifft
 from ounls.models import DiscretizationSpec, ModelSpec
-from ounls.observables import mass, sample_record
-from ounls.operators import build_machinery
+from ounls.observables import h1_native, mass, sample_record
+from ounls.operators import apply_nonlinearity, build_machinery
 from ounls.state import Field
 from ounls.stepping import (
     BlowupThresholds,
@@ -176,3 +178,129 @@ def test_blowup_truncates_schedule(nondiv):
     )
     assert state.blowup_flag
     assert len(records) < 3
+
+
+# ------------------------------------------------ fused fixed-step kernel
+
+
+def reference_strang_step(data, mach, dt):
+    """The unfused step: half linear, nonlinear phase, a separate 2/3
+    dealias pass, half linear."""
+    half = mach.propagator(0.5 * dt)
+    out = apply_nonlinearity(half.apply(data), mach.spec, mach, dt)
+    hat = x_fft(out, mach.grid)
+    hat *= mach.dealias[..., None]
+    return half.apply(x_ifft(hat, mach.grid))
+
+
+def native_rel(a, b, mach):
+    return math.sqrt(mass(a - b, mach.spec, mach) / mass(b, mach.spec, mach))
+
+
+# the narrow pulse sheds fast content into the monitored boundary shell
+@pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
+@pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
+def test_fused_fixed_path_matches_unfused_steps(model_fixture, request):
+    mach = request.getfixturevalue(model_fixture)
+    assert mach.dealias is not None
+    # a narrow pulse puts spectral mass past the 2/3 cutoff, so a step
+    # that skipped the mask would not pass for one that applies it
+    (x,) = mach.grid.coordinates()
+    u0 = np.exp(-(x**2) / (2 * 0.3**2))[:, None] * np.exp(-mach.alpha_nodes**2 / 4.0) + 0j
+    dt, samples = 1e-3, np.linspace(0.0, 0.05, 6)
+    records, state = integrate(Field(u0.copy()), mach, 0.05, samples, StepControl(dt=dt))
+
+    hat = x_fft(u0, mach.grid)
+    hat *= mach.dealias[..., None]
+    data = x_ifft(hat, mach.grid)
+    expected = [sample_record(Field(data, 0.0), mach.spec, mach)]
+    for _ in range(5):
+        for _ in range(10):
+            data = reference_strang_step(data, mach, dt)
+        expected.append(sample_record(Field(data), mach.spec, mach))
+
+    assert state.step_count == 50 and not state.blowup_flag
+    assert native_rel(state.field.data, data, mach) <= 1e-8
+    for got, ref in zip(records, expected, strict=True):
+        for name in ("mass", "energy", "h1_native"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert abs(a - b) <= 1e-10 * abs(b)
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
+def test_spectral_h1_equals_h1_of_end_of_step_field(model_fixture, request):
+    # the masked full substep holds the spectrum of the nonlinear output;
+    # the norm read off it is the H^1 of the field one half step later
+    mach = request.getfixturevalue(model_fixture)
+    dt = 1e-3
+    phased = apply_nonlinearity(
+        mach.propagator(0.5 * dt).apply(2.0 * gaussian(mach)), mach.spec, mach, dt
+    )
+    _, h1_full = mach.propagator(dt).apply(phased, mach.dealias, h1=True)
+    end, h1_half = mach.propagator(0.5 * dt).apply(phased, mach.dealias, h1=True)
+    expected = h1_native(end, mach.spec, mach)
+    assert abs(h1_full - expected) <= 1e-12 * expected
+    assert abs(h1_half - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
+def test_guard_h1_matches_sampled_h1(model_fixture, request, monkeypatch):
+    mach = request.getfixturevalue(model_fixture)
+    seen = {}
+    guard = stepping.detect_blowup
+
+    def spy(state, mach_, thresholds, h1=None, time=None):
+        seen[time] = h1
+        return guard(state, mach_, thresholds, h1=h1, time=time)
+
+    monkeypatch.setattr(stepping, "detect_blowup", spy)
+    records, _ = integrate(
+        Field(gaussian(mach)), mach, 0.02, [0.0, 0.01, 0.02], StepControl(dt=1e-3)
+    )
+    assert len(seen) == 20
+    for rec in records[1:]:
+        at_sample = min(seen, key=lambda t: abs(t - rec.time))
+        assert abs(at_sample - rec.time) < 1e-12
+        assert abs(seen[at_sample] - rec.h1_native) <= 1e-12 * rec.h1_native
+
+
+def test_fixed_run_builds_one_propagator_per_substep_length(monkeypatch):
+    # 0.02 - 0.01 and friends divide by 10 to one ulp off 1e-3; those
+    # jittered lengths must not become new cache keys
+    mach = build_machinery(ModelSpec("nondiv", 1, 4), DiscretizationSpec(
+        n_x=64, box_half_length=4 * math.pi, n_alpha=16))
+    built = []
+    build = operators.build_linear_propagator
+
+    def counting(spec, grid, source, t):
+        built.append(t)
+        return build(spec, grid, source, t)
+
+    monkeypatch.setattr(operators, "build_linear_propagator", counting)
+    samples = np.linspace(0.0, 0.05, 6)
+    _, state = integrate(Field(gaussian(mach)), mach, 0.05, samples, StepControl(dt=1e-3),
+                         record_fn=lambda fld, spec, m: None)
+    assert state.step_count == 50
+    assert sorted(built) == [5e-4, 1e-3]
+
+
+def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv):
+    # a ratio ceiling of 1 trips on the first step that raises H^1, inside
+    # the segment; the returned field must be the synchronous one then
+    u0 = gaussian(nondiv, amp=2.0)
+    _, state = integrate(
+        Field(u0.copy()), nondiv, 0.1, [0.0, 0.1], StepControl(dt=1e-2),
+        BlowupThresholds(norm_ratio_max=1.0),
+    )
+    assert state.blowup_flag
+    t_flag = state.blowup_time_estimate
+    assert state.field.time == t_flag
+    n = round(t_flag / 1e-2)
+    assert abs(n * 1e-2 - t_flag) < 1e-12 and 1 <= n < 10
+
+    hat = x_fft(u0, nondiv.grid)
+    hat *= nondiv.dealias[..., None]
+    data = x_ifft(hat, nondiv.grid)
+    for _ in range(n):
+        data = reference_strang_step(data, nondiv, 1e-2)
+    assert native_rel(state.field.data, data, nondiv) <= 1e-10
