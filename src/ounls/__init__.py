@@ -4,31 +4,35 @@ transverse direction."""
 
 __version__ = "0.1.0"
 
-from .grids import BoxGrid, laplacian_symbol, x_norms
-from .hermite import AlphaProfile, HermiteBasis, build_basis, hermite_forward, hermite_inverse, weighted_norm
+from .grids import BoxGrid, laplacian_symbol
+from .hermite import HermiteBasis, build_basis
 from .models import DiscretizationSpec, ModelSpec
 from .operators import (
     DivAlphaOperator,
+    FluxAxis,
+    HermiteAxis,
     LinearPropagator,
     Machinery,
     apply_div_operator,
     apply_nonlinearity,
     apply_ou_nondiv,
+    build_axis,
     build_div_operator,
     build_linear_propagator,
     build_machinery,
     verify_div_identity,
 )
 from .state import Field
-from .stepping import BlowupThresholds, StepControl, StepperState, detect_blowup, integrate, strang_step
+from .stepping import BlowupThresholds, StepControl, StepperState, detect_blowup, integrate
 
 __all__ = [
-    "AlphaProfile",
     "BlowupThresholds",
     "BoxGrid",
     "DiscretizationSpec",
     "DivAlphaOperator",
     "Field",
+    "FluxAxis",
+    "HermiteAxis",
     "HermiteBasis",
     "LinearPropagator",
     "Machinery",
@@ -38,17 +42,13 @@ __all__ = [
     "apply_div_operator",
     "apply_nonlinearity",
     "apply_ou_nondiv",
+    "build_axis",
     "build_basis",
     "build_div_operator",
     "build_linear_propagator",
     "build_machinery",
     "detect_blowup",
-    "hermite_forward",
-    "hermite_inverse",
     "integrate",
     "laplacian_symbol",
-    "strang_step",
     "verify_div_identity",
-    "weighted_norm",
-    "x_norms",
 ]

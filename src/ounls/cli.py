@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import __version__, observables, reporting
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import SCENARIOS, ConfigError, ScenarioConfig, parse_config
 from .experiments import (
     NumericCheckError,
     run_blowup,
@@ -38,17 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "Ornstein-Uhlenbeck-confined NLS models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "integrate the configured model and emit diagnostics"),
-        ("conservation", "mass/energy drift audit"),
-        ("strichartz", "linear space-time ensemble boundedness proxy"),
-        ("embeddings", "weighted Sobolev / nonlinear estimate ensembles"),
-        ("scattering", "small-data pullback Cauchy ladder"),
-        ("blowup", "focusing virial blow-up certificate"),
-        ("identity", "divergence vs drift form operator identity"),
-        ("morawetz", "interaction functional bound along a defocusing run"),
-        ("all", "run the full acceptance scenario suite"),
-    ):
+    for name, help_text in SCENARIOS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to an INI config file")
         p.add_argument(

@@ -13,16 +13,19 @@ from dataclasses import dataclass, field
 
 from .models import DiscretizationSpec, ModelSpec
 
-SCENARIOS = (
-    "simulate",
-    "conservation",
-    "strichartz",
-    "embeddings",
-    "scattering",
-    "blowup",
-    "identity",
-    "all",
-)
+# scenario name -> one-line description; the CLI subcommands are built
+# from this table
+SCENARIOS = {
+    "simulate": "integrate the configured model and emit diagnostics",
+    "conservation": "mass/energy drift audit",
+    "strichartz": "linear space-time ensemble boundedness proxy",
+    "embeddings": "weighted Sobolev / nonlinear estimate ensembles",
+    "scattering": "small-data pullback Cauchy ladder",
+    "blowup": "focusing virial blow-up certificate",
+    "identity": "divergence vs drift form operator identity",
+    "morawetz": "interaction functional bound along a defocusing run",
+    "all": "run the full acceptance scenario suite",
+}
 
 
 class ConfigError(ValueError):
@@ -226,7 +229,9 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     cfg.initial.validate()
 
     if cfg.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}; expected one of {SCENARIOS}")
+        raise ConfigError(
+            f"unknown scenario {cfg.scenario!r}; expected one of {tuple(SCENARIOS)}"
+        )
     if cfg.horizon <= 0:
         raise ConfigError("run.t must be positive")
     if cfg.dt <= 0:

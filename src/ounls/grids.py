@@ -90,17 +90,3 @@ def x_fft(data: np.ndarray, grid: BoxGrid) -> np.ndarray:
 
 def x_ifft(data: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return np.fft.ifftn(data, axes=grid.x_axes, norm="ortho")
-
-
-def x_norms(field_slice: np.ndarray, grid: BoxGrid, q) -> float:
-    """Discrete L^q norm over the x grid with the measure h^d.
-
-    ``q`` may be any real >= 1 or ``inf`` (max modulus).
-    """
-    values = np.abs(np.asarray(field_slice))
-    if q == math.inf or q == "inf":
-        return float(values.max()) if values.size else 0.0
-    q = float(q)
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1 or inf, got {q}")
-    return float((grid.cell_volume * np.sum(values**q)) ** (1.0 / q))

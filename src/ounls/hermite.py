@@ -21,8 +21,6 @@ from scipy.linalg import eigh_tridiagonal
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-NORM_TAGS = ("L2w", "H1w_homogeneous", "H1w")
-
 
 class IllConditionedBasisError(ValueError):
     """Requested mode count large enough that weight positivity is lost."""
@@ -56,23 +54,6 @@ class HermiteBasis:
     def forward_matrix(self) -> np.ndarray:
         # coeffs = forward_matrix @ values
         return self.eigenfunctions * self.weights[None, :]
-
-
-@dataclass
-class AlphaProfile:
-    """A profile in the confined direction, nodal or modal.
-
-    ``space`` is "nodal" (values at the basis nodes) or "modal" (coefficients
-    against the normalized Hermite polynomials).
-    """
-
-    data: np.ndarray
-    space: str = "nodal"
-
-    def __post_init__(self):
-        if self.space not in ("nodal", "modal"):
-            raise ValueError(f"unknown profile space {self.space!r}")
-        self.data = np.asarray(self.data, dtype=np.complex128)
 
 
 def evaluate_modes(alphas, n_modes: int) -> np.ndarray:
@@ -146,56 +127,18 @@ def _require_length(data: np.ndarray, basis: HermiteBasis, what: str):
         )
 
 
-def hermite_forward(profile: AlphaProfile, basis: HermiteBasis) -> AlphaProfile:
-    """Nodal -> modal: coeffs_n = sum_k weights_k phi_n(node_k) values_k."""
-    if profile.space != "nodal":
-        raise ValueError("hermite_forward expects a nodal profile")
-    _require_length(profile.data, basis, "profile")
-    coeffs = profile.data @ basis.forward_matrix.T
-    return AlphaProfile(coeffs, "modal")
-
-
-def hermite_inverse(profile: AlphaProfile, basis: HermiteBasis) -> AlphaProfile:
-    """Modal -> nodal: values_k = sum_n coeffs_n phi_n(node_k)."""
-    if profile.space != "modal":
-        raise ValueError("hermite_inverse expects a modal profile")
-    coeffs = profile.data
-    if coeffs.shape[-1] > basis.n_modes:
-        raise ValueError(
-            f"coeff length {coeffs.shape[-1]} exceeds basis size {basis.n_modes}"
-        )
-    if coeffs.shape[-1] < basis.n_modes:
-        pad = basis.n_modes - coeffs.shape[-1]
-        coeffs = np.concatenate(
-            [coeffs, np.zeros(coeffs.shape[:-1] + (pad,), dtype=coeffs.dtype)], axis=-1
-        )
-    values = coeffs @ basis.eigenfunctions
-    return AlphaProfile(values, "nodal")
-
-
 def forward_tensor(values: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    """Forward transform along the last axis of an (..., n_modes) tensor."""
+    """Nodal -> modal along the last axis of an (..., n_modes) tensor:
+    coeffs_n = sum_k weights_k phi_n(node_k) values_k."""
     _require_length(values, basis, "field")
     return values @ basis.forward_matrix.T
 
 
 def inverse_tensor(coeffs: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    """Inverse transform along the last axis of an (..., n_modes) tensor."""
+    """Modal -> nodal along the last axis of an (..., n_modes) tensor:
+    values_k = sum_n coeffs_n phi_n(node_k)."""
     _require_length(coeffs, basis, "coefficients")
     return coeffs @ basis.eigenfunctions
-
-
-def modal_derivative(coeffs: np.ndarray) -> np.ndarray:
-    """d/d(alpha) in coefficient space: out_m = sqrt(m+1) * c_{m+1}.
-
-    Follows He_n' = n He_{n-1}, which for the normalized functions reads
-    phi_n' = sqrt(n) phi_{n-1}.  Acts along the last axis.
-    """
-    n = coeffs.shape[-1]
-    out = np.zeros_like(coeffs)
-    factors = np.sqrt(np.arange(1, n, dtype=np.float64))
-    out[..., :-1] = factors * coeffs[..., 1:]
-    return out
 
 
 def evaluate_modal(coeffs: np.ndarray, alphas) -> np.ndarray:
@@ -206,28 +149,6 @@ def evaluate_modal(coeffs: np.ndarray, alphas) -> np.ndarray:
     """
     table = evaluate_modes(alphas, coeffs.shape[-1])
     return coeffs @ table
-
-
-def weighted_norm(profile: AlphaProfile, basis: HermiteBasis, which: str) -> float:
-    """Weighted alpha-norms: "L2w", "H1w_homogeneous" or "H1w".
-
-    L2w is the Gaussian-weighted L^2 norm; H1w_homogeneous applies the modal
-    derivative first; H1w is the root of the sum of both squares.
-    """
-    if which not in NORM_TAGS:
-        raise ValueError(f"unknown norm tag {which!r}; expected one of {NORM_TAGS}")
-    if profile.space == "nodal":
-        _require_length(profile.data, basis, "profile")
-        coeffs = profile.data @ basis.forward_matrix.T
-    else:
-        coeffs = profile.data
-    l2_sq = float(np.sum(np.abs(coeffs) ** 2))
-    if which == "L2w":
-        return math.sqrt(l2_sq)
-    dot_sq = float(np.sum(np.arange(coeffs.shape[-1]) * np.abs(coeffs) ** 2))
-    if which == "H1w_homogeneous":
-        return math.sqrt(dot_sq)
-    return math.sqrt(l2_sq + dot_sq)
 
 
 def tail_mass_fraction(coeffs: np.ndarray, n_tail: int = 4) -> float:

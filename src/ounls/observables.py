@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermite
 from .grids import laplacian_symbol, x_fft, x_ifft
-from .models import MODEL_DIV, MODEL_NONDIV, ModelSpec
-from .operators import Machinery
+from .models import MODEL_DIV, ModelSpec
+from .operators import Machinery, nonlinear_gain
 from .state import Field
 
 RHO_TAGS = ("abs", "bracket")
@@ -67,7 +66,7 @@ def _data(fld) -> np.ndarray:
 def mass(fld, spec: ModelSpec, mach: Machinery) -> float:
     """Native squared L^2: integral of |u|^2 against the model's measure."""
     u = _data(fld)
-    dens = (u.real**2 + u.imag**2) @ mach.alpha_weights
+    dens = (u.real**2 + u.imag**2) @ mach.axis.weights
     return float(mach.grid.cell_volume * dens.sum())
 
 
@@ -75,39 +74,29 @@ def _kinetic_x_sq(u: np.ndarray, mach: Machinery) -> float:
     """integral |grad_x u|^2 (native measure), via Fourier Parseval."""
     hat = x_fft(u, mach.grid)
     k2 = -laplacian_symbol(mach.grid)
-    dens = (k2[..., None] * (hat.real**2 + hat.imag**2)) @ mach.alpha_weights
+    dens = (k2[..., None] * (hat.real**2 + hat.imag**2)) @ mach.axis.weights
     return float(mach.grid.cell_volume * dens.sum())
 
 
-def _kinetic_alpha_sq(u: np.ndarray, spec: ModelSpec, mach: Machinery) -> float:
-    """integral of the alpha-gradient quadratic form with its native weight.
+def _kinetic_alpha_sq(u: np.ndarray, mach: Machinery) -> float:
+    """integral of the axis's alpha-gradient quadratic form with its native
+    weight (the drift form's modal sum n |c_n|^2, the div form's
+    face-difference form)."""
+    spectrum = mach.axis.forward(u)
+    power = spectrum.real**2 + spectrum.imag**2
+    dens = mach.axis.grad_density(spectrum, power)
+    return float(mach.grid.cell_volume * mach.axis.measure * dens.sum())
 
-    Drift form: modal Parseval, sum n |c_n|^2.  Divergence form: the
-    face-difference form of the conservative operator, the exact invariant
-    of the semi-discrete flow.
-    """
-    if spec.model == MODEL_NONDIV:
-        coeffs = hermite.forward_tensor(u, mach.basis)
-        n_weights = np.arange(mach.basis.n_modes, dtype=np.float64)
-        return float(
-            mach.grid.cell_volume
-            * np.sum((coeffs.real**2 + coeffs.imag**2) @ n_weights)
-        )
-    op = mach.div_op
-    du = np.diff(u, axis=-1) / op.spacing
-    dens = (du.real**2 + du.imag**2) @ op.face_weights
-    return float(mach.grid.cell_volume * op.spacing * dens.sum())
+
+def _potential_density(u: np.ndarray, spec: ModelSpec, mach: Machinery) -> np.ndarray:
+    """x density of g(alpha)|u|^{p+2} against the native alpha measure."""
+    amp2 = u.real**2 + u.imag**2
+    return (nonlinear_gain(u, spec, mach) * amp2) @ mach.axis.weights
 
 
 def _potential_int(u: np.ndarray, spec: ModelSpec, mach: Machinery) -> float:
     """integral of g(alpha)|u|^{p+2} against the native measure (no sign)."""
-    amp2 = u.real**2 + u.imag**2
-    if spec.model == MODEL_NONDIV:
-        m2 = amp2 * mach.half_gaussian**2
-        dens = (m2 ** (spec.power // 2) * amp2) @ mach.alpha_weights
-    else:
-        dens = amp2 ** (spec.power // 2 + 1) @ mach.alpha_weights
-    return float(mach.grid.cell_volume * dens.sum())
+    return float(mach.grid.cell_volume * _potential_density(u, spec, mach).sum())
 
 
 def energy_terms(fld, spec: ModelSpec, mach: Machinery) -> dict[str, float]:
@@ -115,7 +104,7 @@ def energy_terms(fld, spec: ModelSpec, mach: Machinery) -> dict[str, float]:
     u = _data(fld)
     return {
         "kinetic_x": 0.5 * _kinetic_x_sq(u, mach),
-        "kinetic_alpha": 0.5 * _kinetic_alpha_sq(u, spec, mach),
+        "kinetic_alpha": 0.5 * _kinetic_alpha_sq(u, mach),
         "potential": spec.sign / (spec.power + 2) * _potential_int(u, spec, mach),
     }
 
@@ -128,7 +117,7 @@ def h1_native(fld, spec: ModelSpec, mach: Machinery) -> float:
     """Energy-compatible H^1-type norm in the model's native measure."""
     u = _data(fld)
     return math.sqrt(
-        mass(u, spec, mach) + _kinetic_x_sq(u, mach) + _kinetic_alpha_sq(u, spec, mach)
+        mass(u, spec, mach) + _kinetic_x_sq(u, mach) + _kinetic_alpha_sq(u, mach)
     )
 
 
@@ -148,7 +137,7 @@ def virial(fld, spec: ModelSpec, mach: Machinery) -> float:
     """V(t) = integral |x|^2 |u|^2 dx d(alpha)."""
     _require_div(spec, "virial")
     u = _data(fld)
-    dens = (u.real**2 + u.imag**2) @ mach.alpha_weights
+    dens = (u.real**2 + u.imag**2) @ mach.axis.weights
     return float(mach.grid.cell_volume * np.sum(_x_radius_sq(mach) * dens))
 
 
@@ -163,7 +152,7 @@ def virial_dt(fld, spec: ModelSpec, mach: Machinery) -> float:
         shape = [1] * mach.grid.dim
         shape[axis] = k.size
         du = x_ifft(hat * (1j * k.reshape(shape))[..., None], mach.grid)
-        dens = (du * np.conj(u)).imag @ mach.alpha_weights
+        dens = (du * np.conj(u)).imag @ mach.axis.weights
         total += float(np.sum(x_axis * dens))
     return 4.0 * mach.grid.cell_volume * total
 
@@ -181,7 +170,7 @@ def virial_rhs(fld, spec: ModelSpec, mach: Machinery) -> float:
     coeff = (spec.dim * spec.power - 4) / (4.0 * (spec.power + 2))
     return 16.0 * (
         energy(u, spec, mach)
-        - 0.5 * _kinetic_alpha_sq(u, spec, mach)
+        - 0.5 * _kinetic_alpha_sq(u, mach)
         + spec.sign * coeff * _potential_int(u, spec, mach)
     )
 
@@ -189,23 +178,27 @@ def virial_rhs(fld, spec: ModelSpec, mach: Machinery) -> float:
 def alpha_reduced_density(fld, spec: ModelSpec, mach: Machinery) -> np.ndarray:
     """m(x) = integral |u|^2 against the native alpha measure."""
     u = _data(fld)
-    return (u.real**2 + u.imag**2) @ mach.alpha_weights
+    return (u.real**2 + u.imag**2) @ mach.axis.weights
 
 
-def _lag_autocorrelation(m: np.ndarray):
-    """Linear autocorrelation over all node-difference lags via padded FFT.
+def _lag_correlation(a: np.ndarray, h: float, b: np.ndarray | None = None):
+    """Linear correlation sum_x a_{x+lag} b_x over all node-difference lags
+    via padded FFT (``b`` defaults to ``a``), for grid spacing ``h``.
 
-    Returns (corr, lag_indices_per_axis); corr[j...] = sum_x m_x m_{x+lag}.
+    Returns (corr, radius) with radius = |lag| on the same padded layout.
     """
-    padded = tuple(2 * s for s in m.shape)
-    axes = tuple(range(m.ndim))
-    hat = np.fft.rfftn(m, s=padded, axes=axes)
-    corr = np.fft.irfftn(hat * np.conj(hat), s=padded, axes=axes)
+    padded = tuple(2 * s for s in a.shape)
+    axes = tuple(range(a.ndim))
+    hat = np.fft.rfftn(a, s=padded, axes=axes)
+    other = hat if b is None else np.fft.rfftn(b, s=padded, axes=axes)
+    corr = np.fft.irfftn(hat * np.conj(other), s=padded, axes=axes)
     lags = []
-    for size in m.shape:
+    for size in a.shape:
         idx = np.arange(2 * size)
-        lags.append(np.where(idx < size, idx, idx - 2 * size))
-    return corr, lags
+        lags.append(np.where(idx < size, idx, idx - 2 * size) * h)
+    if a.ndim == 1:
+        return corr, np.abs(lags[0])
+    return corr, np.sqrt(lags[0][:, None] ** 2 + lags[1][None, :] ** 2)
 
 
 def rho_values(lag_radius: np.ndarray, rho: str) -> np.ndarray:
@@ -223,16 +216,8 @@ def morawetz_I(fld, spec: ModelSpec, mach: Machinery, rho: str = "abs") -> float
     contributes zero by the quadrature convention rho(0) = 0.
     """
     m = alpha_reduced_density(fld, spec, mach)
-    corr, lags = _lag_autocorrelation(m)
-    h = mach.grid.spacing
-    if mach.grid.dim == 1:
-        radius = np.abs(lags[0] * h)
-    else:
-        radius = np.sqrt(
-            (lags[0][:, None] * h) ** 2 + (lags[1][None, :] * h) ** 2
-        )
-    weights = rho_values(radius, rho)
-    return float(mach.grid.cell_volume**2 * np.sum(weights * corr))
+    corr, radius = _lag_correlation(m, mach.grid.spacing)
+    return float(mach.grid.cell_volume**2 * np.sum(rho_values(radius, rho) * corr))
 
 
 def morawetz_dI_bound(fld, spec: ModelSpec, mach: Machinery) -> float:
@@ -249,33 +234,11 @@ def morawetz_weighted_potential(fld, spec: ModelSpec, mach: Machinery) -> float:
     weight included).  Measured only; no sharp constant is asserted.
     """
     u = _data(fld)
-    m = alpha_reduced_density(u, spec, mach)
-    amp2 = u.real**2 + u.imag**2
-    if spec.model == MODEL_NONDIV:
-        m2 = amp2 * mach.half_gaussian**2
-        dens_p = (m2 ** (spec.power // 2) * amp2) @ mach.alpha_weights
-    else:
-        dens_p = amp2 ** (spec.power // 2 + 1) @ mach.alpha_weights
-
-    padded = tuple(2 * s for s in m.shape)
-    axes = tuple(range(m.ndim))
-    # cross-correlation over all node-difference lags
-    corr = np.fft.irfftn(
-        np.fft.rfftn(m, s=padded, axes=axes)
-        * np.conj(np.fft.rfftn(dens_p, s=padded, axes=axes)),
-        s=padded,
-        axes=axes,
+    corr, radius = _lag_correlation(
+        alpha_reduced_density(u, spec, mach), mach.grid.spacing,
+        _potential_density(u, spec, mach),
     )
-    h = mach.grid.spacing
-    lags = []
-    for size in m.shape:
-        idx = np.arange(2 * size)
-        lags.append(np.where(idx < size, idx, idx - 2 * size))
-    if mach.grid.dim == 1:
-        radius_sq = (lags[0] * h) ** 2
-    else:
-        radius_sq = (lags[0][:, None] * h) ** 2 + (lags[1][None, :] * h) ** 2
-    bracket = np.sqrt(1.0 + radius_sq)
+    bracket = rho_values(radius, "bracket")
     lap_rho = (spec.dim - 1) / bracket + 1.0 / bracket**3
     return float(mach.grid.cell_volume**2 * np.sum(lap_rho * corr))
 
@@ -283,7 +246,7 @@ def morawetz_weighted_potential(fld, spec: ModelSpec, mach: Machinery) -> float:
 def boundary_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
     """Native-mass fraction in the outermost 10% shell of the x box."""
     u = _data(fld)
-    dens = (u.real**2 + u.imag**2) @ mach.alpha_weights
+    dens = (u.real**2 + u.imag**2) @ mach.axis.weights
     coords = mach.grid.coordinates()
     outer = np.zeros(mach.grid.shape, dtype=bool)
     for c in coords:
@@ -296,17 +259,7 @@ def boundary_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
 
 def tail_mass_fraction(fld, spec: ModelSpec, mach: Machinery, n_tail: int = 4) -> float:
     """Fraction of native alpha-spectral mass in the top ``n_tail`` modes."""
-    u = _data(fld)
-    if spec.model == MODEL_NONDIV:
-        coeffs = hermite.forward_tensor(u, mach.basis)
-        return hermite.tail_mass_fraction(coeffs, n_tail)
-    coeffs = u @ mach.div_op.eigenvectors
-    power = coeffs.real**2 + coeffs.imag**2
-    total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    # eigenvalues ascend, so the most oscillatory modes sit first
-    return float(power[..., :n_tail].sum()) / total
+    return mach.axis.tail_fraction(_data(fld), n_tail)
 
 
 MONITOR_THRESHOLD = 1e-8

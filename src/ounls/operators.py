@@ -4,6 +4,12 @@ The drift-form generator L = Laplacian_x + (d^2/da^2 - a d/da) is diagonal
 in Fourier x Hermite; the divergence-form generator L = Laplacian_x + P with
 P u = d/da(exp(-a^2/2) du/da) is handled by a conservative second-order
 discretization on a uniform alpha grid, diagonalized once per run.
+
+The two models differ only in the confined direction, and that difference
+lives in two axis classes: HermiteAxis (drift form) and FluxAxis
+(divergence form).  build_axis is the one place that picks one; everything
+downstream calls the axis.  Each axis keeps its own flow arithmetic: both
+unified variants measured slower (README, "The alpha axis").
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import hermite
 from .grids import BoxGrid, dealias_mask, laplacian_symbol, x_fft, x_ifft
-from .hermite import AlphaProfile, HermiteBasis
-from .models import MODEL_DIV, MODEL_NONDIV, DiscretizationSpec, ModelSpec
+from .hermite import HermiteBasis
+from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
 
 
 class NonFiniteFieldError(FloatingPointError):
@@ -75,6 +81,123 @@ def build_div_operator(n_nodes: int = 513, half_width: float = 12.0) -> DivAlpha
     return DivAlphaOperator(nodes, float(h), mu, diag, mu / h**2)
 
 
+class HermiteAxis:
+    """Drift form: Gauss-Hermite nodes for the weight exp(-a^2/2).
+
+    The spectrum is the Hermite coefficients, the OU flow is the diagonal
+    phase exp(-itn) on them, and the gradient form is the modal sum
+    sum n |c_n|^2.
+    """
+
+    def __init__(self, basis: HermiteBasis):
+        self.basis = basis
+        self.nodes = basis.nodes
+        self.weights = basis.weights
+        self.measure = 1.0
+        # g(alpha)|u|^p is evaluated as (|u|^2 e^{-a^2})^(p/2), so large
+        # nodal values at the outer nodes never meet the tiny weight as an
+        # inf*0 product
+        self.gain_weight = np.exp(-0.5 * basis.nodes**2) ** 2
+        self._modes = -basis.eigenvalues
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Alpha spectrum along the last axis: the Hermite coefficients."""
+        return hermite.forward_tensor(values, self.basis)
+
+    def flow(self, t: float) -> np.ndarray:
+        """exp(itA) on the spectrum: the diagonal phases exp(it lambda_n)."""
+        return np.exp(1j * t * self.basis.eigenvalues)
+
+    def phase(self, spectrum, x_mult, flow) -> np.ndarray:
+        """The spectrum times the x multiplier and the diagonal flow."""
+        return spectrum * (x_mult * flow)
+
+    def synthesize(self, spectrum, flow, grid: BoxGrid) -> np.ndarray:
+        """Nodal field of a phased spectrum."""
+        return x_ifft(hermite.inverse_tensor(spectrum, self.basis), grid)
+
+    def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
+        """Alpha gradient form per x point, sum n |c_n|^2; ``power`` is
+        |spectrum|^2."""
+        return power @ self._modes
+
+    def tail_fraction(self, values: np.ndarray, n_tail: int) -> float:
+        return hermite.tail_mass_fraction(self.forward(values), n_tail)
+
+    def band_shapes(self, band: int) -> np.ndarray:
+        """Nodal shapes of the band+1 low profiles: the basis functions."""
+        return self.basis.eigenfunctions[: band + 1]
+
+    def mode_factors(self, band: int):
+        """(measure, Strichartz norm factor per variant) of the low band:
+        the basis is orthonormal, with an extra alpha-H^1 variant."""
+        n = np.arange(band + 1, dtype=np.float64)
+        return 1.0, {"k0": np.eye(band + 1), "h1alpha": np.diag(np.sqrt(1.0 + n))}
+
+
+class FluxAxis:
+    """Divergence form: the conservative flux operator on uniform nodes,
+    with the plain L^2 measure and an unweighted power nonlinearity.
+
+    The spectrum is the nodal x-spectrum itself, the flow is the dense
+    G(t) = Q exp(it Lambda) Q^T, and the gradient form is the face-difference
+    form, the exact invariant of the semi-discrete flow.
+    """
+
+    def __init__(self, op: DivAlphaOperator):
+        self.op = op
+        self.nodes = op.nodes
+        self.weights = np.full(op.n_nodes, op.spacing)
+        self.measure = op.spacing
+        self.gain_weight = np.ones(op.n_nodes)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def flow(self, t: float) -> np.ndarray:
+        q = self.op.eigenvectors
+        return (q * np.exp(1j * t * self.op.eigenvalues)) @ q.T
+
+    def phase(self, spectrum, x_mult, flow) -> np.ndarray:
+        return spectrum * x_mult
+
+    def synthesize(self, spectrum, flow, grid: BoxGrid) -> np.ndarray:
+        return x_ifft(spectrum, grid) @ flow
+
+    def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
+        """sum_f mu_f |diff_a u|^2 / h^2 per x point (``power`` unused)."""
+        diff = np.diff(spectrum, axis=-1)
+        return (diff.real**2 + diff.imag**2) @ self.op.face_weights / self.op.spacing**2
+
+    def tail_fraction(self, values: np.ndarray, n_tail: int) -> float:
+        # Q is real, so the eigen-spectrum's power is taken part by part
+        # without a complex copy of Q; eigenvalues ascend, so the most
+        # oscillatory modes sit first
+        q = self.op.eigenvectors
+        power = (values.real @ q) ** 2 + (values.imag @ q) ** 2
+        total = float(power.sum())
+        return float(power[..., :n_tail].sum()) / total if total else 0.0
+
+    def band_shapes(self, band: int) -> np.ndarray:
+        """Gaussian-confined profiles phi_n exp(-a^2/2): the truncated
+        operator's spectrum near zero is a dense continuum, so its raw
+        eigenvectors are not usable as a smooth band."""
+        return hermite.evaluate_modes(self.nodes, band + 1) * np.exp(-0.5 * self.nodes**2)
+
+    def mode_factors(self, band: int):
+        """The band shapes are not orthonormal in plain L^2, so the norm
+        carries the Cholesky factor of their Gram matrix."""
+        shapes = self.band_shapes(band)
+        return self.op.spacing, {"k0": np.linalg.cholesky(shapes @ shapes.T)}
+
+
+def build_axis(spec: ModelSpec, disc: DiscretizationSpec) -> HermiteAxis | FluxAxis:
+    """The confined-direction discretization of the spec's model."""
+    if spec.model == MODEL_NONDIV:
+        return HermiteAxis(hermite.build_basis(disc.n_alpha))
+    return FluxAxis(build_div_operator(disc.div_nodes, disc.div_half_width))
+
+
 def apply_div_operator(values: np.ndarray, op: DivAlphaOperator) -> np.ndarray:
     """Flux-difference action of P along the last axis."""
     if values.shape[-1] != op.n_nodes:
@@ -101,24 +224,11 @@ def verify_div_identity(f, basis: HermiteBasis, op: DivAlphaOperator) -> float:
 
     The left side uses the conservative discretization on the uniform grid;
     the right side is computed modally (c_n -> -n c_n) from the Hermite
-    expansion of ``f`` and resampled onto the uniform grid.  ``f`` may be a
-    callable of alpha or an AlphaProfile.
+    expansion of the callable ``f`` and resampled onto the uniform grid.
     """
-    if callable(f):
-        coeffs = hermite.forward_tensor(
-            np.asarray(f(basis.nodes), dtype=np.complex128), basis
-        )
-        f_uniform = np.asarray(f(op.nodes), dtype=np.complex128)
-    elif isinstance(f, AlphaProfile):
-        coeffs = (
-            f.data if f.space == "modal" else hermite.forward_tensor(f.data, basis)
-        )
-        f_uniform = hermite.evaluate_modal(coeffs, op.nodes)
-    else:
-        raise TypeError("f must be callable or an AlphaProfile")
-
-    lhs = apply_div_operator(f_uniform, op)
-    ou_f = hermite.evaluate_modal(coeffs * basis.eigenvalues[: coeffs.shape[-1]], op.nodes)
+    coeffs = hermite.forward_tensor(np.asarray(f(basis.nodes), dtype=np.complex128), basis)
+    lhs = apply_div_operator(np.asarray(f(op.nodes), dtype=np.complex128), op)
+    ou_f = hermite.evaluate_modal(coeffs * basis.eigenvalues, op.nodes)
     rhs = np.exp(-0.5 * op.nodes**2) * ou_f
     return float(np.abs(lhs - rhs).max())
 
@@ -129,39 +239,17 @@ class Machinery:
 
     spec: ModelSpec
     grid: BoxGrid
-    basis: HermiteBasis | None = None
-    div_op: DivAlphaOperator | None = None
+    axis: HermiteAxis | FluxAxis
     dealias: np.ndarray | None = None
     include_nonlinearity: bool = True
     _propagators: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def alpha_nodes(self) -> np.ndarray:
-        return self.basis.nodes if self.spec.model == MODEL_NONDIV else self.div_op.nodes
-
-    @property
-    def n_alpha(self) -> int:
-        return self.alpha_nodes.size
-
-    @property
-    def alpha_weights(self) -> np.ndarray:
-        """Native alpha quadrature weights (Gaussian-weighted or uniform)."""
-        if self.spec.model == MODEL_NONDIV:
-            return self.basis.weights
-        return np.full(self.div_op.n_nodes, self.div_op.spacing)
-
-    @property
-    def half_gaussian(self) -> np.ndarray:
-        """exp(-alpha^2/2) at the alpha nodes."""
-        return np.exp(-0.5 * self.alpha_nodes**2)
 
     def propagator(self, t: float) -> "LinearPropagator":
         """Cached exact propagator for time t (small LRU: the div-form
         alpha matrix is dense, so unbounded caching would hoard memory)."""
         prop = self._propagators.pop(t, None)
         if prop is None:
-            source = self.basis if self.spec.model == MODEL_NONDIV else self.div_op
-            prop = build_linear_propagator(self.spec, self.grid, source, t)
+            prop = build_linear_propagator(self.grid, self.axis, t)
         self._propagators[t] = prop
         while len(self._propagators) > 16:
             self._propagators.pop(next(iter(self._propagators)))
@@ -173,27 +261,19 @@ def build_machinery(
 ) -> Machinery:
     grid = BoxGrid(spec.dim, disc.resolved_box(spec.dim), disc.n_x)
     mask = dealias_mask(grid) if disc.dealias else None
-    if spec.model == MODEL_NONDIV:
-        basis = hermite.build_basis(disc.n_alpha)
-        return Machinery(spec, grid, basis=basis, dealias=mask,
-                         include_nonlinearity=include_nonlinearity)
-    op = build_div_operator(disc.div_nodes, disc.div_half_width)
-    return Machinery(spec, grid, div_op=op, dealias=mask,
+    return Machinery(spec, grid, build_axis(spec, disc), dealias=mask,
                      include_nonlinearity=include_nonlinearity)
 
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Exact application of exp(i t L) in the model's diagonal bases."""
+    """Exact application of exp(i t L): the x phases and the axis flow."""
 
-    spec: ModelSpec
     grid: BoxGrid
     t: float
     x_phase: np.ndarray
-    alpha_phase: np.ndarray | None = None
-    alpha_matrix: np.ndarray | None = None
-    basis: HermiteBasis | None = None
-    div_op: DivAlphaOperator | None = None
+    axis: HermiteAxis | FluxAxis
+    flow: np.ndarray
 
     def apply(self, data: np.ndarray, mask: np.ndarray | None = None, h1: bool = False):
         """exp(i t L) data; with ``mask`` the x multiplier is x_phase * mask,
@@ -204,62 +284,40 @@ class LinearPropagator:
         the H^1 form, so no further transform is needed.
         """
         x_mult = self.x_phase if mask is None else self.x_phase * mask
-        if self.spec.model == MODEL_NONDIV:
-            coeffs = hermite.forward_tensor(x_fft(data, self.grid), self.basis)
-            norm = self._spectral_h1(coeffs, mask) if h1 else None
-            coeffs = coeffs * (x_mult[..., None] * self.alpha_phase)
-            out = x_ifft(hermite.inverse_tensor(coeffs, self.basis), self.grid)
-        else:
-            hat = x_fft(data, self.grid)
-            norm = self._spectral_h1(hat, mask) if h1 else None
-            out = x_ifft(hat * x_mult[..., None], self.grid) @ self.alpha_matrix
+        spectrum = self.axis.forward(x_fft(data, self.grid))
+        norm = self._spectral_h1(spectrum, mask) if h1 else None
+        # rebinding frees the unphased spectrum before the synthesis allocates
+        # (an extra live buffer measured several per cent slower drift steps)
+        spectrum = self.axis.phase(spectrum, x_mult[..., None], self.flow)
+        out = self.axis.synthesize(spectrum, self.flow, self.grid)
         return (out, norm) if h1 else out
 
     def _spectral_h1(self, spectrum: np.ndarray, mask: np.ndarray | None) -> float:
-        """Native H^1 of the field whose x-spectrum (times the mask) this is.
-
-        Drift form, Hermite coefficients c_kn: vol * sum (1 + |k|^2 + n)|c|^2.
-        Divergence form, alpha-nodal u_hat_k:
-        vol * h * [sum (1 + |k|^2)|u_hat|^2 + sum_f mu_f |diff_a u_hat|^2 / h^2].
+        """Native H^1 of the field whose x-by-alpha spectrum (times the mask)
+        this is: vol * measure * sum [(1 + |k|^2)|s|^2 + alpha gradient form].
         """
         power = spectrum.real**2 + spectrum.imag**2
         dens = (1.0 - laplacian_symbol(self.grid)) * power.sum(axis=-1)
-        if self.spec.model == MODEL_NONDIV:
-            dens -= power @ self.basis.eigenvalues
-            scale = 1.0
-        else:
-            op = self.div_op
-            diff = np.diff(spectrum, axis=-1)
-            dens += (diff.real**2 + diff.imag**2) @ op.face_weights / op.spacing**2
-            scale = op.spacing
+        dens = dens + self.axis.grad_density(spectrum, power)
         if mask is not None:
             dens = dens * mask
-        return float(np.sqrt(self.grid.cell_volume * scale * dens.sum()))
+        return float(np.sqrt(self.grid.cell_volume * self.axis.measure * dens.sum()))
 
 
-def build_linear_propagator(spec: ModelSpec, grid: BoxGrid, alpha_source, t: float) -> LinearPropagator:
+def build_linear_propagator(
+    grid: BoxGrid, axis: HermiteAxis | FluxAxis, t: float
+) -> LinearPropagator:
     """Propagator for time ``t``; unitary in the model's native L^2."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t!r}")
     x_phase = np.exp(1j * t * laplacian_symbol(grid))
-    if spec.model == MODEL_NONDIV:
-        basis: HermiteBasis = alpha_source
-        alpha_phase = np.exp(1j * t * basis.eigenvalues)
-        return LinearPropagator(spec, grid, t, x_phase, alpha_phase=alpha_phase, basis=basis)
-    op: DivAlphaOperator = alpha_source
-    q = op.eigenvectors
-    g = (q * np.exp(1j * t * op.eigenvalues)) @ q.T
-    return LinearPropagator(spec, grid, t, x_phase, alpha_matrix=g, div_op=op)
+    return LinearPropagator(grid, t, x_phase, axis, axis.flow(t))
 
 
 def nonlinear_gain(data: np.ndarray, spec: ModelSpec, mach: Machinery) -> np.ndarray:
-    """Pointwise g(alpha)|u|^p, grouped as (|u| e^{-a^2/2})^p for the
-    drift-form model so that large nodal values at outer Hermite nodes
-    never meet the tiny weight as an inf*0 product."""
+    """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2)."""
     amp2 = data.real**2 + data.imag**2
-    if spec.model == MODEL_NONDIV:
-        m2 = amp2 * mach.half_gaussian**2
-        return m2 ** (spec.power // 2)
+    amp2 *= mach.axis.gain_weight
     return amp2 ** (spec.power // 2)
 
 

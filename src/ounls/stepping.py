@@ -30,7 +30,7 @@ per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,24 +91,6 @@ def _native_l2(data: np.ndarray, mach: Machinery) -> float:
     return math.sqrt(observables.mass(data, mach.spec, mach))
 
 
-def strang_step(state: StepperState, mach: Machinery) -> StepperState:
-    """Advance by state.dt: half linear, full nonlinear phase, half linear."""
-    if state.blowup_flag:
-        raise ValueError("stepper is flagged; integration has stopped")
-    try:
-        data, h1 = _strang(state.field.data, mach, state.dt, h1=True)
-    except NonFiniteFieldError:
-        return replace(
-            state, blowup_flag=True, blowup_time_estimate=state.field.time
-        )
-    new_field = Field(data, state.field.time + state.dt)
-    new_state = replace(state, field=new_field, step_count=state.step_count + 1)
-    if not math.isfinite(h1):
-        new_state.blowup_flag = True
-        new_state.blowup_time_estimate = new_field.time
-    return new_state
-
-
 def detect_blowup(
     state: StepperState,
     mach: Machinery,
@@ -149,11 +131,13 @@ def detect_blowup(
 
 
 def _advance_fixed(state, mach, target, control, thresholds):
-    # uniform substeps per segment; a dt within 1e-12 of the nominal one is
-    # snapped to it, so the float-keyed propagator cache sees one key per
-    # dt and not one per one-ulp jitter of remaining / n_sub
+    # uniform substeps per segment, rounded up so that none is longer than
+    # control.dt (the 1e-12 relative slack absorbs division jitter); a dt
+    # within 1e-12 of the nominal one is snapped to it, so the float-keyed
+    # propagator cache sees one key per dt and not one per one-ulp jitter
+    # of remaining / n_sub
     remaining = target - state.field.time
-    n_sub = max(1, round(remaining / control.dt))
+    n_sub = max(1, math.ceil(remaining / control.dt * (1.0 - 1e-12)))
     dt = remaining / n_sub
     if abs(dt - control.dt) <= 1e-12 * abs(control.dt):
         dt = control.dt

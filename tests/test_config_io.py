@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from ounls.config import ConfigError, check_admissible_pair, parse_config
+from ounls.cli import _build_parser
+from ounls.config import SCENARIOS, ConfigError, check_admissible_pair, parse_config
 from ounls.observables import DiagnosticsRecord
 from ounls.reporting import (
     Report,
@@ -71,6 +72,16 @@ def test_unknown_keys_are_hard_errors(tmp_path):
         parse_config(write_cfg(tmp_path, "[grids]\nn_x = 128\n"))
     with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "missing.ini"))
+
+
+def test_every_cli_subcommand_is_a_config_scenario(tmp_path):
+    parser = _build_parser()
+    for name in SCENARIOS:
+        assert parser.parse_args([name]).command == name
+        cfg = parse_config(write_cfg(tmp_path, f"[run]\nscenario = {name}\n"))
+        assert cfg.scenario == name
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        parse_config(write_cfg(tmp_path, "[run]\nscenario = morawitz\n"))
 
 
 def test_overrides(tmp_path):

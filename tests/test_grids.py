@@ -1,11 +1,11 @@
-"""Periodic-box spectral layer: Parseval, symbols, norms, dealiasing."""
+"""Periodic-box spectral layer: Parseval, symbols, dealiasing."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ounls.grids import BoxGrid, dealias_mask, laplacian_symbol, x_fft, x_ifft, x_norms
+from ounls.grids import BoxGrid, dealias_mask, laplacian_symbol, x_fft, x_ifft
 
 
 def test_grid_validation():
@@ -68,19 +68,6 @@ def test_free_phase_is_unitary():
     v = x_ifft(hat, grid)
     a, b = np.sum(np.abs(u) ** 2), np.sum(np.abs(v) ** 2)
     assert abs(a - b) < 1e-12 * a
-
-
-def test_x_norms():
-    grid = BoxGrid(1, 10.0, 64)
-    ones = np.ones(64, complex)
-    assert abs(x_norms(ones, grid, 2) - math.sqrt(20.0)) < 1e-12
-    assert x_norms(np.zeros(64), grid, 5) == 0.0
-    spike = np.zeros(64)
-    spike[10] = 1.0
-    assert x_norms(spike, grid, math.inf) == 1.0
-    assert abs(x_norms(ones, grid, 1) - 20.0) < 1e-12
-    with pytest.raises(ValueError):
-        x_norms(ones, grid, 0.5)
 
 
 def test_dealias_mask_two_thirds():

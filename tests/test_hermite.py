@@ -14,16 +14,14 @@ from scipy.special import roots_hermitenorm
 
 from ounls.hermite import (
     SQRT_TWO_PI,
-    AlphaProfile,
     IllConditionedBasisError,
     build_basis,
     evaluate_modal,
-    hermite_forward,
-    hermite_inverse,
-    modal_derivative,
+    forward_tensor,
+    inverse_tensor,
     tail_mass_fraction,
-    weighted_norm,
 )
+from ounls.operators import HermiteAxis
 
 
 def double_factorial(m):
@@ -96,7 +94,7 @@ def test_build_rejects_bad_sizes():
 
 def test_forward_of_constant():
     basis = build_basis(64)
-    coeffs = hermite_forward(AlphaProfile(np.ones(64)), basis).data
+    coeffs = forward_tensor(np.ones(64, complex), basis)
     assert abs(coeffs[0] - (2 * math.pi) ** 0.25) < 1e-12
     assert np.abs(coeffs[1:]).max() < 1e-12
 
@@ -104,7 +102,7 @@ def test_forward_of_constant():
 def test_forward_of_squared_nodes():
     # a^2 = He_2 + He_0, so only modes 0 and 2 survive
     basis = build_basis(64)
-    coeffs = hermite_forward(AlphaProfile(basis.nodes**2 + 0j), basis).data
+    coeffs = forward_tensor(basis.nodes**2 + 0j, basis)
     s = (2 * math.pi) ** 0.25
     assert abs(coeffs[0] - s) < 1e-12
     assert abs(coeffs[2] - math.sqrt(2) * s) < 1e-12
@@ -114,13 +112,15 @@ def test_forward_of_squared_nodes():
 
 def test_forward_of_zero():
     basis = build_basis(16)
-    coeffs = hermite_forward(AlphaProfile(np.zeros(16)), basis).data
+    coeffs = forward_tensor(np.zeros(16, complex), basis)
     assert np.all(coeffs == 0)
 
 
 def test_inverse_of_first_mode():
     basis = build_basis(32)
-    values = hermite_inverse(AlphaProfile(np.array([1.0 + 0j]), "modal"), basis).data
+    coeffs = np.zeros(32, complex)
+    coeffs[0] = 1.0
+    values = inverse_tensor(coeffs, basis)
     np.testing.assert_allclose(values, (2 * math.pi) ** (-0.25), rtol=1e-13)
 
 
@@ -129,9 +129,9 @@ def test_roundtrip_unit_modes():
     for n in (0, 5, 31):
         coeffs = np.zeros(32, complex)
         coeffs[n] = 1.0
-        back = hermite_forward(hermite_inverse(AlphaProfile(coeffs, "modal"), basis), basis).data
+        back = forward_tensor(inverse_tensor(coeffs, basis), basis)
         assert np.abs(back - coeffs).max() < 1e-10
-    zero = hermite_inverse(AlphaProfile(np.zeros(32, complex), "modal"), basis).data
+    zero = inverse_tensor(np.zeros(32, complex), basis)
     assert np.all(zero == 0)
 
 
@@ -140,8 +140,7 @@ def test_roundtrip_band_limited_random():
     rng = np.random.default_rng(3)
     coeffs = np.zeros(64, complex)
     coeffs[:40] = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    nodal = hermite_inverse(AlphaProfile(coeffs, "modal"), basis)
-    back = hermite_forward(nodal, basis).data
+    back = forward_tensor(inverse_tensor(coeffs, basis), basis)
     assert np.abs(back - coeffs).max() < 1e-10 * np.abs(coeffs).max()
 
 
@@ -149,7 +148,7 @@ def test_parseval():
     basis = build_basis(64)
     rng = np.random.default_rng(4)
     values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    coeffs = hermite_forward(AlphaProfile(values), basis).data
+    coeffs = forward_tensor(values, basis)
     nodal_sq = float(basis.weights @ np.abs(values) ** 2)
     modal_sq = float(np.sum(np.abs(coeffs) ** 2))
     assert abs(nodal_sq - modal_sq) < 1e-10 * nodal_sq
@@ -158,43 +157,46 @@ def test_parseval():
 def test_length_mismatch_raises():
     basis = build_basis(16)
     with pytest.raises(ValueError):
-        hermite_forward(AlphaProfile(np.ones(8)), basis)
+        forward_tensor(np.ones(8, complex), basis)
     with pytest.raises(ValueError):
-        hermite_inverse(AlphaProfile(np.ones(32), "modal"), basis)
+        inverse_tensor(np.ones(32, complex), basis)
+
+
+def weighted_norms(axis, values):
+    """(L2w, H1w_homogeneous) of a nodal profile through the drift axis:
+    modal Parseval and the gradient form sum n |c_n|^2."""
+    coeffs = axis.forward(values)
+    power = coeffs.real**2 + coeffs.imag**2
+    return math.sqrt(power.sum()), math.sqrt(axis.grad_density(coeffs, power))
 
 
 def test_weighted_norm_examples():
-    basis = build_basis(64)
-    ones = AlphaProfile(np.ones(64))
-    assert abs(weighted_norm(ones, basis, "L2w") - (2 * math.pi) ** 0.25) < 1e-12
-    assert weighted_norm(ones, basis, "H1w_homogeneous") < 1e-12
-    linear = AlphaProfile(basis.nodes + 0j)
-    assert abs(weighted_norm(linear, basis, "L2w") ** 2 - SQRT_TWO_PI) < 1e-12
-    assert abs(weighted_norm(linear, basis, "H1w_homogeneous") ** 2 - SQRT_TWO_PI) < 1e-12
+    axis = HermiteAxis(build_basis(64))
+    l2, grad = weighted_norms(axis, np.ones(64, complex))
+    assert abs(l2 - (2 * math.pi) ** 0.25) < 1e-12
+    assert grad < 1e-12
+    l2, grad = weighted_norms(axis, axis.nodes + 0j)
+    assert abs(l2**2 - SQRT_TWO_PI) < 1e-12
+    assert abs(grad**2 - SQRT_TWO_PI) < 1e-12
     expected = math.sqrt(2.0 * SQRT_TWO_PI)
-    assert abs(weighted_norm(linear, basis, "H1w") - expected) < 1e-12
+    assert abs(math.sqrt(l2**2 + grad**2) - expected) < 1e-12
 
 
-def test_weighted_norm_unknown_tag():
-    basis = build_basis(8)
-    with pytest.raises(ValueError):
-        weighted_norm(AlphaProfile(np.ones(8)), basis, "L3w")
-
-
-def test_modal_derivative_shift_direction():
-    # d/da of the band-limited expansion, checked against second-order
-    # differences of the evaluated expansion on a fine interior grid
+def test_gradient_form_matches_fd_derivative():
+    # sum n |c_n|^2 is the weighted Dirichlet form int |f'|^2 e^{-a^2/2};
+    # the oracle differentiates the evaluated band-limited expansion by
+    # second-order differences and integrates by the trapezoid rule
+    axis = HermiteAxis(build_basis(64))
     rng = np.random.default_rng(5)
     coeffs = np.zeros(64, complex)
     coeffs[:8] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    alphas = np.linspace(-3.0, 3.0, 2001)
+    alphas = np.linspace(-12.0, 12.0, 24001)
     h = alphas[1] - alphas[0]
-    values = evaluate_modal(coeffs, alphas)
-    spectral = evaluate_modal(modal_derivative(coeffs), alphas)
-    fd = (values[2:] - values[:-2]) / (2 * h)
-    err = np.abs(fd - spectral[1:-1]).max()
-    scale = np.abs(spectral).max()
-    assert err < 10.0 * h**2 * scale
+    fd = np.gradient(evaluate_modal(coeffs, alphas), h, edge_order=2)
+    oracle = np.trapezoid(np.abs(fd) ** 2 * np.exp(-0.5 * alphas**2), alphas)
+    power = coeffs.real**2 + coeffs.imag**2
+    spectral = float(axis.grad_density(coeffs, power))
+    assert abs(spectral - oracle) < 10.0 * h**2 * spectral
 
 
 def test_ou_modal_action_matches_nodal_fd():
@@ -204,7 +206,7 @@ def test_ou_modal_action_matches_nodal_fd():
     def profile(a):
         return np.sin(a) * np.exp(-(a**2) / 8.0)
 
-    coeffs = hermite_forward(AlphaProfile(profile(basis.nodes) + 0j), basis).data
+    coeffs = forward_tensor(profile(basis.nodes) + 0j, basis)
     grid = np.linspace(-10.0, 10.0, 4001)
     h = grid[1] - grid[0]
     f = profile(grid)

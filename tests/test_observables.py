@@ -33,7 +33,7 @@ SQRT_PI = math.sqrt(math.pi)
 def template(mach, amp=1.0, xw=1.0, aw=math.sqrt(2.0)):
     x = mach.grid.coordinates()
     env = np.exp(-sum(c**2 for c in x) / (2 * xw * xw))
-    prof = np.exp(-mach.alpha_nodes**2 / (2 * aw * aw))
+    prof = np.exp(-mach.axis.nodes**2 / (2 * aw * aw))
     return (amp * env)[..., None] * prof + 0j
 
 
@@ -65,7 +65,7 @@ def test_mass_zero_and_scaling(nondiv):
 
 def test_energy_zero_field_and_x_independent(div2):
     assert energy(np.zeros((256, 513)), div2.spec, div2) == 0.0
-    prof = np.exp(-div2.alpha_nodes**2 / 4.0)
+    prof = np.exp(-div2.axis.nodes**2 / 4.0)
     u = np.ones(256)[:, None] * prof + 0j
     terms = energy_terms(u, div2.spec, div2)
     assert abs(terms["kinetic_x"]) < 1e-12
@@ -223,7 +223,8 @@ def test_weighted_potential_against_direct_sum():
     u = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
     m = alpha_reduced_density(u, spec, mach)
     amp2 = u.real**2 + u.imag**2
-    m_p = ((amp2 * mach.half_gaussian**2) * amp2) @ mach.alpha_weights
+    gauss = np.exp(-0.5 * mach.axis.nodes**2)
+    m_p = ((amp2 * gauss**2) * amp2) @ mach.axis.basis.weights
     x = mach.grid.axis
     direct = 0.0
     for i in range(16):
@@ -247,8 +248,8 @@ def test_boundary_and_tail_monitors(nondiv):
 def test_truncation_monitor_warns(nondiv):
     # content parked on the top alpha modes must trip the tail monitor
     hot = np.zeros((256, 64), complex)
-    hot[:, :] = nondiv.basis.eigenfunctions[62]
-    hot[:, :] += 1e3 * nondiv.basis.eigenfunctions[0]
+    hot[:, :] = nondiv.axis.basis.eigenfunctions[62]
+    hot[:, :] += 1e3 * nondiv.axis.basis.eigenfunctions[0]
     coeffs_like = Field(hot, 0.0)
     with pytest.warns(RuntimeWarning, match="tail fraction"):
         sample_record(coeffs_like, nondiv.spec, nondiv)
@@ -256,7 +257,7 @@ def test_truncation_monitor_warns(nondiv):
 
 def test_h1_native_constant_alpha_profile(nondiv):
     # pure phi_0 content: h1^2 = mass (no gradients)
-    u = np.ones((256, 64), complex) * nondiv.basis.eigenfunctions[0]
+    u = np.ones((256, 64), complex) * nondiv.axis.basis.eigenfunctions[0]
     h1 = h1_native(u, nondiv.spec, nondiv)
     m = mass(u, nondiv.spec, nondiv)
     assert abs(h1**2 - m) < 1e-10 * m

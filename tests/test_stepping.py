@@ -18,7 +18,6 @@ from ounls.stepping import (
     StepperState,
     detect_blowup,
     integrate,
-    strang_step,
 )
 
 DISC = DiscretizationSpec(n_x=256, box_half_length=8 * math.pi)
@@ -27,7 +26,7 @@ DISC = DiscretizationSpec(n_x=256, box_half_length=8 * math.pi)
 def gaussian(mach, amp=1.0):
     x = mach.grid.coordinates()
     env = np.exp(-sum(c**2 for c in x) / 2.0)
-    prof = np.exp(-mach.alpha_nodes**2 / 4.0)
+    prof = np.exp(-mach.axis.nodes**2 / 4.0)
     return (amp * env)[..., None] * prof + 0j
 
 
@@ -42,10 +41,14 @@ def divm():
         n_x=128, box_half_length=8 * math.pi, div_nodes=257))
 
 
+def no_record(fld, spec, mach):
+    return None
+
+
 def test_zero_field_stays_zero(nondiv):
-    state = StepperState(field=Field(np.zeros((256, 64), complex)), dt=1e-2)
-    for _ in range(3):
-        state = strang_step(state, nondiv)
+    _, state = integrate(Field(np.zeros((256, 64), complex)), nondiv, 3e-2, [3e-2],
+                         StepControl(dt=1e-2), record_fn=no_record)
+    assert state.step_count == 3
     assert np.all(state.field.data == 0)
     assert state.field.time == pytest.approx(3e-2)
 
@@ -53,8 +56,9 @@ def test_zero_field_stays_zero(nondiv):
 def test_linear_only_matches_exact_propagator(nondiv):
     mach_lin = build_machinery(nondiv.spec, DISC, include_nonlinearity=False)
     u0 = gaussian(mach_lin)
-    state = StepperState(field=Field(u0.copy()), dt=0.05)
-    state = strang_step(state, mach_lin)
+    _, state = integrate(Field(u0.copy()), mach_lin, 0.05, [0.05], StepControl(dt=0.05),
+                         record_fn=no_record)
+    assert state.step_count == 1
     exact = mach_lin.propagator(0.05).apply(u0)
     err = math.sqrt(mass(state.field.data - exact, mach_lin.spec, mach_lin))
     assert err < 1e-11 * math.sqrt(mass(u0, mach_lin.spec, mach_lin))
@@ -65,18 +69,16 @@ def test_per_step_mass_conservation(model_fixture, request):
     mach = request.getfixturevalue(model_fixture)
     u0 = gaussian(mach)
     m0 = mass(u0, mach.spec, mach)
-    state = StepperState(field=Field(u0), dt=1e-3)
-    state = strang_step(state, mach)
+    _, state = integrate(Field(u0), mach, 1e-3, [1e-3], StepControl(dt=1e-3),
+                         record_fn=no_record)
+    assert state.step_count == 1
     assert abs(mass(state.field.data, mach.spec, mach) - m0) < 1e-11 * m0
 
 
 def test_time_reversibility(nondiv):
     u0 = gaussian(nondiv)
-    state = StepperState(field=Field(u0.copy()), dt=1e-2)
-    state = strang_step(state, nondiv)
-    state = StepperState(field=state.field, dt=-1e-2)
-    state = strang_step(state, nondiv)
-    err = math.sqrt(mass(state.field.data - u0, nondiv.spec, nondiv))
+    back = stepping._strang(stepping._strang(u0.copy(), nondiv, 1e-2), nondiv, -1e-2)
+    err = math.sqrt(mass(back - u0, nondiv.spec, nondiv))
     assert err < 1e-9
 
 
@@ -140,12 +142,6 @@ def test_detect_blowup_flags_nan(nondiv):
     assert state.blowup_time_estimate == 0.7
 
 
-def test_step_on_flagged_state_rejected(nondiv):
-    state = StepperState(field=Field(gaussian(nondiv)), dt=1e-3, blowup_flag=True)
-    with pytest.raises(ValueError):
-        strang_step(state, nondiv)
-
-
 # the compact 8*pi box lets fast dispersive content reach the monitored
 # shell at the ~1e-8 level by t=2; that warning is the monitor working
 @pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
@@ -206,7 +202,7 @@ def test_fused_fixed_path_matches_unfused_steps(model_fixture, request):
     # a narrow pulse puts spectral mass past the 2/3 cutoff, so a step
     # that skipped the mask would not pass for one that applies it
     (x,) = mach.grid.coordinates()
-    u0 = np.exp(-(x**2) / (2 * 0.3**2))[:, None] * np.exp(-mach.alpha_nodes**2 / 4.0) + 0j
+    u0 = np.exp(-(x**2) / (2 * 0.3**2))[:, None] * np.exp(-mach.axis.nodes**2 / 4.0) + 0j
     dt, samples = 1e-3, np.linspace(0.0, 0.05, 6)
     records, state = integrate(Field(u0.copy()), mach, 0.05, samples, StepControl(dt=dt))
 
@@ -272,16 +268,24 @@ def test_fixed_run_builds_one_propagator_per_substep_length(monkeypatch):
     built = []
     build = operators.build_linear_propagator
 
-    def counting(spec, grid, source, t):
+    def counting(grid, axis, t):
         built.append(t)
-        return build(spec, grid, source, t)
+        return build(grid, axis, t)
 
     monkeypatch.setattr(operators, "build_linear_propagator", counting)
     samples = np.linspace(0.0, 0.05, 6)
     _, state = integrate(Field(gaussian(mach)), mach, 0.05, samples, StepControl(dt=1e-3),
-                         record_fn=lambda fld, spec, m: None)
+                         record_fn=no_record)
     assert state.step_count == 50
     assert sorted(built) == [5e-4, 1e-3]
+
+
+def test_fixed_substeps_never_exceed_control_dt(nondiv):
+    # 0.125 / 2e-3 = 62.5 steps; rounding to 62 would run a dt of 2.016e-3
+    _, state = integrate(Field(gaussian(nondiv)), nondiv, 0.125, [0.0, 0.125],
+                         StepControl(dt=2e-3), record_fn=no_record)
+    assert state.step_count == 63
+    assert state.dt == pytest.approx(0.125 / 63, rel=1e-14)
 
 
 def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv):
