@@ -19,7 +19,8 @@ from .config import InitialData, ScenarioConfig, check_admissible_pair
 from .grids import BoxGrid
 from .models import DEFOCUSING, FOCUSING, MODEL_DIV, MODEL_NONDIV, ModelSpec
 from .operators import (
-    Machinery, build_axis, build_div_operator, build_machinery, verify_div_identity,
+    HermiteAxis, Machinery, build_axis, build_div_operator, build_machinery,
+    verify_div_identity,
 )
 from .reporting import Report
 from .state import Field
@@ -312,6 +313,13 @@ def counterexample_ratio(power: int, radius: float, n_quad: int = 4001) -> float
     return num / den ** (power + 1)
 
 
+def _h1alpha_density(coeffs: np.ndarray, axis: HermiteAxis) -> np.ndarray:
+    """sum_n (1 + n)|c_n|^2 over the last axis: the squared weighted H^1 in
+    alpha, the modal mass plus the axis's gradient form."""
+    power = coeffs.real**2 + coeffs.imag**2
+    return power.sum(axis=-1) + axis.grad_density(coeffs, power)
+
+
 def embedding_ratios(
     coeffs: np.ndarray, band: int, n_alpha: int, power: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -319,16 +327,14 @@ def embedding_ratios(
     measured end to end through the basis machinery at resolution n_alpha:
     nodal evaluation, the node sup of |u| e^{-a^2/2}, and the modal
     weighted-H^1 norm of the quadrature projection of the nonlinear term."""
-    basis = hermite.build_basis(n_alpha)
-    u = coeffs @ basis.eigenfunctions[:band]
-    n = np.arange(n_alpha, dtype=np.float64)
-    chat = hermite.forward_tensor(u, basis)
-    h1 = np.sqrt(np.sum((1.0 + n) * np.abs(chat) ** 2, axis=-1))
-    damp = np.exp(-0.5 * basis.nodes**2)
+    axis = HermiteAxis(hermite.build_basis(n_alpha))
+    u = coeffs @ axis.basis.eigenfunctions[:band]
+    h1 = np.sqrt(_h1alpha_density(axis.forward(u), axis))
+    damp = np.exp(-0.5 * axis.nodes**2)
     sup = (np.abs(u) * damp).max(axis=-1)
     amp2 = u.real**2 + u.imag**2
-    vhat = hermite.forward_tensor((amp2 * damp**2) ** (power // 2) * u, basis)
-    h1v = np.sqrt(np.sum((1.0 + n) * np.abs(vhat) ** 2, axis=-1))
+    nonlinear = (amp2 * damp**2) ** (power // 2) * u
+    h1v = np.sqrt(_h1alpha_density(axis.forward(nonlinear), axis))
     return sup / h1, h1v / h1 ** (power + 1)
 
 
@@ -384,11 +390,8 @@ def run_embedding_ensembles(cfg: ScenarioConfig) -> EnsembleReport:
 
 
 def _l2x_h1alpha(data: np.ndarray, mach: Machinery) -> float:
-    coeffs = hermite.forward_tensor(data, mach.axis.basis)
-    n = np.arange(mach.axis.basis.n_modes, dtype=np.float64)
-    return math.sqrt(
-        mach.grid.cell_volume * float(np.sum((1.0 + n) * np.abs(coeffs) ** 2))
-    )
+    dens = _h1alpha_density(mach.axis.forward(data), mach.axis)
+    return math.sqrt(mach.grid.cell_volume * float(dens.sum()))
 
 
 def run_scattering(cfg: ScenarioConfig) -> Report:
@@ -454,6 +457,13 @@ def _fit_parabola_root(times: np.ndarray, values: np.ndarray):
     roots = np.roots(coeff)
     real = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9 and r.real > 0)
     return (real[0] if real else None), coeff
+
+
+def _step_note(leg: str, state) -> str:
+    """Step counts and the accepted dt range of one adaptive run."""
+    lo, hi = state.dt_range or (math.nan, math.nan)
+    return (f"{leg}: {state.step_count} accepted and {state.rejected_count} rejected "
+            f"steps, accepted dt in [{lo:.6g}, {hi:.6g}]")
 
 
 def run_blowup(cfg: ScenarioConfig) -> Report:
@@ -533,6 +543,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     report.notes.append(f"blow-up flagged at t = {flag_time:.6g}")
     tail_h1 = ", ".join(f"{r.h1_native:.5g}" for r in records[-3:])
     report.notes.append(f"last sampled H1 values before the flag: {tail_h1}")
+    report.notes.append(_step_note("focusing leg", state))
 
     control_spec = replace(cfg.model, sign=DEFOCUSING)
     control_mach = build_machinery(control_spec, cfg.disc)
@@ -543,6 +554,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
         StepControl(dt=cfg.dt, adaptive=True, dt_min=dt_floor),
         BlowupThresholds(dt_min=dt_floor),
     )
+    report.notes.append(_step_note("defocusing control", control_state))
     report.add(
         "defocusing_control_unflagged",
         not control_state.blowup_flag,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -50,9 +51,10 @@ class HermiteBasis:
     eigenfunctions: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
+    @cached_property
     def forward_matrix(self) -> np.ndarray:
-        # coeffs = forward_matrix @ values
+        # coeffs = forward_matrix @ values; cached_property writes the
+        # instance dict directly, so it works on the frozen dataclass
         return self.eigenfunctions * self.weights[None, :]
 
 

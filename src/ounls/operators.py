@@ -108,12 +108,12 @@ class HermiteAxis:
         """exp(itA) on the spectrum: the diagonal phases exp(it lambda_n)."""
         return np.exp(1j * t * self.basis.eigenvalues)
 
-    def phase(self, spectrum, x_mult, flow) -> np.ndarray:
+    def advance(self, spectrum, x_mult, flow) -> np.ndarray:
         """The spectrum times the x multiplier and the diagonal flow."""
         return spectrum * (x_mult * flow)
 
-    def synthesize(self, spectrum, flow, grid: BoxGrid) -> np.ndarray:
-        """Nodal field of a phased spectrum."""
+    def synthesize(self, spectrum, grid: BoxGrid) -> np.ndarray:
+        """Nodal field of an x-by-alpha spectrum."""
         return x_ifft(hermite.inverse_tensor(spectrum, self.basis), grid)
 
     def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -158,11 +158,13 @@ class FluxAxis:
         q = self.op.eigenvectors
         return (q * np.exp(1j * t * self.op.eigenvalues)) @ q.T
 
-    def phase(self, spectrum, x_mult, flow) -> np.ndarray:
-        return spectrum * x_mult
+    def advance(self, spectrum, x_mult, flow) -> np.ndarray:
+        """The spectrum times the x multiplier, then G(t) along alpha (G is
+        symmetric, so right multiplication applies it)."""
+        return (spectrum * x_mult) @ flow
 
-    def synthesize(self, spectrum, flow, grid: BoxGrid) -> np.ndarray:
-        return x_ifft(spectrum, grid) @ flow
+    def synthesize(self, spectrum, grid: BoxGrid) -> np.ndarray:
+        return x_ifft(spectrum, grid)
 
     def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
         """sum_f mu_f |diff_a u|^2 / h^2 per x point (``power`` unused)."""
@@ -244,6 +246,14 @@ class Machinery:
     include_nonlinearity: bool = True
     _propagators: dict = field(default_factory=dict, repr=False)
 
+    def forward(self, data: np.ndarray) -> np.ndarray:
+        """x-by-alpha spectrum of a nodal field."""
+        return self.axis.forward(x_fft(data, self.grid))
+
+    def synthesize(self, spectrum: np.ndarray) -> np.ndarray:
+        """Nodal field of an x-by-alpha spectrum."""
+        return self.axis.synthesize(spectrum, self.grid)
+
     def propagator(self, t: float) -> "LinearPropagator":
         """Cached exact propagator for time t (small LRU: the div-form
         alpha matrix is dense, so unbounded caching would hoard memory)."""
@@ -267,7 +277,15 @@ def build_machinery(
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Exact application of exp(i t L): the x phases and the axis flow."""
+    """Exact application of exp(i t L): the x phases and the axis flow.
+
+    ``apply`` is the composition of three spectral parts: the forward
+    transform (the x-FFT, then the axis transform; ``Machinery.forward``),
+    ``advance`` (the x multiplier and the alpha flow, both in spectral
+    coordinates) and the synthesis back to the nodal field
+    (``Machinery.synthesize``).  The adaptive stepper calls the parts
+    directly to carry spectra between substeps.
+    """
 
     grid: BoxGrid
     t: float
@@ -283,22 +301,36 @@ class LinearPropagator:
         read off the masked spectrum: the flow is unitary and commutes with
         the H^1 form, so no further transform is needed.
         """
-        x_mult = self.x_phase if mask is None else self.x_phase * mask
         spectrum = self.axis.forward(x_fft(data, self.grid))
-        norm = self._spectral_h1(spectrum, mask) if h1 else None
+        norm = self.spectral_h1(spectrum, mask) if h1 else None
         # rebinding frees the unphased spectrum before the synthesis allocates
         # (an extra live buffer measured several per cent slower drift steps)
-        spectrum = self.axis.phase(spectrum, x_mult[..., None], self.flow)
-        out = self.axis.synthesize(spectrum, self.flow, self.grid)
+        spectrum = self.advance(spectrum, mask)
+        out = self.axis.synthesize(spectrum, self.grid)
         return (out, norm) if h1 else out
 
-    def _spectral_h1(self, spectrum: np.ndarray, mask: np.ndarray | None) -> float:
+    def advance(self, spectrum: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """exp(i t L) in spectral coordinates; ``mask`` multiplies the x
+        phase (the 2/3 projection commutes with the flow)."""
+        x_mult = self.x_phase if mask is None else self.x_phase * mask
+        return self.axis.advance(spectrum, x_mult[..., None], self.flow)
+
+    def spectral_h1(self, spectrum: np.ndarray, mask: np.ndarray | None) -> float:
         """Native H^1 of the field whose x-by-alpha spectrum (times the mask)
         this is: vol * measure * sum [(1 + |k|^2)|s|^2 + alpha gradient form].
         """
         power = spectrum.real**2 + spectrum.imag**2
         dens = (1.0 - laplacian_symbol(self.grid)) * power.sum(axis=-1)
         dens = dens + self.axis.grad_density(spectrum, power)
+        return self._native_norm(dens, mask)
+
+    def spectral_l2(self, spectrum: np.ndarray, mask: np.ndarray | None) -> float:
+        """Native L^2 of the field whose spectrum (times the mask) this is:
+        both transforms are unitary in the native measure (Parseval)."""
+        power = spectrum.real**2 + spectrum.imag**2
+        return self._native_norm(power.sum(axis=-1), mask)
+
+    def _native_norm(self, dens: np.ndarray, mask: np.ndarray | None) -> float:
         if mask is not None:
             dens = dens * mask
         return float(np.sqrt(self.grid.cell_volume * self.axis.measure * dens.sum()))
@@ -331,5 +363,12 @@ def apply_nonlinearity(data: np.ndarray, spec: ModelSpec, mach: Machinery, dt: f
         raise NonFiniteFieldError("nonfinite field values in nonlinear substep")
     if not mach.include_nonlinearity or dt == 0.0:
         return data.copy()
-    gain = nonlinear_gain(data, spec, mach)
-    return data * np.exp(-1j * spec.sign * dt * gain)
+    theta = nonlinear_gain(data, spec, mach)
+    theta *= -spec.sign * dt
+    # exp(i theta) written part by part: cos and sin of a real array are
+    # cheaper than the complex exponential of an imaginary one
+    out = np.empty(data.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= data
+    return out

@@ -17,6 +17,28 @@ full steps and a closing half step that makes the field synchronous for
 the sample.  Each step is one x-FFT pair, one alpha application (Hermite
 forward and inverse, or the dense div-form matrix) and one nonlinear phase.
 
+The adaptive path compares one step of length dt with two of dt/2 (step
+doubling) in one fused attempt.  It carries the spectrum s0 of the
+synchronous field, where the linear flow S(t) and the 2/3 projection P are
+diagonal (N(t) is the nonlinear phase):
+
+    coarse   a = N(dt) S(dt/2) s0
+    fine     v = N(dt/2) S(dt/4) s0,   b = N(dt/2) S(dt/2) P v
+
+The two middle quarter steps of the fine pair merge into one masked half
+step, as in the fixed path.  The one-step result is S(dt/2) P a and the
+two-half-step one S(dt/4) P b; S(dt/4) is unitary and commutes with P, so
+
+    err = ||S(dt/2) P a - S(dt/4) P b|| = ||P (S(dt/4) a - b)||,
+
+read off the spectra without a synthesis.  On acceptance the guard's H^1 is
+read off the spectrum of b and the next s0 is S(dt/4) P b.  An attempt costs
+6 x-FFTs (3 forward, 3 inverse), 5 alpha flows (4 when rejected: the dense
+div-form matrix, or a diagonal phase between 3 forward and 3 inverse Hermite
+transforms) and 3 nonlinear phases; three separate Strang evaluations cost
+12 x-FFTs, 6 alpha flows with 6 Hermite transform pairs, and 3 phases.  The
+nodal field is built only at the segment end or at a flag.
+
 The blow-up guard needs the native H^1 after every step.  That norm is
 invariant under the linear flow: the x phase is unitary and diagonal in k,
 the drift-form alpha phase is diagonal in the Hermite modes, and the
@@ -68,6 +90,13 @@ class StepperState:
     blowup_flag: bool = False
     blowup_time_estimate: float | None = None
     h1_initial: float | None = None
+    dt_range: tuple[float, float] | None = None  # (min, max) accepted dt
+
+    def accept(self, dt: float):
+        """Count one accepted step of length dt."""
+        self.step_count += 1
+        lo, hi = self.dt_range or (dt, dt)
+        self.dt_range = (min(lo, dt), max(hi, dt))
 
 
 def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
@@ -76,19 +105,6 @@ def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
     hat = x_fft(data, mach.grid)
     hat *= mach.dealias[..., None]
     return x_ifft(hat, mach.grid)
-
-
-def _strang(data: np.ndarray, mach: Machinery, dt: float, h1: bool = False):
-    """One Strang evaluation: leading half linear step, nonlinear phase, and
-    a trailing half step that carries the dealias mask.  With ``h1`` the
-    result is (field, native H^1 of the field)."""
-    half = mach.propagator(0.5 * dt)
-    out = apply_nonlinearity(half.apply(data), mach.spec, mach, dt)
-    return half.apply(out, mach.dealias, h1=h1)
-
-
-def _native_l2(data: np.ndarray, mach: Machinery) -> float:
-    return math.sqrt(observables.mass(data, mach.spec, mach))
 
 
 def detect_blowup(
@@ -160,7 +176,7 @@ def _advance_fixed(state, mach, target, control, thresholds):
             return state
         last = i == n_sub
         data, h1 = (half if last else full).apply(phased, mach.dealias, h1=True)
-        state.step_count += 1
+        state.accept(dt)
         time = start + i * dt
         state = detect_blowup(state, mach, thresholds, h1=h1, time=time)
         if state.blowup_flag:
@@ -172,36 +188,62 @@ def _advance_fixed(state, mach, target, control, thresholds):
     return state
 
 
+def _doubling_attempt(s0: np.ndarray, mach: Machinery, dt: float):
+    """One fused step-doubling attempt of length dt from the spectrum ``s0``
+    of the synchronous field.
+
+    Returns (err, fine, quarter): the native L^2 distance between the
+    one-step and the two-half-step results, the spectrum of the fine pair's
+    second nonlinear output, and the quarter-step propagator whose masked
+    advance of that spectrum ends the step.
+    """
+    half, quarter = mach.propagator(0.5 * dt), mach.propagator(0.25 * dt)
+
+    def phased(prop, spectrum, t, mask=None):
+        data = mach.synthesize(prop.advance(spectrum, mask))
+        return apply_nonlinearity(data, mach.spec, mach, t)
+
+    coarse = phased(half, s0, dt)
+    mid = phased(quarter, s0, 0.5 * dt)
+    # the middle quarter steps of the two halves merge into one masked half
+    fine = mach.forward(phased(half, mach.forward(mid), 0.5 * dt, mach.dealias))
+    # ||S(dt/2) P coarse - S(dt/4) P fine|| = ||P (S(dt/4) coarse - fine)||
+    diff = quarter.advance(mach.forward(coarse)) - fine
+    return quarter.spectral_l2(diff, mach.dealias), fine, quarter
+
+
 def _advance_adaptive(state, mach, target, control, thresholds):
     eps = 1e-12 * max(1.0, abs(target))
     nominal = state.dt
-    while state.field.time < target - eps and not state.blowup_flag:
-        dt = min(nominal, target - state.field.time)
+    time = state.field.time
+    # the spectrum of the synchronous field is carried from step to step;
+    # the nodal field is built only at the segment end or at a flag
+    spectrum = mach.forward(state.field.data)
+    while time < target - eps and not state.blowup_flag:
+        dt = min(nominal, target - time)
         try:
-            full = _strang(state.field.data, mach, dt)
-            half = _strang(state.field.data, mach, 0.5 * dt)
-            fine, h1 = _strang(half, mach, 0.5 * dt, h1=True)
+            err, fine, quarter = _doubling_attempt(spectrum, mach, dt)
         except NonFiniteFieldError:
             state.blowup_flag = True
-            state.blowup_time_estimate = state.field.time
+            state.blowup_time_estimate = time
             break
-        err = _native_l2(full - fine, mach)
         if err > control.err_grow and dt > control.dt_min:
             nominal = max(0.5 * dt, control.dt_min)
             state.rejected_count += 1
             continue
-        state.field = Field(fine, state.field.time + dt)
-        state.step_count += 1
+        h1 = quarter.spectral_h1(fine, mach.dealias)
+        spectrum = quarter.advance(fine, mach.dealias)
+        time += dt
+        state.accept(dt)
         state.dt = nominal
         if err > control.err_grow:
             # still failing at the dt floor: hand off to the guard
             state.rejected_count += 1
-        state = detect_blowup(state, mach, thresholds, h1=h1)
+        state = detect_blowup(state, mach, thresholds, h1=h1, time=time)
         if err < control.err_shrink and dt == nominal:
             nominal = min(2.0 * dt, control.dt_max)
         state.dt = nominal
-    if not state.blowup_flag:
-        state.field.time = target
+    state.field = Field(mach.synthesize(spectrum), time if state.blowup_flag else target)
     return state
 
 

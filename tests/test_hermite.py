@@ -154,6 +154,13 @@ def test_parseval():
     assert abs(nodal_sq - modal_sq) < 1e-10 * nodal_sq
 
 
+def test_forward_matrix_is_built_once():
+    # forward_tensor runs every step; the n_modes^2 product is cached
+    basis = build_basis(16)
+    assert basis.forward_matrix is basis.forward_matrix
+    np.testing.assert_array_equal(basis.forward_matrix, basis.eigenfunctions * basis.weights)
+
+
 def test_length_mismatch_raises():
     basis = build_basis(16)
     with pytest.raises(ValueError):

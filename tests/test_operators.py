@@ -20,6 +20,7 @@ from ounls.operators import (
     build_div_operator,
     build_linear_propagator,
     build_machinery,
+    nonlinear_gain,
     verify_div_identity,
 )
 
@@ -199,6 +200,19 @@ def test_nonlinearity_closed_form_phase():
     u = np.ones((64, 129), complex)
     out = apply_nonlinearity(u, spec, mach, 0.1)
     np.testing.assert_allclose(out, np.exp(-0.1j) * u, rtol=1e-14)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_nonlinearity_matches_complex_exponential(nondiv_mach, sign):
+    # the phase is written as cos + i sin; it must agree with
+    # u exp(-i sign g |u|^p dt) to a few ulp and keep the modulus
+    spec = ModelSpec("nondiv", 1, 4, sign)
+    rng = np.random.default_rng(15)
+    u = rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))
+    out = apply_nonlinearity(u, spec, nondiv_mach, 0.37)
+    gain = nonlinear_gain(u, spec, nondiv_mach)
+    np.testing.assert_allclose(out, u * np.exp(-1j * sign * 0.37 * gain), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(np.abs(out), np.abs(u), rtol=1e-15)
 
 
 def test_nonlinearity_rejects_nonfinite(div_mach):

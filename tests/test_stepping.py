@@ -75,9 +75,16 @@ def test_per_step_mass_conservation(model_fixture, request):
     assert abs(mass(state.field.data, mach.spec, mach) - m0) < 1e-11 * m0
 
 
+def strang(data, mach, dt):
+    """One unfused Strang evaluation: half linear step, nonlinear phase, and
+    a trailing half step that carries the dealias mask."""
+    half = mach.propagator(0.5 * dt)
+    return half.apply(apply_nonlinearity(half.apply(data), mach.spec, mach, dt), mach.dealias)
+
+
 def test_time_reversibility(nondiv):
     u0 = gaussian(nondiv)
-    back = stepping._strang(stepping._strang(u0.copy(), nondiv, 1e-2), nondiv, -1e-2)
+    back = strang(strang(u0.copy(), nondiv, 1e-2), nondiv, -1e-2)
     err = math.sqrt(mass(back - u0, nondiv.spec, nondiv))
     assert err < 1e-9
 
@@ -223,6 +230,26 @@ def test_fused_fixed_path_matches_unfused_steps(model_fixture, request):
             assert abs(a - b) <= 1e-10 * abs(b)
 
 
+def h1_written_out(u, mach):
+    """Native H^1 from the definitions, independent of the axis classes:
+    drift form vol * sum (1 + |k|^2 + n)|c_kn|^2 over the Hermite modes n;
+    div form vol * h * [sum (1 + |k|^2)|u_k|^2 + sum_f mu_f |diff u|^2 / h^2]
+    with face weights mu_f = exp(-f^2/2)."""
+    hat = x_fft(u, mach.grid)
+    k2 = mach.grid.wavenumbers[:, None] ** 2
+    vol = mach.grid.cell_volume
+    if mach.spec.model == "nondiv":
+        basis = mach.axis.basis
+        coeffs = hat @ (basis.eigenfunctions * basis.weights).T
+        n = np.arange(basis.n_modes)
+        return math.sqrt(vol * np.sum((1.0 + k2 + n) * np.abs(coeffs) ** 2))
+    a = mach.axis.nodes
+    h = a[1] - a[0]
+    faces = 0.5 * (a[1:] + a[:-1])
+    grad = np.sum(np.exp(-(faces**2) / 2) * np.abs(np.diff(u, axis=-1)) ** 2) / h**2
+    return math.sqrt(vol * h * (np.sum((1.0 + k2) * np.abs(hat) ** 2) + grad))
+
+
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
 def test_spectral_h1_equals_h1_of_end_of_step_field(model_fixture, request):
     # the masked full substep holds the spectrum of the nonlinear output;
@@ -234,9 +261,10 @@ def test_spectral_h1_equals_h1_of_end_of_step_field(model_fixture, request):
     )
     _, h1_full = mach.propagator(dt).apply(phased, mach.dealias, h1=True)
     end, h1_half = mach.propagator(0.5 * dt).apply(phased, mach.dealias, h1=True)
-    expected = h1_native(end, mach.spec, mach)
+    expected = h1_written_out(end, mach)
     assert abs(h1_full - expected) <= 1e-12 * expected
     assert abs(h1_half - expected) <= 1e-12 * expected
+    assert abs(h1_native(end, mach.spec, mach) - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
@@ -308,3 +336,95 @@ def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv):
     for _ in range(n):
         data = reference_strang_step(data, nondiv, 1e-2)
     assert native_rel(state.field.data, data, nondiv) <= 1e-10
+
+
+# ------------------------------------------------ fused adaptive attempt
+
+
+def reference_advance_adaptive(state, mach, target, control, thresholds):
+    """Step doubling from three separate Strang evaluations, the nodal
+    field synchronous after every step, and err the nodal native L^2."""
+    eps = 1e-12 * max(1.0, abs(target))
+    nominal = state.dt
+    while state.field.time < target - eps and not state.blowup_flag:
+        dt = min(nominal, target - state.field.time)
+        try:
+            full = strang(state.field.data, mach, dt)
+            fine = strang(strang(state.field.data, mach, 0.5 * dt), mach, 0.5 * dt)
+        except operators.NonFiniteFieldError:
+            state.blowup_flag = True
+            state.blowup_time_estimate = state.field.time
+            break
+        err = math.sqrt(mass(full - fine, mach.spec, mach))
+        if err > control.err_grow and dt > control.dt_min:
+            nominal = max(0.5 * dt, control.dt_min)
+            state.rejected_count += 1
+            continue
+        state.field = Field(fine, state.field.time + dt)
+        state.step_count += 1
+        state.dt = nominal
+        if err > control.err_grow:
+            state.rejected_count += 1
+        state = detect_blowup(state, mach, thresholds)
+        if err < control.err_shrink and dt == nominal:
+            nominal = min(2.0 * dt, control.dt_max)
+        state.dt = nominal
+    if not state.blowup_flag:
+        state.field.time = target
+    return state
+
+
+def narrow_pulse(mach):
+    # spectral mass past the 2/3 cutoff, so a dropped mask does not pass
+    (x,) = mach.grid.coordinates()
+    return 2.0 * np.exp(-(x**2) / (2 * 0.3**2))[:, None] * np.exp(-mach.axis.nodes**2 / 4.0) + 0j
+
+
+ADAPTIVE_CASES = {
+    # thresholds that reject the opening dt, then grow and reject again
+    "nondiv": (StepControl(dt=8e-3, adaptive=True, err_grow=5e-5, err_shrink=2.5e-5),
+               BlowupThresholds()),
+    # every doubling is rejected, and the H^1 ceiling flags mid-run
+    "divm": (StepControl(dt=8e-3, adaptive=True, err_grow=1e-6, err_shrink=5e-7),
+             BlowupThresholds(norm_ratio_max=1.0035)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
+@pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
+def test_fused_adaptive_matches_step_doubling_reference(model_fixture, request, monkeypatch):
+    mach = request.getfixturevalue(model_fixture)
+    control, thresholds = ADAPTIVE_CASES[model_fixture]
+    samples = np.linspace(0.0, 0.04, 5)
+
+    def run():
+        return integrate(Field(narrow_pulse(mach)), mach, 0.04, samples, control,
+                         thresholds, record_fn=no_record)
+
+    _, fused = run()
+    monkeypatch.setattr(stepping, "_advance_adaptive", reference_advance_adaptive)
+    _, ref = run()
+
+    assert ref.rejected_count > 0
+    assert (fused.step_count, fused.rejected_count) == (ref.step_count, ref.rejected_count)
+    assert fused.blowup_flag == ref.blowup_flag == (model_fixture == "divm")
+    assert fused.blowup_time_estimate == ref.blowup_time_estimate
+    assert fused.field.time == ref.field.time
+    assert native_rel(fused.field.data, ref.field.data, mach) <= 1e-10
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
+def test_spectral_error_estimate_equals_nodal_step_doubling_distance(model_fixture, request):
+    mach = request.getfixturevalue(model_fixture)
+    dt = 4e-3
+    u = stepping._dealias(narrow_pulse(mach), mach)
+    err, fine, quarter = stepping._doubling_attempt(mach.forward(u), mach, dt)
+
+    coarse_field = strang(u, mach, dt)
+    fine_field = strang(strang(u, mach, 0.5 * dt), mach, 0.5 * dt)
+    nodal = math.sqrt(mass(coarse_field - fine_field, mach.spec, mach))
+    scale = math.sqrt(mass(u, mach.spec, mach))
+    assert nodal > 1e-6 * scale  # a real discrepancy, far above roundoff
+    assert abs(err - nodal) <= 1e-12 * scale
+    end = mach.synthesize(quarter.advance(fine, mach.dealias))
+    assert native_rel(end, fine_field, mach) <= 1e-12
