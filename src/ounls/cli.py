@@ -11,10 +11,11 @@ import os
 import sys
 import time
 
-from . import __version__, observables, reporting
+from . import __version__, reporting
 from .config import SCENARIOS, ConfigError, ScenarioConfig, parse_config
 from .experiments import (
     NumericCheckError,
+    run_acceptance,
     run_blowup,
     run_conservation,
     run_embedding_ensembles,
@@ -70,7 +71,6 @@ def _resolved_dict(cfg: ScenarioConfig) -> dict:
             "n_alpha": cfg.disc.n_alpha,
             "div_nodes": cfg.disc.div_nodes,
             "div_half_width": cfg.disc.div_half_width,
-            "dealias": cfg.disc.dealias,
         },
         "initial": vars(cfg.initial).copy(),
         "run": {
@@ -85,66 +85,6 @@ def _resolved_dict(cfg: ScenarioConfig) -> dict:
             "delta": cfg.scattering_delta,
         },
     }
-
-
-def _acceptance_suite(cfg: ScenarioConfig):
-    """The `all` subcommand: the full acceptance scenario set (criteria 2-9;
-    the basis eigenvalue check of criterion 1 lives in the test suite)."""
-    import math
-    from dataclasses import replace
-
-    from . import reporting
-    from .models import DiscretizationSpec, ModelSpec
-
-    cons_disc = DiscretizationSpec(n_x=256, box_half_length=8 * math.pi)
-    blow_disc = DiscretizationSpec(n_x=128, box_half_length=4 * math.pi, div_nodes=257)
-    reports = [run_identity(cfg)]
-    for model, p in (("nondiv", 4), ("div", 2)):
-        reports.append(
-            run_conservation(
-                replace(cfg, model=ModelSpec(model, 1, p), disc=cons_disc,
-                        horizon=1.0, dt=1e-3, n_samples=101)
-            )
-        )
-    stri_rows = {}
-    for model in ("nondiv", "div"):
-        stri = replace(cfg, model=ModelSpec(model, 1, 4), horizon=4.0,
-                       disc=DiscretizationSpec(n_x=256), ensemble=64,
-                       initial=replace(cfg.initial, band=8))
-        report = run_strichartz_ensemble(stri, pairs=[(6.0, 6.0), (8.0, 4.0)])
-        if model == "nondiv":
-            stri_rows = {"cfg": stri, "rows": reporting.rows_csv_bytes(report.rows)}
-        reports.append(report)
-    emb = replace(cfg, model=ModelSpec("nondiv", 1, 2), ensemble=256,
-                  initial=replace(cfg.initial, band=12))
-    reports.append(run_embedding_ensembles(emb))
-    reports.append(
-        run_scattering(replace(cfg, model=ModelSpec("nondiv", 1, 4),
-                               disc=DiscretizationSpec(n_x=256), horizon=16.0,
-                               dt=1e-3))
-    )
-    reports.append(
-        run_blowup(
-            replace(cfg, model=ModelSpec("div", 1, 4), disc=blow_disc,
-                    horizon=0.45, dt=1e-3)
-        )
-    )
-    for model, p in (("div", 2), ("nondiv", 4)):
-        reports.append(
-            run_morawetz(
-                replace(cfg, model=ModelSpec(model, 1, p), disc=cons_disc,
-                        horizon=0.5, dt=1e-3)
-            )
-        )
-    # determinism: the first ensemble rerun with the same seed must emit
-    # byte-identical rows
-    rerun = run_strichartz_ensemble(stri_rows["cfg"], pairs=[(6.0, 6.0), (8.0, 4.0)])
-    det = reporting.Report("determinism")
-    identical = reporting.rows_csv_bytes(rerun.rows) == stri_rows["rows"]
-    det.add("byte_identical_rows", identical, float(identical), 1.0,
-            note=f"{len(rerun.rows)} rows compared", comparator="==")
-    reports.append(det)
-    return reports
 
 
 def main(argv=None) -> int:
@@ -185,7 +125,7 @@ def main(argv=None) -> int:
                     float(state.blowup_flag), 0.0, comparator="==")
             reports.append(rep)
         elif args.command == "all":
-            reports = _acceptance_suite(cfg)
+            reports = run_acceptance(cfg)
         else:
             runner = {
                 "conservation": run_conservation,

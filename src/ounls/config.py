@@ -92,8 +92,6 @@ def check_admissible_pair(q: float, r: float, dim: int):
         )
 
 
-_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
 _SIGNS = {"defocusing": +1, "focusing": -1, "+1": +1, "-1": -1, "1": +1}
 
 
@@ -127,7 +125,6 @@ _SCHEMA = {
         "n_alpha": ("disc.n_alpha", "int"),
         "div_nodes": ("disc.div_nodes", "int"),
         "div_half_width": ("disc.div_half_width", "float"),
-        "dealias": ("disc.dealias", "bool"),
     },
     "initial": {
         "kind": ("initial.kind", str),
@@ -158,10 +155,6 @@ def _coerce(section, key, raw, kind):
         return _parse_int(section, key, raw)
     if kind == "float":
         return _parse_float(section, key, raw)
-    if kind == "bool":
-        if raw.lower() not in _BOOL:
-            raise ConfigError(f"{section}.{key} must be a boolean, got {raw!r}")
-        return _BOOL[raw.lower()]
     if kind == "sign":
         if raw.lower() not in _SIGNS:
             raise ConfigError(

@@ -3,7 +3,9 @@ estimate-constant ensembles, small-data scattering, and focusing blow-up.
 
 Each runner returns a Report whose checks decide the CLI exit code; rows
 hold the per-member / per-sample data the verdict was computed from, so
-every verdict is reproducible from its own report.
+every verdict is reproducible from its own report.  ``ACCEPTANCE`` binds
+the runners to the configs of acceptance criteria 2-9; `ounls all` and the
+acceptance tests both run it.
 """
 
 from __future__ import annotations
@@ -11,18 +13,21 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import hermite, observables
 from .config import InitialData, ScenarioConfig, check_admissible_pair
 from .grids import BoxGrid
-from .models import DEFOCUSING, FOCUSING, MODEL_DIV, MODEL_NONDIV, ModelSpec
+from .models import (
+    DEFOCUSING, FOCUSING, MODEL_DIV, MODEL_NONDIV, DiscretizationSpec, ModelSpec,
+)
 from .operators import (
     HermiteAxis, Machinery, build_axis, build_div_operator, build_machinery,
     verify_div_identity,
 )
-from .reporting import Report
+from .reporting import Report, rows_csv_bytes
 from .state import Field
 from .stepping import BlowupThresholds, StepControl, integrate
 
@@ -236,15 +241,14 @@ def _ladder_ratios(
 
 
 def run_strichartz_ensemble(
-    cfg: ScenarioConfig,
-    pair: tuple[float, float] | None = None,
-    pairs: list[tuple[float, float]] | None = None,
+    cfg: ScenarioConfig, pairs: list[tuple[float, float]] | None = None
 ) -> EnsembleReport:
     """Linear-evolution boundedness proxy: max ensemble ratio at 2*n_x must
     sit within 15% of the max at n_x, for every derivative/norm variant and
-    every requested admissible exponent pair."""
+    every requested admissible exponent pair (by default the configured
+    (q, r))."""
     if pairs is None:
-        pairs = [pair if pair is not None else (cfg.strichartz_q, cfg.strichartz_r)]
+        pairs = [(cfg.strichartz_q, cfg.strichartz_r)]
     for q, r in pairs:
         check_admissible_pair(q, r, cfg.model.dim)
     label = ",".join(f"(q={q:g},r={r:g})" for q, r in pairs)
@@ -296,11 +300,14 @@ def run_strichartz_ensemble(
 # ------------------------------------------------------------------ embeddings
 
 
-def counterexample_ratio(power: int, radius: float, n_quad: int = 4001) -> float:
+COUNTEREXAMPLE_NODES = 4001  # trapezoid nodes on [-radius, radius]
+
+
+def counterexample_ratio(power: int, radius: float) -> float:
     """Unweighted nonlinear-estimate ratio for u = exp(a^2/8) truncated to
     [-radius, radius]; grows without bound as the radius increases."""
-    a = np.linspace(-radius, radius, n_quad)
-    w = np.full(n_quad, a[1] - a[0])
+    a = np.linspace(-radius, radius, COUNTEREXAMPLE_NODES)
+    w = np.full(COUNTEREXAMPLE_NODES, a[1] - a[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     u = np.exp(a**2 / 8.0)
@@ -674,3 +681,108 @@ def run_simulation(cfg: ScenarioConfig):
         data *= cfg.initial.amplitude / norm
     control = StepControl(dt=cfg.dt)
     return integrate(Field(data), mach, cfg.horizon, cfg.sample_times(), control)
+
+
+# ----------------------------------------------------------- acceptance table
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One row of the acceptance table.  ``run(cfg, reports)`` builds the
+    row's config from the base ``cfg`` and returns its Report; ``reports``
+    holds the other rows' reports by key (criterion 9 reads criterion 4's).
+    """
+
+    key: str
+    title: str
+    run: Callable[[ScenarioConfig, "AcceptanceReports"], Report]
+
+
+STRICHARTZ_PAIRS = [(6.0, 6.0), (8.0, 4.0)]
+
+
+def _box_cfg(cfg: ScenarioConfig, model: str, p: int, horizon: float, **changes):
+    """The criterion-3 and criterion-8 runs: 256 points on an 8*pi box."""
+    return replace(cfg, model=ModelSpec(model, 1, p), horizon=horizon, dt=1e-3,
+                   disc=DiscretizationSpec(n_x=256, box_half_length=8 * math.pi),
+                   **changes)
+
+
+def _strichartz_cfg(cfg: ScenarioConfig, model: str) -> ScenarioConfig:
+    return replace(cfg, model=ModelSpec(model, 1, 4), horizon=4.0,
+                   disc=DiscretizationSpec(n_x=256), ensemble=64,
+                   initial=replace(cfg.initial, band=8))
+
+
+def run_determinism(cfg: ScenarioConfig, first: Report) -> Report:
+    """The seeded ensemble that produced ``first``, rerun from ``cfg``, must
+    emit byte-identical rows."""
+    rerun = run_strichartz_ensemble(cfg, pairs=STRICHARTZ_PAIRS)
+    report = Report("determinism")
+    identical = rows_csv_bytes(rerun.rows) == rows_csv_bytes(first.rows)
+    report.add("byte_identical_rows", identical, float(identical), 1.0,
+               note=f"{len(rerun.rows)} rows compared", comparator="==")
+    return report
+
+
+# criteria 2-9 in `ounls all` order; criterion 1 (the OU eigenvalue check)
+# has no scenario config and lives in the test suite
+ACCEPTANCE = (
+    Criterion("2", "criterion 2 (divergence/drift identity, order >= 1.8)",
+              lambda cfg, reports: run_identity(cfg)),
+    Criterion("3-nondiv", "criterion 3 (conservation, nondiv)",
+              lambda cfg, reports: run_conservation(
+                  _box_cfg(cfg, "nondiv", 4, 1.0, n_samples=101))),
+    Criterion("3-div", "criterion 3 (conservation, div)",
+              lambda cfg, reports: run_conservation(
+                  _box_cfg(cfg, "div", 2, 1.0, n_samples=101))),
+    Criterion("4-nondiv", "criterion 4 (space-time boundedness proxy, nondiv, "
+              "(6,6)+(8,4), k=0/1 and weighted-H1 variant)",
+              lambda cfg, reports: run_strichartz_ensemble(
+                  _strichartz_cfg(cfg, "nondiv"), pairs=STRICHARTZ_PAIRS)),
+    Criterion("4-div", "criterion 4 (space-time boundedness proxy, div, (6,6)+(8,4))",
+              lambda cfg, reports: run_strichartz_ensemble(
+                  _strichartz_cfg(cfg, "div"), pairs=STRICHARTZ_PAIRS)),
+    Criterion("5", "criterion 5 (weighted Sobolev / nonlinear estimate ensembles "
+              "+ exp(a^2/8) counterexample)",
+              lambda cfg, reports: run_embedding_ensembles(
+                  replace(cfg, model=ModelSpec("nondiv", 1, 2), ensemble=256,
+                          initial=replace(cfg.initial, band=12)))),
+    Criterion("6", "criterion 6 (small-data scattering Cauchy ladder)",
+              lambda cfg, reports: run_scattering(
+                  replace(cfg, model=ModelSpec("nondiv", 1, 4),
+                          disc=DiscretizationSpec(n_x=256), horizon=16.0, dt=1e-3))),
+    Criterion("7", "criterion 7 (virial identity and finite-time blow-up)",
+              lambda cfg, reports: run_blowup(
+                  replace(cfg, model=ModelSpec("div", 1, 4),
+                          disc=DiscretizationSpec(n_x=128, box_half_length=4 * math.pi,
+                                                  div_nodes=257),
+                          horizon=0.45, dt=1e-3))),
+    Criterion("8-div", "criterion 8 (interaction functional bound, div)",
+              lambda cfg, reports: run_morawetz(_box_cfg(cfg, "div", 2, 0.5))),
+    Criterion("8-nondiv", "criterion 8 (interaction functional bound, nondiv)",
+              lambda cfg, reports: run_morawetz(_box_cfg(cfg, "nondiv", 4, 0.5))),
+    Criterion("9", "criterion 9 (seeded determinism, byte-identical rows)",
+              lambda cfg, reports: run_determinism(_strichartz_cfg(cfg, "nondiv"),
+                                                   reports["4-nondiv"])),
+)
+
+
+class AcceptanceReports(dict):
+    """Reports of the acceptance table by row key; a row runs on first
+    access, with its config built from ``base``."""
+
+    def __init__(self, base: ScenarioConfig):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, key: str) -> Report:
+        row = next(row for row in ACCEPTANCE if row.key == key)
+        self[key] = report = row.run(self.base, self)
+        return report
+
+
+def run_acceptance(cfg: ScenarioConfig) -> list[Report]:
+    """Every row of the acceptance table on the base ``cfg``, in table order."""
+    reports = AcceptanceReports(cfg)
+    return [reports[row.key] for row in ACCEPTANCE]

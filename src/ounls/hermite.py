@@ -153,7 +153,7 @@ def evaluate_modal(coeffs: np.ndarray, alphas) -> np.ndarray:
     return coeffs @ table
 
 
-def tail_mass_fraction(coeffs: np.ndarray, n_tail: int = 4) -> float:
+def tail_mass_fraction(coeffs: np.ndarray, n_tail: int) -> float:
     """Fraction of modal mass carried by the top ``n_tail`` modes.
 
     Truncation-health monitor; values above ~1e-8 mean the retained band is

@@ -53,14 +53,13 @@ def default_box_half_length(dim: int) -> float:
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    """Grid sizes, box lengths, alpha truncation and dealiasing policy."""
+    """Grid sizes, box lengths and alpha truncation."""
 
     n_x: int = 256
     box_half_length: float | None = None
     n_alpha: int = 64
     div_nodes: int = 513
     div_half_width: float = 12.0
-    dealias: bool = True
 
     def resolved_box(self, dim: int) -> float:
         if self.box_half_length is not None:

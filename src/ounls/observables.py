@@ -257,12 +257,13 @@ def boundary_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
     return float(dens[outer].sum()) / total
 
 
-def tail_mass_fraction(fld, spec: ModelSpec, mach: Machinery, n_tail: int = 4) -> float:
-    """Fraction of native alpha-spectral mass in the top ``n_tail`` modes."""
-    return mach.axis.tail_fraction(_data(fld), n_tail)
-
-
 MONITOR_THRESHOLD = 1e-8
+TAIL_MODES = 4  # the top alpha modes whose mass the tail monitor reports
+
+
+def tail_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
+    """Fraction of native alpha-spectral mass in the top TAIL_MODES modes."""
+    return mach.axis.tail_fraction(_data(fld), TAIL_MODES)
 
 
 def sample_record(fld: Field, spec: ModelSpec, mach: Machinery) -> DiagnosticsRecord:

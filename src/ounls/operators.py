@@ -242,7 +242,7 @@ class Machinery:
     spec: ModelSpec
     grid: BoxGrid
     axis: HermiteAxis | FluxAxis
-    dealias: np.ndarray | None = None
+    dealias: np.ndarray
     include_nonlinearity: bool = True
     _propagators: dict = field(default_factory=dict, repr=False)
 
@@ -270,8 +270,7 @@ def build_machinery(
     spec: ModelSpec, disc: DiscretizationSpec, include_nonlinearity: bool = True
 ) -> Machinery:
     grid = BoxGrid(spec.dim, disc.resolved_box(spec.dim), disc.n_x)
-    mask = dealias_mask(grid) if disc.dealias else None
-    return Machinery(spec, grid, build_axis(spec, disc), dealias=mask,
+    return Machinery(spec, grid, build_axis(spec, disc), dealias_mask(grid),
                      include_nonlinearity=include_nonlinearity)
 
 
@@ -297,9 +296,10 @@ class LinearPropagator:
         """exp(i t L) data; with ``mask`` the x multiplier is x_phase * mask,
         so the substep also projects onto the kept Fourier modes.
 
-        With ``h1`` the result is (field, native H^1 of the field), the norm
-        read off the masked spectrum: the flow is unitary and commutes with
-        the H^1 form, so no further transform is needed.
+        With ``h1`` (which needs ``mask``) the result is (field, native H^1
+        of the field), the norm read off the masked spectrum: the flow is
+        unitary and commutes with the H^1 form, so no further transform is
+        needed.
         """
         spectrum = self.axis.forward(x_fft(data, self.grid))
         norm = self.spectral_h1(spectrum, mask) if h1 else None
@@ -315,7 +315,7 @@ class LinearPropagator:
         x_mult = self.x_phase if mask is None else self.x_phase * mask
         return self.axis.advance(spectrum, x_mult[..., None], self.flow)
 
-    def spectral_h1(self, spectrum: np.ndarray, mask: np.ndarray | None) -> float:
+    def spectral_h1(self, spectrum: np.ndarray, mask: np.ndarray) -> float:
         """Native H^1 of the field whose x-by-alpha spectrum (times the mask)
         this is: vol * measure * sum [(1 + |k|^2)|s|^2 + alpha gradient form].
         """
@@ -324,15 +324,14 @@ class LinearPropagator:
         dens = dens + self.axis.grad_density(spectrum, power)
         return self._native_norm(dens, mask)
 
-    def spectral_l2(self, spectrum: np.ndarray, mask: np.ndarray | None) -> float:
+    def spectral_l2(self, spectrum: np.ndarray, mask: np.ndarray) -> float:
         """Native L^2 of the field whose spectrum (times the mask) this is:
         both transforms are unitary in the native measure (Parseval)."""
         power = spectrum.real**2 + spectrum.imag**2
         return self._native_norm(power.sum(axis=-1), mask)
 
-    def _native_norm(self, dens: np.ndarray, mask: np.ndarray | None) -> float:
-        if mask is not None:
-            dens = dens * mask
+    def _native_norm(self, dens: np.ndarray, mask: np.ndarray) -> float:
+        dens = dens * mask
         return float(np.sqrt(self.grid.cell_volume * self.axis.measure * dens.sum()))
 
 

@@ -100,8 +100,6 @@ class StepperState:
 
 
 def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
-    if mach.dealias is None:
-        return data
     hat = x_fft(data, mach.grid)
     hat *= mach.dealias[..., None]
     return x_ifft(hat, mach.grid)

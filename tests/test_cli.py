@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from ounls import experiments
 from ounls.cli import main
+from ounls.reporting import Report
 
 
 def run_cli(args):
@@ -131,3 +133,26 @@ def test_morawetz_subcommand_green(tmp_path):
     ])
     assert code == 0
     assert any(name.startswith("report_00_morawetz") for name in os.listdir(out))
+
+
+def test_all_runs_the_acceptance_table(tmp_path, monkeypatch, capsys):
+    def stub(name, passed):
+        def run(cfg, reports):
+            report = Report(name)
+            report.add("gate", passed, 0.0 if passed else 1.0, 0.5, comparator="<")
+            report.rows.append({"member": 0})
+            return report
+        return run
+
+    monkeypatch.setattr(experiments, "ACCEPTANCE", (
+        experiments.Criterion("green", "a passing row", stub("green", True)),
+        experiments.Criterion("red", "a failing row", stub("red", False)),
+    ))
+    out = tmp_path / "all"
+    assert run_cli(["all", "--out", str(out)]) == 2
+    names = os.listdir(out)
+    assert "report_00_green.jsonl" in names and "rows_00_green.csv" in names
+    assert "report_01_red.jsonl" in names and "rows_01_red.csv" in names
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("[PASS] green: gate value=0 < 0.5") for line in lines)
+    assert any(line.startswith("[FAIL] red: gate value=1 < 0.5") for line in lines)

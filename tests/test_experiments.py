@@ -24,7 +24,7 @@ from ounls.observables import mass, virial, virial_dt, virial_rhs
 from ounls.operators import build_machinery
 from ounls.state import Field
 from ounls.stepping import StepControl, integrate
-from ounls.reporting import emit_rows
+from ounls.reporting import rows_csv_bytes
 
 
 def small_cfg(**kw):
@@ -43,10 +43,10 @@ def small_cfg(**kw):
 
 def test_admissibility_gate():
     with pytest.raises(ConfigError):
-        run_strichartz_ensemble(small_cfg(), (6.0, 4.0))
+        run_strichartz_ensemble(small_cfg(), [(6.0, 4.0)])
     with pytest.raises(ConfigError):
         run_strichartz_ensemble(
-            small_cfg(model=ModelSpec("nondiv", 2, 2)), (2.0, math.inf)
+            small_cfg(model=ModelSpec("nondiv", 2, 2)), [(2.0, math.inf)]
         )
 
 
@@ -68,26 +68,15 @@ def test_single_mode_closed_form_ratio():
 
 def test_strichartz_rows_deterministic():
     cfg = small_cfg()
-    a = run_strichartz_ensemble(cfg, (6.0, 6.0))
-    b = run_strichartz_ensemble(cfg, (6.0, 6.0))
-    assert emit_bytes(a.rows) == emit_bytes(b.rows)
+    a = run_strichartz_ensemble(cfg, [(6.0, 6.0)])
+    b = run_strichartz_ensemble(cfg, [(6.0, 6.0)])
+    assert rows_csv_bytes(a.rows) == rows_csv_bytes(b.rows)
     assert a.passed
 
 
-def emit_bytes(rows):
-    import io
-    import tempfile
-
-    with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as fh:
-        path = fh.name
-    emit_rows(rows, path)
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def test_ensemble_max_monotone_in_size():
-    small = run_strichartz_ensemble(small_cfg(ensemble=4), (6.0, 6.0))
-    large = run_strichartz_ensemble(small_cfg(ensemble=8), (6.0, 6.0))
+    small = run_strichartz_ensemble(small_cfg(ensemble=4), [(6.0, 6.0)])
+    large = run_strichartz_ensemble(small_cfg(ensemble=8), [(6.0, 6.0)])
     key = ("k0", (6.0, 6.0), 64)
     assert large.stats[key]["max"] >= small.stats[key]["max"] - 1e-15
 
@@ -223,7 +212,7 @@ def test_reduced_scale_2d_strichartz():
         ensemble=4,
         initial=InitialData(band=3),
     )
-    report = run_strichartz_ensemble(cfg, (4.0, 4.0))
+    report = run_strichartz_ensemble(cfg, [(4.0, 4.0)])
     assert report.passed
     assert all(np.isfinite(row["ratio"]) for row in report.rows)
 
@@ -255,9 +244,9 @@ def test_virial_identity_centered_second_difference(sign):
 def test_strichartz_threads_match_serial():
     cfg1 = small_cfg(threads=1)
     cfg2 = small_cfg(threads=2)
-    a = run_strichartz_ensemble(cfg1, (6.0, 6.0))
-    b = run_strichartz_ensemble(cfg2, (6.0, 6.0))
-    assert emit_bytes(a.rows) == emit_bytes(b.rows)
+    a = run_strichartz_ensemble(cfg1, [(6.0, 6.0)])
+    b = run_strichartz_ensemble(cfg2, [(6.0, 6.0)])
+    assert rows_csv_bytes(a.rows) == rows_csv_bytes(b.rows)
 
 
 def test_virial_first_derivative_against_centered_difference():

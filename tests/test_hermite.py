@@ -21,6 +21,7 @@ from ounls.hermite import (
     inverse_tensor,
     tail_mass_fraction,
 )
+from ounls.observables import TAIL_MODES
 from ounls.operators import HermiteAxis
 
 
@@ -228,7 +229,7 @@ def test_ou_modal_action_matches_nodal_fd():
 def test_tail_mass_fraction():
     coeffs = np.zeros(64, complex)
     coeffs[0] = 1.0
-    assert tail_mass_fraction(coeffs) == 0.0
+    assert tail_mass_fraction(coeffs, TAIL_MODES) == 0.0
     coeffs[-1] = 0.5
-    assert abs(tail_mass_fraction(coeffs) - 0.25 / 1.25) < 1e-15
-    assert tail_mass_fraction(np.zeros(8, complex)) == 0.0
+    assert abs(tail_mass_fraction(coeffs, TAIL_MODES) - 0.25 / 1.25) < 1e-15
+    assert tail_mass_fraction(np.zeros(8, complex), TAIL_MODES) == 0.0
