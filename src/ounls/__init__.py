@@ -15,7 +15,6 @@ from .operators import (
     Machinery,
     apply_div_operator,
     apply_nonlinearity,
-    apply_ou_nondiv,
     build_axis,
     build_div_operator,
     build_linear_propagator,
@@ -41,7 +40,6 @@ __all__ = [
     "StepperState",
     "apply_div_operator",
     "apply_nonlinearity",
-    "apply_ou_nondiv",
     "build_axis",
     "build_basis",
     "build_div_operator",

@@ -150,28 +150,10 @@ def run_conservation(cfg: ScenarioConfig) -> Report:
 # ------------------------------------------------------------------ strichartz
 
 
-@dataclass(frozen=True)
-class _AlphaModeSet:
-    """Norm factors of the alpha band for closed-form linear evolution.
-
-    The space-time norms are diagonal in the alpha modes, so the unit-modulus
-    alpha phases exp(it*lambda) drop out of every |.|^2 and the evolution
-    reduces to the x phases alone.  What remains of the alpha structure is
-    the Gram factor of the band: per x point the alpha norm is
-    measure * ||draw_row @ factor||^2 for each variant's ``factor``.
-    """
-
-    measure: float
-    factors: dict  # variant name -> (band+1, band+1) factor matrix
-
-
-def _alpha_mode_set(spec: ModelSpec, disc, band: int) -> _AlphaModeSet:
-    return _AlphaModeSet(*build_axis(spec, disc).mode_factors(band))
-
-
 def _ladder_ratios(
     draw: np.ndarray,
-    modes: _AlphaModeSet,
+    measure: float,
+    factors: dict,
     grid: BoxGrid,
     horizon: float,
     pairs: list[tuple[float, float]],
@@ -179,10 +161,13 @@ def _ladder_ratios(
     """Space-time ratios of the exactly evolved member for every variant and
     exponent pair, from one pass over the time ladder.
 
-    R = ||D^k exp(itL) f||_{L^q_t L^r_x (alpha norm)} / ||D^k f||; the alpha
-    norm is evaluated through the mode-set factors, the x evolution by exact
-    Fourier phases, and the time integral by composite trapezoid (max for
-    q = inf).
+    R = ||D^k exp(itL) f||_{L^q_t L^r_x (alpha norm)} / ||D^k f||.  The
+    space-time norms are diagonal in the alpha modes, so the unit-modulus
+    alpha phases drop out of every |.|^2 and only the x evolution (exact
+    Fourier phases) remains; per x point the alpha norm is
+    measure * ||draw_row @ factor||^2 for each variant's factor, as
+    ``axis.mode_factors`` returns them.  The time integral is a composite
+    trapezoid (max for q = inf).
     """
     band = draw.shape[0] // 2  # draw is ((2b+1)^d..., b+1)
     x_axes_b = tuple(a + 1 for a in grid.x_axes)
@@ -194,14 +179,14 @@ def _ladder_ratios(
         k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2
         ikx = (1j * k)[:, None, None]  # D = d/dx_1
 
-    hats = {name: _embed_x_modes(draw @ f, grid, band) for name, f in modes.factors.items()}
+    hats = {name: _embed_x_modes(draw @ f, grid, band) for name, f in factors.items()}
     denom = {
-        name: math.sqrt(modes.measure * grid.cell_volume * float(np.sum(np.abs(h) ** 2)))
+        name: math.sqrt(measure * grid.cell_volume * float(np.sum(np.abs(h) ** 2)))
         for name, h in hats.items()
     }
     hats["k1"] = ikx * hats["k0"]
     denom["k1"] = math.sqrt(
-        modes.measure * grid.cell_volume * float(np.sum(np.abs(hats["k1"]) ** 2))
+        measure * grid.cell_volume * float(np.sum(np.abs(hats["k1"]) ** 2))
     )
 
     n_t = int(round(SAMPLES_PER_UNIT_TIME * horizon)) + 1
@@ -218,7 +203,7 @@ def _ladder_ratios(
             w = np.fft.ifftn(
                 hat[None] * x_phase[start:stop][..., None], axes=x_axes_b, norm="ortho"
             )
-            g = np.sqrt(modes.measure * np.sum(w.real**2 + w.imag**2, axis=-1))
+            g = np.sqrt(measure * np.sum(w.real**2 + w.imag**2, axis=-1))
             for r in r_values:
                 if math.isinf(r):
                     vals = g.reshape(len(sub), -1).max(axis=1)
@@ -256,8 +241,8 @@ def run_strichartz_ensemble(
 
     spec = cfg.model
     band = cfg.initial.band
-    modes = _alpha_mode_set(spec, cfg.disc, band)
-    variant_names = ("k0", "k1") + tuple(modes.factors)[1:]
+    measure, factors = build_axis(spec, cfg.disc).mode_factors(band)
+    variant_names = ("k0", "k1") + tuple(factors)[1:]
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.ensemble)
     members = [
@@ -270,7 +255,7 @@ def run_strichartz_ensemble(
         grid = BoxGrid(spec.dim, box, n_x)
 
         def worker(i, grid=grid):
-            return _ladder_ratios(members[i], modes, grid, cfg.horizon, pairs)
+            return _ladder_ratios(members[i], measure, factors, grid, cfg.horizon, pairs)
 
         results = _run_members(worker, cfg.ensemble, cfg.threads)
         for key_pair in pairs:
@@ -469,8 +454,8 @@ def _fit_parabola_root(times: np.ndarray, values: np.ndarray):
 def _step_note(leg: str, state) -> str:
     """Step counts and the accepted dt range of one adaptive run."""
     lo, hi = state.dt_range or (math.nan, math.nan)
-    return (f"{leg}: {state.step_count} accepted and {state.rejected_count} rejected "
-            f"steps, accepted dt in [{lo:.6g}, {hi:.6g}]")
+    return (f"{leg}: {state.step_count} accepted ({state.floor_count} at the dt floor) "
+            f"and {state.rejected_count} rejected steps, accepted dt in [{lo:.6g}, {hi:.6g}]")
 
 
 def run_blowup(cfg: ScenarioConfig) -> Report:
@@ -623,14 +608,16 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
         rows = []
 
         def record(fld, spec, machx):
+            # one snapshot: m(x) once, one auto-correlation for both rho
+            snap = observables.Snapshot(fld, spec, machx)
             rows.append(
                 {
                     "time": fld.time,
-                    "I_abs": observables.morawetz_I(fld, spec, machx, "abs"),
-                    "I_bracket": observables.morawetz_I(fld, spec, machx, "bracket"),
-                    "bound": observables.morawetz_dI_bound(fld, spec, machx),
+                    "I_abs": observables.morawetz_I(snap, spec, machx, "abs"),
+                    "I_bracket": observables.morawetz_I(snap, spec, machx, "bracket"),
+                    "bound": observables.morawetz_dI_bound(snap, spec, machx),
                     "weighted_potential": observables.morawetz_weighted_potential(
-                        fld, spec, machx
+                        snap, spec, machx
                     ),
                 }
             )

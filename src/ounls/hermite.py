@@ -151,17 +151,3 @@ def evaluate_modal(coeffs: np.ndarray, alphas) -> np.ndarray:
     """
     table = evaluate_modes(alphas, coeffs.shape[-1])
     return coeffs @ table
-
-
-def tail_mass_fraction(coeffs: np.ndarray, n_tail: int) -> float:
-    """Fraction of modal mass carried by the top ``n_tail`` modes.
-
-    Truncation-health monitor; values above ~1e-8 mean the retained band is
-    too small for the current field.
-    """
-    power = np.abs(coeffs) ** 2
-    total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    tail = float(power[..., -n_tail:].sum())
-    return tail / total

@@ -4,14 +4,17 @@ functional with its first-derivative bound.
 
 Every function takes a nodal Field (or bare array) and evaluates with the
 model's native measure: plain dx d(alpha) for the divergence form, the
-Gaussian-weighted measure for the drift form.
+Gaussian-weighted measure for the drift form.  A ``Snapshot`` of the field
+may be passed in its place: it holds the pieces the functionals share, so
+``sample_record`` transforms each field once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -21,19 +24,6 @@ from .operators import Machinery, nonlinear_gain
 from .state import Field
 
 RHO_TAGS = ("abs", "bracket")
-
-CSV_FIELDS = (
-    "time",
-    "mass",
-    "energy",
-    "h1_native",
-    "virial",
-    "virial_rhs",
-    "morawetz_I",
-    "morawetz_dI_bound",
-    "tail_mass_fraction",
-    "boundary_mass_fraction",
-)
 
 
 class UnsupportedModelError(ValueError):
@@ -55,57 +45,101 @@ class DiagnosticsRecord:
     tail_mass_fraction: float
     boundary_mass_fraction: float
 
-    def as_row(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in CSV_FIELDS)
+
+CSV_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _data(fld) -> np.ndarray:
-    return fld.data if isinstance(fld, Field) else np.asarray(fld)
+    return fld.data if isinstance(fld, (Field, Snapshot)) else np.asarray(fld)
+
+
+class Snapshot:
+    """The pieces of one field that the functionals share, each computed on
+    first use and then held: |u|^2 and the mass density m(x), one x-FFT (the
+    x-kinetic integral), the alpha spectrum (the alpha-kinetic integral and
+    the tail monitor), the potential density and the auto-correlation of m.
+
+    A functional given a snapshot in place of the field reads these pieces,
+    so functionals called on one snapshot transform the field once.
+    """
+
+    def __init__(self, fld, spec: ModelSpec, mach: Machinery):
+        self.data = _data(fld)
+        self.spec = spec
+        self.mach = mach
+
+    @cached_property
+    def amp2(self) -> np.ndarray:
+        return self.data.real**2 + self.data.imag**2
+
+    @cached_property
+    def mass_density(self) -> np.ndarray:
+        """m(x) = integral |u|^2 against the native alpha measure."""
+        return self.amp2 @ self.mach.axis.weights
+
+    @cached_property
+    def mass(self) -> float:
+        return float(self.mach.grid.cell_volume * self.mass_density.sum())
+
+    @cached_property
+    def kinetic_x(self) -> float:
+        """integral |grad_x u|^2 (native measure), via Fourier Parseval."""
+        grid = self.mach.grid
+        hat = x_fft(self.data, grid)
+        k2 = -laplacian_symbol(grid)
+        dens = (k2[..., None] * (hat.real**2 + hat.imag**2)) @ self.mach.axis.weights
+        return float(grid.cell_volume * dens.sum())
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The alpha spectrum of the field (x stays nodal)."""
+        return self.mach.axis.forward(self.data)
+
+    @cached_property
+    def kinetic_alpha(self) -> float:
+        """integral of the axis's alpha-gradient quadratic form with its native
+        weight (the drift form's modal sum n |c_n|^2, the div form's
+        face-difference form)."""
+        axis, spectrum = self.mach.axis, self.spectrum
+        dens = axis.grad_density(spectrum, spectrum.real**2 + spectrum.imag**2)
+        return float(self.mach.grid.cell_volume * axis.measure * dens.sum())
+
+    @cached_property
+    def potential_density(self) -> np.ndarray:
+        """x density of g(alpha)|u|^{p+2} against the native alpha measure."""
+        gain = nonlinear_gain(self.data, self.spec, self.mach)
+        return (gain * self.amp2) @ self.mach.axis.weights
+
+    @cached_property
+    def potential(self) -> float:
+        """integral of g(alpha)|u|^{p+2} against the native measure (no sign)."""
+        return float(self.mach.grid.cell_volume * self.potential_density.sum())
+
+    @cached_property
+    def autocorrelation(self):
+        return _lag_correlation(self.mass_density, self.mach.grid.spacing)
+
+
+def _snapshot(fld, spec: ModelSpec, mach: Machinery) -> Snapshot:
+    """``fld`` itself when it is a snapshot taken with this spec and
+    machinery, else a new snapshot of the field."""
+    if isinstance(fld, Snapshot) and fld.spec == spec and fld.mach is mach:
+        return fld
+    return Snapshot(fld, spec, mach)
 
 
 def mass(fld, spec: ModelSpec, mach: Machinery) -> float:
     """Native squared L^2: integral of |u|^2 against the model's measure."""
-    u = _data(fld)
-    dens = (u.real**2 + u.imag**2) @ mach.axis.weights
-    return float(mach.grid.cell_volume * dens.sum())
-
-
-def _kinetic_x_sq(u: np.ndarray, mach: Machinery) -> float:
-    """integral |grad_x u|^2 (native measure), via Fourier Parseval."""
-    hat = x_fft(u, mach.grid)
-    k2 = -laplacian_symbol(mach.grid)
-    dens = (k2[..., None] * (hat.real**2 + hat.imag**2)) @ mach.axis.weights
-    return float(mach.grid.cell_volume * dens.sum())
-
-
-def _kinetic_alpha_sq(u: np.ndarray, mach: Machinery) -> float:
-    """integral of the axis's alpha-gradient quadratic form with its native
-    weight (the drift form's modal sum n |c_n|^2, the div form's
-    face-difference form)."""
-    spectrum = mach.axis.forward(u)
-    power = spectrum.real**2 + spectrum.imag**2
-    dens = mach.axis.grad_density(spectrum, power)
-    return float(mach.grid.cell_volume * mach.axis.measure * dens.sum())
-
-
-def _potential_density(u: np.ndarray, spec: ModelSpec, mach: Machinery) -> np.ndarray:
-    """x density of g(alpha)|u|^{p+2} against the native alpha measure."""
-    amp2 = u.real**2 + u.imag**2
-    return (nonlinear_gain(u, spec, mach) * amp2) @ mach.axis.weights
-
-
-def _potential_int(u: np.ndarray, spec: ModelSpec, mach: Machinery) -> float:
-    """integral of g(alpha)|u|^{p+2} against the native measure (no sign)."""
-    return float(mach.grid.cell_volume * _potential_density(u, spec, mach).sum())
+    return _snapshot(fld, spec, mach).mass
 
 
 def energy_terms(fld, spec: ModelSpec, mach: Machinery) -> dict[str, float]:
     """The three energy terms: x-kinetic, alpha-kinetic, potential (signed)."""
-    u = _data(fld)
+    snap = _snapshot(fld, spec, mach)
     return {
-        "kinetic_x": 0.5 * _kinetic_x_sq(u, mach),
-        "kinetic_alpha": 0.5 * _kinetic_alpha_sq(u, mach),
-        "potential": spec.sign / (spec.power + 2) * _potential_int(u, spec, mach),
+        "kinetic_x": 0.5 * snap.kinetic_x,
+        "kinetic_alpha": 0.5 * snap.kinetic_alpha,
+        "potential": spec.sign / (spec.power + 2) * snap.potential,
     }
 
 
@@ -115,15 +149,8 @@ def energy(fld, spec: ModelSpec, mach: Machinery) -> float:
 
 def h1_native(fld, spec: ModelSpec, mach: Machinery) -> float:
     """Energy-compatible H^1-type norm in the model's native measure."""
-    u = _data(fld)
-    return math.sqrt(
-        mass(u, spec, mach) + _kinetic_x_sq(u, mach) + _kinetic_alpha_sq(u, mach)
-    )
-
-
-def _x_radius_sq(mach: Machinery) -> np.ndarray:
-    coords = mach.grid.coordinates()
-    return sum(c**2 for c in coords)
+    snap = _snapshot(fld, spec, mach)
+    return math.sqrt(snap.mass + snap.kinetic_x + snap.kinetic_alpha)
 
 
 def _require_div(spec: ModelSpec, what: str):
@@ -136,9 +163,9 @@ def _require_div(spec: ModelSpec, what: str):
 def virial(fld, spec: ModelSpec, mach: Machinery) -> float:
     """V(t) = integral |x|^2 |u|^2 dx d(alpha)."""
     _require_div(spec, "virial")
-    u = _data(fld)
-    dens = (u.real**2 + u.imag**2) @ mach.axis.weights
-    return float(mach.grid.cell_volume * np.sum(_x_radius_sq(mach) * dens))
+    radius_sq = sum(c**2 for c in mach.grid.coordinates())
+    dens = _snapshot(fld, spec, mach).mass_density
+    return float(mach.grid.cell_volume * np.sum(radius_sq * dens))
 
 
 def virial_dt(fld, spec: ModelSpec, mach: Machinery) -> float:
@@ -166,19 +193,13 @@ def virial_rhs(fld, spec: ModelSpec, mach: Machinery) -> float:
     concavity route to finite-time blow-up.
     """
     _require_div(spec, "virial_rhs")
-    u = _data(fld)
+    snap = _snapshot(fld, spec, mach)
     coeff = (spec.dim * spec.power - 4) / (4.0 * (spec.power + 2))
     return 16.0 * (
-        energy(u, spec, mach)
-        - 0.5 * _kinetic_alpha_sq(u, mach)
-        + spec.sign * coeff * _potential_int(u, spec, mach)
+        energy(snap, spec, mach)
+        - 0.5 * snap.kinetic_alpha
+        + spec.sign * coeff * snap.potential
     )
-
-
-def alpha_reduced_density(fld, spec: ModelSpec, mach: Machinery) -> np.ndarray:
-    """m(x) = integral |u|^2 against the native alpha measure."""
-    u = _data(fld)
-    return (u.real**2 + u.imag**2) @ mach.axis.weights
 
 
 def _lag_correlation(a: np.ndarray, h: float, b: np.ndarray | None = None):
@@ -196,9 +217,8 @@ def _lag_correlation(a: np.ndarray, h: float, b: np.ndarray | None = None):
     for size in a.shape:
         idx = np.arange(2 * size)
         lags.append(np.where(idx < size, idx, idx - 2 * size) * h)
-    if a.ndim == 1:
-        return corr, np.abs(lags[0])
-    return corr, np.sqrt(lags[0][:, None] ** 2 + lags[1][None, :] ** 2)
+    # sqrt(l * l) == |l| exactly in IEEE arithmetic, so 1-D needs no branch
+    return corr, np.sqrt(sum(lag**2 for lag in np.meshgrid(*lags, indexing="ij")))
 
 
 def rho_values(lag_radius: np.ndarray, rho: str) -> np.ndarray:
@@ -215,15 +235,14 @@ def morawetz_I(fld, spec: ModelSpec, mach: Machinery, rho: str = "abs") -> float
     Lags use exact node differences; for rho = |x-y| the diagonal cell
     contributes zero by the quadrature convention rho(0) = 0.
     """
-    m = alpha_reduced_density(fld, spec, mach)
-    corr, radius = _lag_correlation(m, mach.grid.spacing)
+    corr, radius = _snapshot(fld, spec, mach).autocorrelation
     return float(mach.grid.cell_volume**2 * np.sum(rho_values(radius, rho) * corr))
 
 
 def morawetz_dI_bound(fld, spec: ModelSpec, mach: Machinery) -> float:
     """||u||^3_{L^2} ||u||_{H^1_x-dot} in the native norms."""
-    u = _data(fld)
-    return mass(u, spec, mach) ** 1.5 * math.sqrt(_kinetic_x_sq(u, mach))
+    snap = _snapshot(fld, spec, mach)
+    return snap.mass**1.5 * math.sqrt(snap.kinetic_x)
 
 
 def morawetz_weighted_potential(fld, spec: ModelSpec, mach: Machinery) -> float:
@@ -233,10 +252,9 @@ def morawetz_weighted_potential(fld, spec: ModelSpec, mach: Machinery) -> float:
     m the native mass density and m_p the |u|^{p+2} density (nonlinearity
     weight included).  Measured only; no sharp constant is asserted.
     """
-    u = _data(fld)
+    snap = _snapshot(fld, spec, mach)
     corr, radius = _lag_correlation(
-        alpha_reduced_density(u, spec, mach), mach.grid.spacing,
-        _potential_density(u, spec, mach),
+        snap.mass_density, mach.grid.spacing, snap.potential_density
     )
     bracket = rho_values(radius, "bracket")
     lap_rho = (spec.dim - 1) / bracket + 1.0 / bracket**3
@@ -245,12 +263,9 @@ def morawetz_weighted_potential(fld, spec: ModelSpec, mach: Machinery) -> float:
 
 def boundary_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
     """Native-mass fraction in the outermost 10% shell of the x box."""
-    u = _data(fld)
-    dens = (u.real**2 + u.imag**2) @ mach.axis.weights
-    coords = mach.grid.coordinates()
-    outer = np.zeros(mach.grid.shape, dtype=bool)
-    for c in coords:
-        outer |= np.broadcast_to(np.abs(c) >= 0.9 * mach.grid.half_length, outer.shape)
+    dens = _snapshot(fld, spec, mach).mass_density
+    shell = [np.abs(c) >= 0.9 * mach.grid.half_length for c in mach.grid.coordinates()]
+    outer = np.logical_or.reduce(np.broadcast_arrays(*shell))
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
@@ -263,36 +278,38 @@ TAIL_MODES = 4  # the top alpha modes whose mass the tail monitor reports
 
 def tail_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
     """Fraction of native alpha-spectral mass in the top TAIL_MODES modes."""
-    return mach.axis.tail_fraction(_data(fld), TAIL_MODES)
+    return mach.axis.tail_fraction(_snapshot(fld, spec, mach).spectrum, TAIL_MODES)
 
 
 def sample_record(fld: Field, spec: ModelSpec, mach: Machinery) -> DiagnosticsRecord:
-    """Evaluate every monitored functional at one snapshot.
+    """Evaluate every monitored functional on one snapshot of the field: one
+    |u|^2, one x-FFT, one alpha transform and one potential density.
 
     Warns when the truncation monitors cross 1e-8: the alpha band is too
     small (tail fraction) or the box is shedding mass (boundary fraction).
     """
+    snap = Snapshot(fld, spec, mach)
     if spec.model == MODEL_DIV:
-        vir = virial(fld, spec, mach)
-        vir_rhs = virial_rhs(fld, spec, mach)
+        vir = virial(snap, spec, mach)
+        vir_rhs = virial_rhs(snap, spec, mach)
     else:
         vir = math.nan
         vir_rhs = math.nan
-    tail = tail_mass_fraction(fld, spec, mach)
-    boundary = boundary_mass_fraction(fld, spec, mach)
+    tail = tail_mass_fraction(snap, spec, mach)
+    boundary = boundary_mass_fraction(snap, spec, mach)
     if tail > MONITOR_THRESHOLD:
         warnings.warn("alpha truncation tail fraction above 1e-8", RuntimeWarning)
     if boundary > MONITOR_THRESHOLD:
         warnings.warn("boundary shell mass fraction above 1e-8", RuntimeWarning)
     return DiagnosticsRecord(
         time=fld.time,
-        mass=mass(fld, spec, mach),
-        energy=energy(fld, spec, mach),
-        h1_native=h1_native(fld, spec, mach),
+        mass=mass(snap, spec, mach),
+        energy=energy(snap, spec, mach),
+        h1_native=h1_native(snap, spec, mach),
         virial=vir,
         virial_rhs=vir_rhs,
-        morawetz_I=morawetz_I(fld, spec, mach, "abs"),
-        morawetz_dI_bound=morawetz_dI_bound(fld, spec, mach),
+        morawetz_I=morawetz_I(snap, spec, mach, "abs"),
+        morawetz_dI_bound=morawetz_dI_bound(snap, spec, mach),
         tail_mass_fraction=tail,
         boundary_mass_fraction=boundary,
     )

@@ -15,6 +15,7 @@ unified variants measured slower (README, "The alpha axis").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -50,20 +51,17 @@ class DivAlphaOperator:
     def n_nodes(self) -> int:
         return self.nodes.size
 
+    @cached_property
     def _eigenpairs(self):
-        cached = getattr(self, "_eigen_cache", None)
-        if cached is None:
-            cached = eigh_tridiagonal(self.diagonal, self.offdiagonal)
-            self._eigen_cache = cached
-        return cached
+        return eigh_tridiagonal(self.diagonal, self.offdiagonal)
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigenpairs()[0]
+        return self._eigenpairs[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._eigenpairs()[1]
+        return self._eigenpairs[1]
 
 
 def build_div_operator(n_nodes: int = 513, half_width: float = 12.0) -> DivAlphaOperator:
@@ -121,8 +119,12 @@ class HermiteAxis:
         |spectrum|^2."""
         return power @ self._modes
 
-    def tail_fraction(self, values: np.ndarray, n_tail: int) -> float:
-        return hermite.tail_mass_fraction(self.forward(values), n_tail)
+    def tail_fraction(self, spectrum: np.ndarray, n_tail: int) -> float:
+        """Mass fraction of the top ``n_tail`` Hermite modes; values above
+        ~1e-8 mean the retained band is too small for the field."""
+        power = np.abs(spectrum) ** 2
+        total = float(power.sum())
+        return float(power[..., -n_tail:].sum()) / total if total else 0.0
 
     def band_shapes(self, band: int) -> np.ndarray:
         """Nodal shapes of the band+1 low profiles: the basis functions."""
@@ -149,7 +151,7 @@ class FluxAxis:
         self.nodes = op.nodes
         self.weights = np.full(op.n_nodes, op.spacing)
         self.measure = op.spacing
-        self.gain_weight = np.ones(op.n_nodes)
+        self.gain_weight = None  # the power nonlinearity is unweighted
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return values
@@ -171,14 +173,15 @@ class FluxAxis:
         diff = np.diff(spectrum, axis=-1)
         return (diff.real**2 + diff.imag**2) @ self.op.face_weights / self.op.spacing**2
 
-    def tail_fraction(self, values: np.ndarray, n_tail: int) -> float:
-        # Q is real, so the eigen-spectrum's power is taken part by part
-        # without a complex copy of Q; eigenvalues ascend, so the most
-        # oscillatory modes sit first
-        q = self.op.eigenvectors
-        power = (values.real @ q) ** 2 + (values.imag @ q) ** 2
-        total = float(power.sum())
-        return float(power[..., :n_tail].sum()) / total if total else 0.0
+    def tail_fraction(self, spectrum: np.ndarray, n_tail: int) -> float:
+        """Mass fraction of the ``n_tail`` most oscillatory eigenmodes of P:
+        the first columns of the real orthonormal Q (eigenvalues ascend), so
+        the total is the nodal sum of |u|^2 and only (..., n) x (n, n_tail)
+        products are taken, part by part without a complex copy of Q."""
+        q = self.op.eigenvectors[:, :n_tail]
+        tail = float(((spectrum.real @ q) ** 2 + (spectrum.imag @ q) ** 2).sum())
+        total = float(np.vdot(spectrum, spectrum).real)
+        return tail / total if total else 0.0
 
     def band_shapes(self, band: int) -> np.ndarray:
         """Gaussian-confined profiles phi_n exp(-a^2/2): the truncated
@@ -213,12 +216,6 @@ def apply_div_operator(values: np.ndarray, op: DivAlphaOperator) -> np.ndarray:
     out[..., 1:-1] = np.diff(flux, axis=-1) / h
     out[..., -1] = -flux[..., -1] / h
     return out
-
-
-def apply_ou_nondiv(values: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    """Drift-form action (d^2/da^2 - a d/da) computed modally: c_n -> -n c_n."""
-    coeffs = hermite.forward_tensor(values, basis)
-    return hermite.inverse_tensor(coeffs * basis.eigenvalues, basis)
 
 
 def verify_div_identity(f, basis: HermiteBasis, op: DivAlphaOperator) -> float:
@@ -346,9 +343,11 @@ def build_linear_propagator(
 
 
 def nonlinear_gain(data: np.ndarray, spec: ModelSpec, mach: Machinery) -> np.ndarray:
-    """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2)."""
+    """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2);
+    an axis without a gain weight (the div form) skips the multiply."""
     amp2 = data.real**2 + data.imag**2
-    amp2 *= mach.axis.gain_weight
+    if mach.axis.gain_weight is not None:
+        amp2 *= mach.axis.gain_weight
     return amp2 ** (spec.power // 2)
 
 

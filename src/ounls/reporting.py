@@ -8,11 +8,11 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .observables import CSV_FIELDS, DiagnosticsRecord
+from .observables import DiagnosticsRecord
 
 FIELD_MAGIC = b"OUNLSFIELDSNAP01"  # 16 bytes
 
@@ -86,10 +86,8 @@ def _atomic_write(path: str, payload: bytes):
 
 
 def diagnostics_csv_bytes(records: list[DiagnosticsRecord]) -> bytes:
-    lines = [",".join(CSV_FIELDS)]
-    for rec in records:
-        lines.append(",".join(_fmt(v) for v in rec.as_row()))
-    return ("\n".join(lines) + "\n").encode()
+    """One row per record, the columns in ``CSV_FIELDS`` order."""
+    return rows_csv_bytes([asdict(rec) for rec in records])
 
 
 def emit_diagnostics(records: list[DiagnosticsRecord], path: str) -> str:

@@ -87,6 +87,7 @@ class StepperState:
     dt: float
     step_count: int = 0
     rejected_count: int = 0
+    floor_count: int = 0  # accepted at dt_min while still failing err_grow
     blowup_flag: bool = False
     blowup_time_estimate: float | None = None
     h1_initial: float | None = None
@@ -113,7 +114,8 @@ def detect_blowup(
     time: float | None = None,
 ) -> StepperState:
     """Flag on nonfinite values, on an H^1 ratio past the ceiling, or when
-    the step controller has been driven to dt_min with rejections.
+    the step controller has been driven to dt_min with rejections or
+    acceptances at the floor.
 
     ``h1`` is the native H^1 of the field at ``time`` when the caller holds
     it already; by default both come from state.field.  A nonfinite ``h1``
@@ -136,7 +138,7 @@ def detect_blowup(
         state.h1_initial = h1
     elif state.h1_initial > 0 and h1 / state.h1_initial > thresholds.norm_ratio_max:
         flagged = True
-    if state.dt <= thresholds.dt_min and state.rejected_count > 0:
+    if state.dt <= thresholds.dt_min and state.rejected_count + state.floor_count > 0:
         flagged = True
     if flagged:
         state.blowup_flag = True
@@ -236,7 +238,7 @@ def _advance_adaptive(state, mach, target, control, thresholds):
         state.dt = nominal
         if err > control.err_grow:
             # still failing at the dt floor: hand off to the guard
-            state.rejected_count += 1
+            state.floor_count += 1
         state = detect_blowup(state, mach, thresholds, h1=h1, time=time)
         if err < control.err_shrink and dt == nominal:
             nominal = min(2.0 * dt, control.dt_max)

@@ -15,13 +15,12 @@ from ounls.experiments import (
     random_band_coeffs,
     run_conservation,
     run_strichartz_ensemble,
-    _alpha_mode_set,
     _ladder_ratios,
 )
 from ounls.grids import BoxGrid
 from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import mass, virial, virial_dt, virial_rhs
-from ounls.operators import build_machinery
+from ounls.operators import build_axis, build_machinery
 from ounls.state import Field
 from ounls.stepping import StepControl, integrate
 from ounls.reporting import rows_csv_bytes
@@ -55,11 +54,11 @@ def test_single_mode_closed_form_ratio():
     # R = T^{1/q} (2L)^{1/r - 1/2} exactly
     spec = ModelSpec("nondiv", 1, 4)
     disc = DiscretizationSpec(n_x=64)
-    modes = _alpha_mode_set(spec, disc, 2)
+    measure, factors = build_axis(spec, disc).mode_factors(2)
     grid = BoxGrid(1, disc.resolved_box(1), 64)
     draw = np.zeros((5, 3), complex)
     draw[3, 0] = 1.0  # one x mode, alpha mode 0
-    out = _ladder_ratios(draw, modes, grid, 4.0, [(6.0, 6.0), (8.0, 4.0)])
+    out = _ladder_ratios(draw, measure, factors, grid, 4.0, [(6.0, 6.0), (8.0, 4.0)])
     length = 2.0 * grid.half_length
     for (variant, (q, r)), value in out.items():
         expected = 4.0 ** (1.0 / q) * length ** (1.0 / r - 0.5)

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import correlate
 
+from ounls import hermite, observables
+from ounls.grids import laplacian_symbol, x_fft
 from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import (
     CSV_FIELDS,
+    TAIL_MODES,
+    Snapshot,
     UnsupportedModelError,
-    alpha_reduced_density,
     boundary_mass_fraction,
     energy,
     energy_terms,
@@ -18,13 +22,14 @@ from ounls.observables import (
     mass,
     morawetz_I,
     morawetz_dI_bound,
+    morawetz_weighted_potential,
     sample_record,
     tail_mass_fraction,
     virial,
     virial_dt,
     virial_rhs,
 )
-from ounls.operators import build_machinery
+from ounls.operators import build_machinery, nonlinear_gain
 from ounls.state import Field
 
 SQRT_PI = math.sqrt(math.pi)
@@ -195,7 +200,7 @@ def test_morawetz_against_direct_double_sum(dim):
     rng = np.random.default_rng(21)
     shape = mach.grid.shape + (8,)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    m = alpha_reduced_density(u, spec, mach)
+    m = Snapshot(u, spec, mach).mass_density
     coords = np.stack(np.meshgrid(*([mach.grid.axis] * dim), indexing="ij"), -1)
     flat_m = m.ravel()
     flat_x = coords.reshape(-1, dim)
@@ -215,13 +220,11 @@ def test_morawetz_bound_value(div2):
 
 
 def test_weighted_potential_against_direct_sum():
-    from ounls.observables import morawetz_weighted_potential
-
     spec = ModelSpec("nondiv", 1, 2)
     mach = build_machinery(spec, DiscretizationSpec(n_x=16, box_half_length=4.0, n_alpha=8))
     rng = np.random.default_rng(3)
     u = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-    m = alpha_reduced_density(u, spec, mach)
+    m = Snapshot(u, spec, mach).mass_density
     amp2 = u.real**2 + u.imag**2
     gauss = np.exp(-0.5 * mach.axis.nodes**2)
     m_p = ((amp2 * gauss**2) * amp2) @ mach.axis.basis.weights
@@ -270,3 +273,147 @@ def test_sample_record_fields(nondiv, div2):
     assert CSV_FIELDS[0] == "time" and len(CSV_FIELDS) == 10
     rec2 = sample_record(Field(template(div2), 0.0), div2.spec, div2)
     assert math.isfinite(rec2.virial) and math.isfinite(rec2.virial_rhs)
+
+
+# ----------------------------------------- one snapshot per sample
+
+
+def eigen_tail(u, mach):
+    """Div-form tail written out on the full eigen-spectrum u @ Q."""
+    power = np.abs(u @ mach.axis.op.eigenvectors) ** 2
+    return float(power[..., :TAIL_MODES].sum() / power.sum())
+
+
+def separate_record(u, spec, mach):
+    """Every record field from its own pass over the field: m(x), the
+    x-FFT, the alpha transform and the potential density are recomputed by
+    each functional that needs them, as they were before the snapshot."""
+    grid, axis, vol = mach.grid, mach.axis, mach.grid.cell_volume
+
+    def m_of(u):
+        return (u.real**2 + u.imag**2) @ axis.weights
+
+    def kin_x(u):
+        hat = x_fft(u, grid)
+        dens = (-laplacian_symbol(grid)[..., None] * np.abs(hat) ** 2) @ axis.weights
+        return vol * dens.sum()
+
+    def kin_a(u):
+        spectrum = axis.forward(u)
+        power = spectrum.real**2 + spectrum.imag**2
+        return vol * axis.measure * axis.grad_density(spectrum, power).sum()
+
+    def pot(u):
+        return vol * ((nonlinear_gain(u, spec, mach) * np.abs(u) ** 2) @ axis.weights).sum()
+
+    def interaction(u, rho):
+        m = m_of(u)
+        corr = correlate(m, m, mode="full", method="direct")
+        lags = [(np.arange(c) - (c - 1) // 2) * grid.spacing for c in corr.shape]
+        radius = np.sqrt(sum(l**2 for l in np.meshgrid(*lags, indexing="ij")))
+        table = radius if rho == "abs" else np.sqrt(1.0 + radius**2)
+        return vol**2 * float(np.sum(table * corr))
+
+    def energy_of(u):
+        p = spec.power
+        return 0.5 * kin_x(u) + 0.5 * kin_a(u) + spec.sign / (p + 2) * pot(u)
+
+    p, d = spec.power, spec.dim
+    mass_ = vol * m_of(u).sum()
+    outer = np.zeros(grid.shape, dtype=bool)
+    for c in grid.coordinates():
+        outer |= np.broadcast_to(np.abs(c) >= 0.9 * grid.half_length, grid.shape)
+    if spec.model == "div":
+        radius_sq = sum(c**2 for c in grid.coordinates())
+        vir = vol * np.sum(radius_sq * m_of(u))
+        coeff = (d * p - 4) / (4.0 * (p + 2))
+        vir_rhs = 16.0 * (energy_of(u) - 0.5 * kin_a(u) + spec.sign * coeff * pot(u))
+        tail = eigen_tail(u, mach)
+    else:
+        vir = vir_rhs = math.nan
+        power = np.abs(hermite.forward_tensor(u, axis.basis)) ** 2
+        tail = float(power[..., -TAIL_MODES:].sum() / power.sum())
+    return {
+        "mass": mass_,
+        "energy": energy_of(u),
+        "h1_native": math.sqrt(mass_ + kin_x(u) + kin_a(u)),
+        "virial": vir,
+        "virial_rhs": vir_rhs,
+        "morawetz_I": interaction(u, "abs"),
+        "morawetz_I_bracket": interaction(u, "bracket"),
+        "morawetz_dI_bound": mass_**1.5 * math.sqrt(kin_x(u)),
+        "tail_mass_fraction": tail,
+        "boundary_mass_fraction": m_of(u)[outer].sum() / m_of(u).sum(),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:alpha truncation tail:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("model,p,sign", [("nondiv", 4, 1), ("div", 2, 1), ("div", 4, -1)],
+                         ids=["drift-p4", "div-p2", "div-focusing-p4"])
+def test_sample_record_matches_separate_functionals(model, p, sign, dim):
+    spec = ModelSpec(model, dim, p, sign)
+    n_x, nodes = (128, 257) if dim == 1 else (32, 65)
+    mach = build_machinery(spec, DiscretizationSpec(n_x=n_x, n_alpha=32, div_nodes=nodes))
+    rng = np.random.default_rng(8)
+    u = template(mach, amp=1.3, xw=2.0) * (1.0 + 0.2 * rng.standard_normal(
+        mach.grid.shape + (mach.axis.nodes.size,)))
+    u = u + 0.1j * np.roll(u.real, 3, axis=-1)
+    rec = sample_record(Field(u, 0.3), spec, mach)
+    expected = separate_record(u, spec, mach)
+    bracket = expected.pop("morawetz_I_bracket")
+    assert rec.time == 0.3
+    for name, want in expected.items():
+        got = getattr(rec, name)
+        if math.isnan(want):
+            assert math.isnan(got), name
+        else:
+            assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
+    snap = Snapshot(u, spec, mach)
+    assert abs(morawetz_I(snap, spec, mach, "bracket") - bracket) <= 1e-13 * bracket
+    # a functional reads the same value off a snapshot as off the field
+    assert mass(u, spec, mach) == rec.mass
+    assert energy(u, spec, mach) == rec.energy
+    assert h1_native(u, spec, mach) == rec.h1_native
+    assert (morawetz_weighted_potential(snap, spec, mach)
+            == morawetz_weighted_potential(u, spec, mach))
+
+
+def test_div_tail_monitor_against_full_eigen_spectrum(div2):
+    rng = np.random.default_rng(4)
+    u = template(div2) * (1.0 + 0.5 * rng.standard_normal((256, 513)))
+    got = tail_mass_fraction(u, div2.spec, div2)
+    want = eigen_tail(u, div2)
+    assert want > 1e-6  # nodal noise puts real mass on the oscillatory modes
+    assert abs(got - want) <= 1e-13 * want
+    assert tail_mass_fraction(np.zeros((256, 513)), div2.spec, div2) == 0.0
+
+
+def test_div_truncation_monitor_warns_on_first_eigenvectors(div2):
+    # the most oscillatory eigenvectors are the first columns of Q (the
+    # eigenvalues ascend); content there must trip the tail monitor
+    q = div2.axis.op.eigenvectors
+    (x,) = div2.grid.coordinates()
+    hot = np.exp(-x**2 / 2.0)[:, None] * (q[:, 0] + 1e3 * q[:, -1]) + 0j
+    assert abs(tail_mass_fraction(hot, div2.spec, div2) - 1.0 / (1.0 + 1e6)) < 1e-12
+    with pytest.warns(RuntimeWarning, match="tail fraction"):
+        sample_record(Field(hot, 0.0), div2.spec, div2)
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
+def test_sample_record_transforms_the_field_once(model_fixture, request, monkeypatch):
+    mach = request.getfixturevalue(model_fixture)
+    calls = {"x_fft": 0, "forward": 0, "nonlinear_gain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(observables, "x_fft", counted("x_fft", observables.x_fft))
+    monkeypatch.setattr(observables, "nonlinear_gain",
+                        counted("nonlinear_gain", observables.nonlinear_gain))
+    monkeypatch.setattr(mach.axis, "forward", counted("forward", mach.axis.forward))
+    sample_record(Field(template(mach), 0.0), mach.spec, mach)
+    assert calls == {"x_fft": 1, "forward": 1, "nonlinear_gain": 1}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
 
+from ounls import hermite
 from ounls.grids import BoxGrid
 from ounls.hermite import build_basis
 from ounls.models import DiscretizationSpec, ModelSpec
@@ -16,13 +17,18 @@ from ounls.operators import (
     NonFiniteFieldError,
     apply_div_operator,
     apply_nonlinearity,
-    apply_ou_nondiv,
     build_div_operator,
     build_linear_propagator,
     build_machinery,
     nonlinear_gain,
     verify_div_identity,
 )
+
+
+def apply_ou_nondiv(values, basis):
+    """Drift-form action (d^2/da^2 - a d/da) computed modally: c_n -> -n c_n."""
+    coeffs = hermite.forward_tensor(values, basis)
+    return hermite.inverse_tensor(coeffs * basis.eigenvalues, basis)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +206,15 @@ def test_nonlinearity_closed_form_phase():
     u = np.ones((64, 129), complex)
     out = apply_nonlinearity(u, spec, mach, 0.1)
     np.testing.assert_allclose(out, np.exp(-0.1j) * u, rtol=1e-14)
+
+
+def test_div_gain_is_the_unweighted_power(div_mach):
+    # the div axis carries no gain weight, so the gain is |u|^p exactly
+    rng = np.random.default_rng(16)
+    u = rng.standard_normal((128, 257)) + 1j * rng.standard_normal((128, 257))
+    assert div_mach.axis.gain_weight is None
+    assert np.array_equal(nonlinear_gain(u, div_mach.spec, div_mach),
+                          (u.real**2 + u.imag**2) ** 2)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

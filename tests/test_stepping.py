@@ -364,7 +364,7 @@ def reference_advance_adaptive(state, mach, target, control, thresholds):
         state.step_count += 1
         state.dt = nominal
         if err > control.err_grow:
-            state.rejected_count += 1
+            state.floor_count += 1
         state = detect_blowup(state, mach, thresholds)
         if err < control.err_shrink and dt == nominal:
             nominal = min(2.0 * dt, control.dt_max)
@@ -406,7 +406,8 @@ def test_fused_adaptive_matches_step_doubling_reference(model_fixture, request, 
     _, ref = run()
 
     assert ref.rejected_count > 0
-    assert (fused.step_count, fused.rejected_count) == (ref.step_count, ref.rejected_count)
+    assert ((fused.step_count, fused.rejected_count, fused.floor_count)
+            == (ref.step_count, ref.rejected_count, ref.floor_count))
     assert fused.blowup_flag == ref.blowup_flag == (model_fixture == "divm")
     assert fused.blowup_time_estimate == ref.blowup_time_estimate
     assert fused.field.time == ref.field.time
@@ -428,3 +429,16 @@ def test_spectral_error_estimate_equals_nodal_step_doubling_distance(model_fixtu
     assert abs(err - nodal) <= 1e-12 * scale
     end = mach.synthesize(quarter.advance(fine, mach.dealias))
     assert native_rel(end, fine_field, mach) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
+def test_floor_acceptance_is_counted_apart_from_rejections(nondiv):
+    # dt starts at the floor and no attempt meets err_grow: every step is
+    # accepted at the floor, none is a true rejection, and the guard flags
+    # the first one
+    dt = 4e-3
+    control = StepControl(dt=dt, adaptive=True, dt_min=dt, err_grow=1e-300)
+    _, state = integrate(Field(narrow_pulse(nondiv)), nondiv, 0.02, [0.0, 0.02], control,
+                         BlowupThresholds(dt_min=dt), record_fn=no_record)
+    assert (state.step_count, state.floor_count, state.rejected_count) == (1, 1, 0)
+    assert state.blowup_flag and state.blowup_time_estimate == dt
