@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__, reporting
 from .config import SCENARIOS, ConfigError, ScenarioConfig, parse_config
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     outputs = []
-    reports = []
+    runs = []  # (the config a report ran on, the report)
     try:
         if args.command == "simulate":
             records, state = run_simulation(cfg)
@@ -123,9 +124,9 @@ def main(argv=None) -> int:
             rep = reporting.Report("simulate")
             rep.add("completed_unflagged", not state.blowup_flag,
                     float(state.blowup_flag), 0.0, comparator="==")
-            reports.append(rep)
+            runs.append((cfg, rep))
         elif args.command == "all":
-            reports = run_acceptance(cfg)
+            runs = run_acceptance(cfg)
         else:
             runner = {
                 "conservation": run_conservation,
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
                 "identity": run_identity,
                 "morawetz": run_morawetz,
             }[args.command]
-            reports = [runner(cfg)]
+            runs = [(cfg, runner(cfg))]
     except NumericCheckError as exc:
         print(f"numeric assertion failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -146,11 +147,19 @@ def main(argv=None) -> int:
 
     try:
         all_passed = True
-        for i, rep in enumerate(reports):
+        row_configs = {}
+        for i, (run_cfg, rep) in enumerate(runs):
             stem = rep.scenario.split("(")[0]
             rep_path = os.path.join(cfg.out_dir, f"report_{i:02d}_{stem}.jsonl")
             reporting.emit_report(rep, rep_path)
             outputs.append(rep_path)
+            # the resolved config of this report, beside it: an acceptance
+            # row runs on its own box, grid and horizon, not the base config
+            cfg_path = os.path.join(cfg.out_dir, f"config_{i:02d}_{stem}.json")
+            resolved = _resolved_dict(replace(run_cfg, scenario=stem))
+            reporting.write_json(cfg_path, resolved)
+            outputs.append(cfg_path)
+            row_configs[os.path.basename(rep_path)] = os.path.basename(cfg_path)
             if rep.rows:
                 rows_path = os.path.join(cfg.out_dir, f"rows_{i:02d}_{stem}.csv")
                 reporting.emit_rows(rep.rows, rows_path)
@@ -167,7 +176,8 @@ def main(argv=None) -> int:
                 print(f"       {rep.scenario}: {note}")
             all_passed &= rep.passed
         reporting.write_manifest(
-            cfg.out_dir, _resolved_dict(cfg), cfg.seed, started, outputs, __version__
+            cfg.out_dir, _resolved_dict(cfg), cfg.seed, started, outputs, __version__,
+            row_configs,
         )
     except (reporting.OutputError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)

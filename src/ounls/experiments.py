@@ -134,6 +134,7 @@ def run_conservation(cfg: ScenarioConfig) -> Report:
                     "energy_drift": abs(r.energy - energy0) / energy_scale,
                 }
             )
+    _flow_note(report, mach)
     report.add("mass_drift", drifts[cfg.dt][0] < 1e-9, drifts[cfg.dt][0], 1e-9,
                comparator="<")
     report.add("energy_drift", drifts[cfg.dt][1] < 1e-5, drifts[cfg.dt][1], 1e-5,
@@ -458,6 +459,14 @@ def _step_note(leg: str, state) -> str:
             f"and {state.rejected_count} rejected steps, accepted dt in [{lo:.6g}, {hi:.6g}]")
 
 
+def _flow_note(report: Report, mach: Machinery, leg: str = ""):
+    """Note which alpha flow path the legs on ``mach`` ran, if the axis
+    reports one (the div flow's band per propagator time)."""
+    note = mach.axis.flow_note()
+    if note:
+        report.notes.append(f"{leg}: {note}" if leg else note)
+
+
 def run_blowup(cfg: ScenarioConfig) -> Report:
     """Focusing divergence-form run: scale amplitude until the energy is
     negative, integrate under the blow-up guard, certify concavity of the
@@ -536,6 +545,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     tail_h1 = ", ".join(f"{r.h1_native:.5g}" for r in records[-3:])
     report.notes.append(f"last sampled H1 values before the flag: {tail_h1}")
     report.notes.append(_step_note("focusing leg", state))
+    _flow_note(report, mach, "focusing leg")
 
     control_spec = replace(cfg.model, sign=DEFOCUSING)
     control_mach = build_machinery(control_spec, cfg.disc)
@@ -547,6 +557,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
         BlowupThresholds(dt_min=dt_floor),
     )
     report.notes.append(_step_note("defocusing control", control_state))
+    _flow_note(report, control_mach, "defocusing control")
     report.add(
         "defocusing_control_unflagged",
         not control_state.blowup_flag,
@@ -640,6 +651,7 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
         report.notes.append(
             f"time-integrated weighted potential at n_x={n_x}: {lhs:.6g}"
         )
+        _flow_note(report, mach, f"n_x={n_x}")
     for rho in ("abs", "bracket"):
         lo = maxima[(rho, cfg.disc.n_x)]
         hi = maxima[(rho, 2 * cfg.disc.n_x)]
@@ -675,14 +687,16 @@ def run_simulation(cfg: ScenarioConfig):
 
 @dataclass(frozen=True)
 class Criterion:
-    """One row of the acceptance table.  ``run(cfg, reports)`` builds the
-    row's config from the base ``cfg`` and returns its Report; ``reports``
-    holds the other rows' reports by key (criterion 9 reads criterion 4's).
+    """One row of the acceptance table.  ``config(base)`` is the config the
+    row runs on, built from the base config; ``run(cfg, reports)`` runs the
+    row on it and returns its Report; ``reports`` holds the other rows'
+    reports by key (criterion 9 reads criterion 4's).
     """
 
     key: str
     title: str
     run: Callable[[ScenarioConfig, "AcceptanceReports"], Report]
+    config: Callable[[ScenarioConfig], ScenarioConfig] = lambda cfg: cfg
 
 
 STRICHARTZ_PAIRS = [(6.0, 6.0), (8.0, 4.0)]
@@ -701,6 +715,15 @@ def _strichartz_cfg(cfg: ScenarioConfig, model: str) -> ScenarioConfig:
                    initial=replace(cfg.initial, band=8))
 
 
+def _alone(runner):
+    """A row runner that reads no other row's report."""
+    return lambda cfg, reports: runner(cfg)
+
+
+def _strichartz(cfg: ScenarioConfig, reports) -> Report:
+    return run_strichartz_ensemble(cfg, pairs=STRICHARTZ_PAIRS)
+
+
 def run_determinism(cfg: ScenarioConfig, first: Report) -> Report:
     """The seeded ensemble that produced ``first``, rerun from ``cfg``, must
     emit byte-identical rows."""
@@ -716,48 +739,43 @@ def run_determinism(cfg: ScenarioConfig, first: Report) -> Report:
 # has no scenario config and lives in the test suite
 ACCEPTANCE = (
     Criterion("2", "criterion 2 (divergence/drift identity, order >= 1.8)",
-              lambda cfg, reports: run_identity(cfg)),
-    Criterion("3-nondiv", "criterion 3 (conservation, nondiv)",
-              lambda cfg, reports: run_conservation(
-                  _box_cfg(cfg, "nondiv", 4, 1.0, n_samples=101))),
-    Criterion("3-div", "criterion 3 (conservation, div)",
-              lambda cfg, reports: run_conservation(
-                  _box_cfg(cfg, "div", 2, 1.0, n_samples=101))),
+              _alone(run_identity)),
+    Criterion("3-nondiv", "criterion 3 (conservation, nondiv)", _alone(run_conservation),
+              lambda cfg: _box_cfg(cfg, "nondiv", 4, 1.0, n_samples=101)),
+    Criterion("3-div", "criterion 3 (conservation, div)", _alone(run_conservation),
+              lambda cfg: _box_cfg(cfg, "div", 2, 1.0, n_samples=101)),
     Criterion("4-nondiv", "criterion 4 (space-time boundedness proxy, nondiv, "
               "(6,6)+(8,4), k=0/1 and weighted-H1 variant)",
-              lambda cfg, reports: run_strichartz_ensemble(
-                  _strichartz_cfg(cfg, "nondiv"), pairs=STRICHARTZ_PAIRS)),
+              _strichartz, lambda cfg: _strichartz_cfg(cfg, "nondiv")),
     Criterion("4-div", "criterion 4 (space-time boundedness proxy, div, (6,6)+(8,4))",
-              lambda cfg, reports: run_strichartz_ensemble(
-                  _strichartz_cfg(cfg, "div"), pairs=STRICHARTZ_PAIRS)),
+              _strichartz, lambda cfg: _strichartz_cfg(cfg, "div")),
     Criterion("5", "criterion 5 (weighted Sobolev / nonlinear estimate ensembles "
-              "+ exp(a^2/8) counterexample)",
-              lambda cfg, reports: run_embedding_ensembles(
-                  replace(cfg, model=ModelSpec("nondiv", 1, 2), ensemble=256,
-                          initial=replace(cfg.initial, band=12)))),
+              "+ exp(a^2/8) counterexample)", _alone(run_embedding_ensembles),
+              lambda cfg: replace(cfg, model=ModelSpec("nondiv", 1, 2), ensemble=256,
+                                  initial=replace(cfg.initial, band=12))),
     Criterion("6", "criterion 6 (small-data scattering Cauchy ladder)",
-              lambda cfg, reports: run_scattering(
-                  replace(cfg, model=ModelSpec("nondiv", 1, 4),
-                          disc=DiscretizationSpec(n_x=256), horizon=16.0, dt=1e-3))),
+              _alone(run_scattering),
+              lambda cfg: replace(cfg, model=ModelSpec("nondiv", 1, 4),
+                                  disc=DiscretizationSpec(n_x=256), horizon=16.0, dt=1e-3)),
     Criterion("7", "criterion 7 (virial identity and finite-time blow-up)",
-              lambda cfg, reports: run_blowup(
-                  replace(cfg, model=ModelSpec("div", 1, 4),
-                          disc=DiscretizationSpec(n_x=128, box_half_length=4 * math.pi,
-                                                  div_nodes=257),
-                          horizon=0.45, dt=1e-3))),
+              _alone(run_blowup),
+              lambda cfg: replace(cfg, model=ModelSpec("div", 1, 4),
+                                  disc=DiscretizationSpec(n_x=128, box_half_length=4 * math.pi,
+                                                          div_nodes=257),
+                                  horizon=0.45, dt=1e-3)),
     Criterion("8-div", "criterion 8 (interaction functional bound, div)",
-              lambda cfg, reports: run_morawetz(_box_cfg(cfg, "div", 2, 0.5))),
+              _alone(run_morawetz), lambda cfg: _box_cfg(cfg, "div", 2, 0.5)),
     Criterion("8-nondiv", "criterion 8 (interaction functional bound, nondiv)",
-              lambda cfg, reports: run_morawetz(_box_cfg(cfg, "nondiv", 4, 0.5))),
+              _alone(run_morawetz), lambda cfg: _box_cfg(cfg, "nondiv", 4, 0.5)),
     Criterion("9", "criterion 9 (seeded determinism, byte-identical rows)",
-              lambda cfg, reports: run_determinism(_strichartz_cfg(cfg, "nondiv"),
-                                                   reports["4-nondiv"])),
+              lambda cfg, reports: run_determinism(cfg, reports["4-nondiv"]),
+              lambda cfg: _strichartz_cfg(cfg, "nondiv")),
 )
 
 
 class AcceptanceReports(dict):
     """Reports of the acceptance table by row key; a row runs on first
-    access, with its config built from ``base``."""
+    access, on its config built from ``base``."""
 
     def __init__(self, base: ScenarioConfig):
         super().__init__()
@@ -765,11 +783,12 @@ class AcceptanceReports(dict):
 
     def __missing__(self, key: str) -> Report:
         row = next(row for row in ACCEPTANCE if row.key == key)
-        self[key] = report = row.run(self.base, self)
+        self[key] = report = row.run(row.config(self.base), self)
         return report
 
 
-def run_acceptance(cfg: ScenarioConfig) -> list[Report]:
-    """Every row of the acceptance table on the base ``cfg``, in table order."""
+def run_acceptance(cfg: ScenarioConfig) -> list[tuple[ScenarioConfig, Report]]:
+    """Every row of the acceptance table on the base ``cfg``, in table
+    order, each as (the config it ran on, its Report)."""
     reports = AcceptanceReports(cfg)
-    return [reports[row.key] for row in ACCEPTANCE]
+    return [(row.config(cfg), reports[row.key]) for row in ACCEPTANCE]

@@ -10,6 +10,12 @@ lives in two axis classes: HermiteAxis (drift form) and FluxAxis
 (divergence form).  build_axis is the one place that picks one; everything
 downstream calls the axis.  Each axis keeps its own flow arithmetic: both
 unified variants measured slower (README, "The alpha axis").
+
+The div flow G(t) = exp(itP_h) is dense, but P_h is tridiagonal, so the
+entries of G(t) decay exponentially away from the diagonal (Benzi & Golub,
+BIT 39, 1999; Iserles, NZ J. Math. 29, 2000).  FluxFlow keeps the band of
+entries at or above BAND_TOL times the largest and applies it in column
+blocks; a band too wide to save work keeps the dense product.
 """
 
 from __future__ import annotations
@@ -24,6 +30,12 @@ from . import hermite
 from .grids import BoxGrid, dealias_mask, laplacian_symbol, x_fft, x_ifft
 from .hermite import HermiteBasis
 from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
+
+
+# entries of G(t) below BAND_TOL times the largest are dropped (roundoff
+# zeros); FLOW_BLOCK columns of the banded product are taken per matmul
+BAND_TOL = 1e-15
+FLOW_BLOCK = 32
 
 
 class NonFiniteFieldError(FloatingPointError):
@@ -79,6 +91,60 @@ def build_div_operator(n_nodes: int = 513, half_width: float = 12.0) -> DivAlpha
     return DivAlphaOperator(nodes, float(h), mu, diag, mu / h**2)
 
 
+def flow_band(matrix: np.ndarray) -> int:
+    """Largest |i - j| with |G_ij| >= BAND_TOL * max |G|: beyond it every
+    entry of the square ``matrix`` is below BAND_TOL times its largest."""
+    power = matrix.real**2 + matrix.imag**2
+    keep = power >= BAND_TOL**2 * power.max()
+    n = keep.shape[0]
+    rows = np.arange(n)
+    # every row of a unitary G holds an entry >= 1/sqrt(n), so each row
+    # has a first and a last kept column
+    first = keep.argmax(axis=1)
+    last = n - 1 - keep[:, ::-1].argmax(axis=1)
+    return int(max((rows - first).max(), (last - rows).max()))
+
+
+class FluxFlow:
+    """G(t) as the div axis applies it, along the last axis of the data.
+
+    With band b, output columns [c0, c1) read input columns
+    [c0 - b, c1 + b) only: ``blocks`` holds (c0, c1, lo, hi, G[lo:hi, c0:c1])
+    per FLOW_BLOCK columns, and the entries farther than b from the
+    diagonal, all below BAND_TOL times the largest, are skipped.  When the
+    blocks would cover half the matrix or more (a long time such as a
+    scattering pullback), ``band`` is None and the product is the dense
+    data @ G.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        n = matrix.shape[0]
+        # up to 2 * FLOW_BLOCK + 4 nodes even a band of 1 covers half the
+        # matrix, so the band scan is skipped there
+        band = flow_band(matrix) if n > 2 * FLOW_BLOCK + 4 else None
+        if band is None or FLOW_BLOCK + 2 * band >= 0.5 * n:
+            self.band, self.matrix, self.blocks = None, matrix, ()
+            return
+        self.band, self.matrix = band, None
+        blocks = []
+        for c0 in range(0, n, FLOW_BLOCK):
+            c1 = min(c0 + FLOW_BLOCK, n)
+            lo, hi = max(c0 - band, 0), min(c1 + band, n)
+            blocks.append((c0, c1, lo, hi, np.ascontiguousarray(matrix[lo:hi, c0:c1])))
+        self.blocks = tuple(blocks)
+
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """data @ G over the band (G is symmetric, so right multiplication
+        applies it to each alpha row)."""
+        if self.band is None:
+            return data @ self.matrix
+        rows = data.reshape(-1, data.shape[-1])
+        out = np.empty_like(rows)
+        for c0, c1, lo, hi, block in self.blocks:
+            np.matmul(rows[:, lo:hi], block, out=out[:, c0:c1])
+        return out.reshape(data.shape)
+
+
 class HermiteAxis:
     """Drift form: Gauss-Hermite nodes for the weight exp(-a^2/2).
 
@@ -109,6 +175,10 @@ class HermiteAxis:
     def advance(self, spectrum, x_mult, flow) -> np.ndarray:
         """The spectrum times the x multiplier and the diagonal flow."""
         return spectrum * (x_mult * flow)
+
+    def flow_note(self) -> None:
+        """The diagonal flow has no band to report."""
+        return None
 
     def synthesize(self, spectrum, grid: BoxGrid) -> np.ndarray:
         """Nodal field of an x-by-alpha spectrum."""
@@ -141,9 +211,11 @@ class FluxAxis:
     """Divergence form: the conservative flux operator on uniform nodes,
     with the plain L^2 measure and an unweighted power nonlinearity.
 
-    The spectrum is the nodal x-spectrum itself, the flow is the dense
-    G(t) = Q exp(it Lambda) Q^T, and the gradient form is the face-difference
-    form, the exact invariant of the semi-discrete flow.
+    The spectrum is the nodal x-spectrum itself, the flow is
+    G(t) = Q exp(it Lambda) Q^T applied over its numerical band (FluxFlow),
+    and the gradient form is the face-difference form, the exact invariant
+    of the semi-discrete flow.  ``bands`` records, per propagator time
+    built, the band of its flow, or None where it kept the dense product.
     """
 
     def __init__(self, op: DivAlphaOperator):
@@ -152,18 +224,34 @@ class FluxAxis:
         self.weights = np.full(op.n_nodes, op.spacing)
         self.measure = op.spacing
         self.gain_weight = None  # the power nonlinearity is unweighted
+        self.bands: dict[float, int | None] = {}
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return values
 
-    def flow(self, t: float) -> np.ndarray:
+    def flow(self, t: float) -> FluxFlow:
+        """G(t), built exactly from the eigendecomposition, then banded."""
         q = self.op.eigenvectors
-        return (q * np.exp(1j * t * self.op.eigenvalues)) @ q.T
+        flow = FluxFlow((q * np.exp(1j * t * self.op.eigenvalues)) @ q.T)
+        self.bands[t] = flow.band
+        return flow
 
     def advance(self, spectrum, x_mult, flow) -> np.ndarray:
-        """The spectrum times the x multiplier, then G(t) along alpha (G is
-        symmetric, so right multiplication applies it)."""
-        return (spectrum * x_mult) @ flow
+        """The spectrum times the x multiplier, then G(t) along alpha."""
+        return flow.apply(spectrum * x_mult)
+
+    def flow_note(self) -> str:
+        """The band of each flow built so far, with the propagator times it
+        served (their range where several share it), as a report note."""
+        times = {}
+        for t, band in self.bands.items():
+            times.setdefault(band, []).append(t)
+        parts = []
+        for band, ts in times.items():
+            lo, hi = min(ts), max(ts)
+            span = f"{lo:.6g}" if lo == hi else f"{lo:.6g} to {hi:.6g}"
+            parts.append(f"{'dense' if band is None else band} at t {span}")
+        return f"div flow band of {self.op.n_nodes} nodes: {', '.join(parts)}"
 
     def synthesize(self, spectrum, grid: BoxGrid) -> np.ndarray:
         return x_ifft(spectrum, grid)
@@ -252,8 +340,9 @@ class Machinery:
         return self.axis.synthesize(spectrum, self.grid)
 
     def propagator(self, t: float) -> "LinearPropagator":
-        """Cached exact propagator for time t (small LRU: the div-form
-        alpha matrix is dense, so unbounded caching would hoard memory)."""
+        """Cached exact propagator for time t (small LRU: a div-form flow
+        holds the band blocks of G(t), or all of G(t) when the band is
+        wide, so unbounded caching would hoard memory)."""
         prop = self._propagators.pop(t, None)
         if prop is None:
             prop = build_linear_propagator(self.grid, self.axis, t)
@@ -287,7 +376,7 @@ class LinearPropagator:
     t: float
     x_phase: np.ndarray
     axis: HermiteAxis | FluxAxis
-    flow: np.ndarray
+    flow: np.ndarray | FluxFlow
 
     def apply(self, data: np.ndarray, mask: np.ndarray | None = None, h1: bool = False):
         """exp(i t L) data; with ``mask`` the x multiplier is x_phase * mask,

@@ -162,6 +162,12 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def write_json(path: str, payload: dict) -> str:
+    """Atomic indented JSON with sorted keys."""
+    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    return path
+
+
 def write_manifest(
     out_dir: str,
     resolved_config: dict,
@@ -169,19 +175,21 @@ def write_manifest(
     started: float,
     output_files: list[str],
     version: str,
+    row_configs: dict[str, str] | None = None,
 ) -> str:
-    """Atomic once-per-run manifest with content hashes of all outputs."""
+    """Atomic once-per-run manifest with content hashes of all outputs;
+    ``config`` is the base config, ``row_configs`` maps each report file to
+    the file holding the config that report ran on."""
     manifest = {
         "tool_version": version,
         "config": resolved_config,
+        "row_configs": row_configs or {},
         "seed": seed,
         "started_unix": started,
         "ended_unix": time.time(),
         "outputs": {os.path.basename(p): file_sha256(p) for p in output_files},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-    return path
+    return write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def save_field(path: str, data: np.ndarray):

@@ -15,7 +15,8 @@ because both halves are exact flows).  A segment of n steps between sample
 times costs n + 1 linear applications: an opening half step, n - 1 merged
 full steps and a closing half step that makes the field synchronous for
 the sample.  Each step is one x-FFT pair, one alpha application (Hermite
-forward and inverse, or the dense div-form matrix) and one nonlinear phase.
+forward and inverse, or the div-form matrix G(t) over its band) and one
+nonlinear phase.
 
 The adaptive path compares one step of length dt with two of dt/2 (step
 doubling) in one fused attempt.  It carries the spectrum s0 of the
@@ -33,7 +34,7 @@ two-half-step one S(dt/4) P b; S(dt/4) is unitary and commutes with P, so
 
 read off the spectra without a synthesis.  On acceptance the guard's H^1 is
 read off the spectrum of b and the next s0 is S(dt/4) P b.  An attempt costs
-6 x-FFTs (3 forward, 3 inverse), 5 alpha flows (4 when rejected: the dense
+6 x-FFTs (3 forward, 3 inverse), 5 alpha flows (4 when rejected: the banded
 div-form matrix, or a diagonal phase between 3 forward and 3 inverse Hermite
 transforms) and 3 nonlinear phases; three separate Strang evaluations cost
 12 x-FFTs, 6 alpha flows with 6 Hermite transform pairs, and 3 phases.  The
@@ -43,7 +44,8 @@ The blow-up guard needs the native H^1 after every step.  That norm is
 invariant under the linear flow: the x phase is unitary and diagonal in k,
 the drift-form alpha phase is diagonal in the Hermite modes, and the
 div-form matrix exp(itP_h) commutes with the face-difference form
--<P_h u, u>.  So the masked spectrum that each linear substep holds already
+-<P_h u, u> (its band drops only entries below 1e-15 of the largest, so
+this holds to roundoff).  So the masked spectrum that each linear substep holds already
 gives the H^1 of the field at the end of the step, and the guard reads it
 from there; the nonlinear substep's input check is the one finiteness test
 per step.

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, emitted files, manifest hashes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -156,3 +157,29 @@ def test_all_runs_the_acceptance_table(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("[PASS] green: gate value=0 < 0.5") for line in lines)
     assert any(line.startswith("[FAIL] red: gate value=1 < 0.5") for line in lines)
+
+
+def test_all_writes_each_row_config(tmp_path, monkeypatch):
+    # the table's own row configs, with stub runners: each report gets the
+    # config its row ran on, not the base config of the manifest
+    def stub(cfg, reports):
+        report = Report(f"row{cfg.disc.n_x}")
+        report.add("gate", True, 0.0, 0.5, comparator="<")
+        return report
+
+    rows = {row.key: i for i, row in enumerate(experiments.ACCEPTANCE)}
+    monkeypatch.setattr(experiments, "ACCEPTANCE", tuple(
+        dataclasses.replace(row, run=stub) for row in experiments.ACCEPTANCE
+    ))
+    out = tmp_path / "all"
+    assert run_cli(["all", "--out", str(out)]) == 0
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["config"]["grid"]["div_nodes"] == 513
+    assert manifest["config"]["grid"]["box_half_length"] == pytest.approx(16 * math.pi)
+    i = rows["7"]
+    name = manifest["row_configs"][f"report_{i:02d}_row128.jsonl"]
+    assert name == f"config_{i:02d}_row128.json" and name in manifest["outputs"]
+    row = json.load(open(out / name))
+    assert row["grid"]["box_half_length"] == pytest.approx(4 * math.pi)
+    assert row["grid"]["div_nodes"] == 257 and row["grid"]["n_x"] == 128
+    assert row["model"] == {"model": "div", "d": 1, "p": 4, "sign": 1}

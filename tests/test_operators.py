@@ -14,6 +14,10 @@ from ounls.hermite import build_basis
 from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import mass
 from ounls.operators import (
+    BAND_TOL,
+    FLOW_BLOCK,
+    FluxAxis,
+    FluxFlow,
     NonFiniteFieldError,
     apply_div_operator,
     apply_nonlinearity,
@@ -301,3 +305,66 @@ def test_div_generator_plain_self_adjoint(div_mach):
         lhs = np.vdot(v, apply_gen(u))
         rhs = np.vdot(apply_gen(v), u)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+# ------------------------------------------------- banded div-form flow
+
+
+def dense_flow(op, t):
+    """G(t) = Q exp(it Lambda) Q^T, the dense product the band replaces."""
+    q = op.eigenvectors
+    return (q * np.exp(1j * t * op.eigenvalues)) @ q.T
+
+
+@pytest.fixture(scope="module")
+def flux_axes():
+    return {n: FluxAxis(build_div_operator(n, 12.0)) for n in (65, 257, 513)}
+
+
+def random_spectrum(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [257, 513])
+@pytest.mark.parametrize("t", [5e-4, 1e-3, 2e-3, 5e-2, -1e-3])
+@pytest.mark.parametrize("x_shape", [(64,), (16, 16)], ids=["1d", "2d"])
+def test_banded_flow_matches_dense(flux_axes, n, t, x_shape):
+    axis = flux_axes[n]
+    flow = axis.flow(t)
+    assert flow.band is not None and axis.bands[t] == flow.band
+    spectrum = random_spectrum(x_shape + (n,), 17)
+    x_mult = np.exp(1j * random_spectrum(x_shape, 18).real)[..., None]
+    got = axis.advance(spectrum, x_mult, flow)
+    expect = (spectrum * x_mult) @ dense_flow(axis.op, t)
+    assert got.shape == expect.shape
+    assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("n, t", [(65, 1e-3), (513, -3.0)], ids=["65-nodes", "t=-3"])
+def test_wide_band_falls_back_to_dense(flux_axes, n, t):
+    axis = flux_axes[n]
+    flow = axis.flow(t)
+    assert flow.band is None and axis.bands[t] is None
+    assert f"dense at t {t:.6g}" in axis.flow_note()
+    data = random_spectrum((32, n), 19)
+    assert np.array_equal(flow.apply(data), data @ dense_flow(axis.op, t))
+
+
+@pytest.mark.parametrize("t", [5e-4, 2e-3, 5e-2])
+def test_banded_flow_unitary(flux_axes, t):
+    flow = flux_axes[513].flow(t)
+    assert flow.band is not None
+    g = flow.apply(np.eye(513, dtype=complex))
+    assert np.abs(g.conj().T @ g - np.eye(513)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [65, 257, 513])
+@pytest.mark.parametrize("t", [2.5e-4, 1e-3, 5e-2, -3.0])
+def test_recorded_band_is_the_numerical_band(n, t):
+    g = dense_flow(build_div_operator(n, 12.0), t)
+    i, j = np.nonzero(np.abs(g) >= BAND_TOL * np.abs(g).max())
+    band = int(np.abs(i - j).max())
+    # the fallback: the blocks would cover half the matrix or more
+    banded = FLOW_BLOCK + 2 * band < n / 2
+    assert FluxFlow(g).band == (band if banded else None)
