@@ -154,9 +154,12 @@ def main(argv=None) -> int:
             reporting.emit_report(rep, rep_path)
             outputs.append(rep_path)
             # the resolved config of this report, beside it: an acceptance
-            # row runs on its own box, grid and horizon, not the base config
+            # row runs on its own box, grid and horizon, not the base config;
+            # runner_settings holds what the runner fixed in place of config
+            # entries (exponent pairs, identity grids, leg signs)
             cfg_path = os.path.join(cfg.out_dir, f"config_{i:02d}_{stem}.json")
             resolved = _resolved_dict(replace(run_cfg, scenario=stem))
+            resolved["runner_settings"] = rep.settings
             reporting.write_json(cfg_path, resolved)
             outputs.append(cfg_path)
             row_configs[os.path.basename(rep_path)] = os.path.basename(cfg_path)

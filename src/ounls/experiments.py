@@ -239,6 +239,7 @@ def run_strichartz_ensemble(
         check_admissible_pair(q, r, cfg.model.dim)
     label = ",".join(f"(q={q:g},r={r:g})" for q, r in pairs)
     report = EnsembleReport(f"strichartz{label}")
+    report.settings["strichartz_pairs"] = [[q, r] for q, r in pairs]
 
     spec = cfg.model
     band = cfg.initial.band
@@ -476,6 +477,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     if cfg.model.model != MODEL_DIV:
         raise NumericCheckError("blow-up scenario runs on the divergence-form model")
     report = Report("blowup")
+    report.settings["leg_signs"] = {"focusing leg": FOCUSING, "defocusing control": DEFOCUSING}
     spec = replace(cfg.model, sign=FOCUSING)
     mach = build_machinery(spec, cfg.disc)
 
@@ -585,8 +587,10 @@ def run_identity(cfg: ScenarioConfig) -> Report:
     Gaussian-weighted modal action must vanish at second order in the
     uniform grid spacing (fitted order >= 1.8 across 257 -> 513 -> 1025)."""
     report = Report("identity")
-    basis = hermite.build_basis(max(cfg.disc.n_alpha, 128))
+    n_alpha = max(cfg.disc.n_alpha, 128)
+    basis = hermite.build_basis(n_alpha)
     grids = (257, 513, 1025)
+    report.settings.update(div_nodes=list(grids), n_alpha=n_alpha)
     spacings = [2.0 * cfg.disc.div_half_width / (n - 1) for n in grids]
     for name, fn in identity_profiles():
         residuals = []
@@ -728,7 +732,7 @@ def run_determinism(cfg: ScenarioConfig, first: Report) -> Report:
     """The seeded ensemble that produced ``first``, rerun from ``cfg``, must
     emit byte-identical rows."""
     rerun = run_strichartz_ensemble(cfg, pairs=STRICHARTZ_PAIRS)
-    report = Report("determinism")
+    report = Report("determinism", settings=rerun.settings)
     identical = rows_csv_bytes(rerun.rows) == rows_csv_bytes(first.rows)
     report.add("byte_identical_rows", identical, float(identical), 1.0,
                note=f"{len(rerun.rows)} rows compared", comparator="==")

@@ -15,7 +15,7 @@ The div flow G(t) = exp(itP_h) is dense, but P_h is tridiagonal, so the
 entries of G(t) decay exponentially away from the diagonal (Benzi & Golub,
 BIT 39, 1999; Iserles, NZ J. Math. 29, 2000).  FluxFlow keeps the band of
 entries at or above BAND_TOL times the largest and applies it in column
-blocks; a band too wide to save work keeps the dense product.
+blocks; a matrix only a few blocks wide keeps the dense product.
 """
 
 from __future__ import annotations
@@ -111,21 +111,21 @@ class FluxFlow:
     With band b, output columns [c0, c1) read input columns
     [c0 - b, c1 + b) only: ``blocks`` holds (c0, c1, lo, hi, G[lo:hi, c0:c1])
     per FLOW_BLOCK columns, and the entries farther than b from the
-    diagonal, all below BAND_TOL times the largest, are skipped.  When the
-    blocks would cover half the matrix or more (a long time such as a
-    scattering pullback), ``band`` is None and the product is the dense
-    data @ G.
+    diagonal, all below BAND_TOL times the largest, are skipped.  The
+    blocks never take more multiply-adds than the dense product: at a band
+    near n each block reads every row, as the dense product does.  On at
+    most 2 * FLOW_BLOCK + 4 nodes ``band`` is None and the product is the
+    dense data @ G, with no band scan: there every block reads over half
+    the rows even at a band of 1.
     """
 
     def __init__(self, matrix: np.ndarray):
         n = matrix.shape[0]
-        # up to 2 * FLOW_BLOCK + 4 nodes even a band of 1 covers half the
-        # matrix, so the band scan is skipped there
-        band = flow_band(matrix) if n > 2 * FLOW_BLOCK + 4 else None
-        if band is None or FLOW_BLOCK + 2 * band >= 0.5 * n:
+        if n <= 2 * FLOW_BLOCK + 4:
             self.band, self.matrix, self.blocks = None, matrix, ()
             return
-        self.band, self.matrix = band, None
+        self.band = band = flow_band(matrix)
+        self.matrix = None
         blocks = []
         for c0 in range(0, n, FLOW_BLOCK):
             c1 = min(c0 + FLOW_BLOCK, n)
@@ -341,8 +341,8 @@ class Machinery:
 
     def propagator(self, t: float) -> "LinearPropagator":
         """Cached exact propagator for time t (small LRU: a div-form flow
-        holds the band blocks of G(t), or all of G(t) when the band is
-        wide, so unbounded caching would hoard memory)."""
+        holds the band blocks of G(t), or all of G(t) on a small grid, so
+        unbounded caching would hoard memory)."""
         prop = self._propagators.pop(t, None)
         if prop is None:
             prop = build_linear_propagator(self.grid, self.axis, t)

@@ -57,6 +57,8 @@ class Report:
     rows: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)  # arrays for optional persistence
+    # what the runner fixed itself beyond its config (grids, exponent pairs)
+    settings: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -175,7 +177,7 @@ def write_manifest(
     started: float,
     output_files: list[str],
     version: str,
-    row_configs: dict[str, str] | None = None,
+    row_configs: dict[str, str],
 ) -> str:
     """Atomic once-per-run manifest with content hashes of all outputs;
     ``config`` is the base config, ``row_configs`` maps each report file to
@@ -183,7 +185,7 @@ def write_manifest(
     manifest = {
         "tool_version": version,
         "config": resolved_config,
-        "row_configs": row_configs or {},
+        "row_configs": row_configs,
         "seed": seed,
         "started_unix": started,
         "ended_unix": time.time(),

@@ -163,7 +163,7 @@ def test_all_writes_each_row_config(tmp_path, monkeypatch):
     # the table's own row configs, with stub runners: each report gets the
     # config its row ran on, not the base config of the manifest
     def stub(cfg, reports):
-        report = Report(f"row{cfg.disc.n_x}")
+        report = Report(f"row{cfg.disc.n_x}", settings={"div_nodes": [cfg.disc.div_nodes]})
         report.add("gate", True, 0.0, 0.5, comparator="<")
         return report
 
@@ -183,3 +183,5 @@ def test_all_writes_each_row_config(tmp_path, monkeypatch):
     assert row["grid"]["box_half_length"] == pytest.approx(4 * math.pi)
     assert row["grid"]["div_nodes"] == 257 and row["grid"]["n_x"] == 128
     assert row["model"] == {"model": "div", "d": 1, "p": 4, "sign": 1}
+    # what the runner fixed beyond its config rides along
+    assert row["runner_settings"] == {"div_nodes": [257]}

@@ -176,7 +176,7 @@ def test_manifest_hashes_outputs(tmp_path):
     out = str(tmp_path)
     data_path = os.path.join(out, "diag.csv")
     emit_diagnostics([rec(0.0)], data_path)
-    manifest_path = write_manifest(out, {"k": 1}, 7, 0.0, [data_path], "0.1.0")
+    manifest_path = write_manifest(out, {"k": 1}, 7, 0.0, [data_path], "0.1.0", {})
     manifest = json.load(open(manifest_path))
     assert manifest["seed"] == 7
     assert manifest["outputs"]["diag.csv"] == file_sha256(data_path)

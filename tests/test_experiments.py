@@ -49,6 +49,14 @@ def test_admissibility_gate():
         )
 
 
+def test_strichartz_records_its_pairs():
+    # the pairs it ran, passed in or the config's (q, r), for the row config
+    report = run_strichartz_ensemble(small_cfg(), [(6.0, 6.0), (8.0, 4.0)])
+    assert report.settings == {"strichartz_pairs": [[6.0, 6.0], [8.0, 4.0]]}
+    default = run_strichartz_ensemble(small_cfg(strichartz_q=8.0, strichartz_r=4.0))
+    assert default.settings == {"strichartz_pairs": [[8.0, 4.0]]}
+
+
 def test_single_mode_closed_form_ratio():
     # f = e^{ikx} phi_0 has t-independent alpha-L2 modulus per x point, so
     # R = T^{1/q} (2L)^{1/r - 1/2} exactly
