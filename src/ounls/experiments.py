@@ -64,13 +64,14 @@ def random_band_coeffs(rng: np.random.Generator, dim: int, band: int) -> np.ndar
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _embed_x_modes(coeffs: np.ndarray, grid: BoxGrid, band: int) -> np.ndarray:
-    """Place (2*band+1)^d x-mode coefficients into a unitary-FFT array so
-    the represented function is independent of the grid resolution."""
-    idx = np.arange(-band, band + 1) % grid.n_points
-    hat = np.zeros(grid.shape + coeffs.shape[grid.dim :], dtype=np.complex128)
-    scale = math.sqrt(grid.n_points) ** grid.dim
-    if grid.dim == 1:
+def _embed_x_modes(coeffs: np.ndarray, dim: int, n_points: int, band: int) -> np.ndarray:
+    """Place (2*band+1)^d x-mode coefficients into a unitary-FFT array on
+    n_points per axis, so the represented function is independent of the
+    grid resolution."""
+    idx = np.arange(-band, band + 1) % n_points
+    hat = np.zeros((n_points,) * dim + coeffs.shape[dim:], dtype=np.complex128)
+    scale = math.sqrt(n_points) ** dim
+    if dim == 1:
         hat[idx] = coeffs * scale
     else:
         hat[np.ix_(idx, idx)] = coeffs * scale
@@ -82,7 +83,7 @@ def band_coeffs_to_field(coeffs: np.ndarray, mach: Machinery, band: int) -> np.n
     resolution independent (same coefficients give the same field on any
     grid that resolves the band)."""
     grid = mach.grid
-    hat = _embed_x_modes(coeffs, grid, band)
+    hat = _embed_x_modes(coeffs, grid.dim, grid.n_points, band)
     nodal_x = np.fft.ifftn(hat, axes=grid.x_axes, norm="ortho")
     return nodal_x @ mach.axis.band_shapes(band)
 
@@ -151,6 +152,12 @@ def run_conservation(cfg: ScenarioConfig) -> Report:
 # ------------------------------------------------------------------ strichartz
 
 
+def ladder_times(horizon: float) -> np.ndarray:
+    """The time ladder of the Strichartz ratios: SAMPLES_PER_UNIT_TIME
+    samples per unit time on [0, horizon], both ends included."""
+    return np.linspace(0.0, horizon, int(round(SAMPLES_PER_UNIT_TIME * horizon)) + 1)
+
+
 def _ladder_ratios(
     draw: np.ndarray,
     measure: float,
@@ -165,59 +172,85 @@ def _ladder_ratios(
     R = ||D^k exp(itL) f||_{L^q_t L^r_x (alpha norm)} / ||D^k f||.  The
     space-time norms are diagonal in the alpha modes, so the unit-modulus
     alpha phases drop out of every |.|^2 and only the x evolution (exact
-    Fourier phases) remains; per x point the alpha norm is
-    measure * ||draw_row @ factor||^2 for each variant's factor, as
-    ``axis.mode_factors`` returns them.  The time integral is a composite
-    trapezoid (max for q = inf).
+    Fourier phases) remains; per x point the squared alpha norm is
+    measure * rho with rho = ||w_row||^2, w = draw_row @ factor for each
+    variant's factor, as ``axis.mode_factors`` returns them.
+
+    Each column of w(t, .) is a trigonometric polynomial on the 2b+1 band
+    modes, so rho(t, .) has only the 4b+1 modes |k| <= 2b per axis.  w is
+    evolved on a coarse grid of m = min(n_x, 4b+2) points per axis, where
+    the alpha sum samples rho exactly (m > 4b), and rho is resampled once
+    to the n_x grid by zero-padding its spectrum.  The r-norms are taken
+    there, as (cell * sum (measure rho)^(r/2))^(1/r) with rho clipped at 0
+    (a roundoff-negative value would make an odd or fractional r/2 a NaN),
+    or sqrt(measure max rho) for r = inf.  The time integral is a
+    composite trapezoid (max for q = inf).
     """
     band = draw.shape[0] // 2  # draw is ((2b+1)^d..., b+1)
-    x_axes_b = tuple(a + 1 for a in grid.x_axes)
-    k = grid.wavenumbers
-    if grid.dim == 1:
-        k2 = k[:, None] ** 2
+    dim, n = grid.dim, grid.n_points
+    m = min(n, 4 * band + 2)
+    modes = np.arange(-band, band + 1)
+    k = np.zeros(m)  # band wavenumbers at their coarse indices
+    k[modes % m] = grid.wavenumbers[modes % n]
+    if dim == 1:
+        k2 = k**2
         ikx = (1j * k)[:, None]
     else:
-        k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2
+        k2 = k[:, None] ** 2 + k[None, :] ** 2
         ikx = (1j * k)[:, None, None]  # D = d/dx_1
 
-    hats = {name: _embed_x_modes(draw @ f, grid, band) for name, f in factors.items()}
+    # every variant's coarse spectrum in one (variant, alpha, x...) array,
+    # so every FFT runs over the trailing axes
+    hats = {name: _embed_x_modes(draw @ f, dim, m, band) for name, f in factors.items()}
+    hats["k1"] = ikx * hats["k0"]
+    names = tuple(hats)
+    stacked = np.stack([np.moveaxis(hats[name], -1, 0) for name in names])
+    cell = (2.0 * grid.half_length / m) ** dim
     denom = {
-        name: math.sqrt(measure * grid.cell_volume * float(np.sum(np.abs(h) ** 2)))
+        name: math.sqrt(measure * cell * float(np.sum(h.real**2 + h.imag**2)))
         for name, h in hats.items()
     }
-    hats["k1"] = ikx * hats["k0"]
-    denom["k1"] = math.sqrt(
-        measure * grid.cell_volume * float(np.sum(np.abs(hats["k1"]) ** 2))
-    )
 
-    n_t = int(round(SAMPLES_PER_UNIT_TIME * horizon)) + 1
-    ts = np.linspace(0.0, horizon, n_t)
+    # rho's spectrum: the 4b+1 modes on every x axis but the last, where
+    # the real half-spectrum keeps 0..2b
+    density_modes = np.arange(-2 * band, 2 * band + 1)
+    lead = (slice(None), slice(None))  # time, variant
+    coarse_modes = lead + (density_modes % m,) * (dim - 1) + (slice(0, 2 * band + 1),)
+    fine_modes = lead + (density_modes % n,) * (dim - 1) + (slice(0, 2 * band + 1),)
+    x_axes = tuple(range(-dim, 0))
+
+    ts = ladder_times(horizon)
+    n_t = len(ts)
     r_values = sorted({pair[1] for pair in pairs})
-    space = {(v, r): np.empty(n_t) for v in hats for r in r_values}
-    x_phase = np.exp(-1j * ts.reshape((-1,) + (1,) * grid.dim) * k2[..., 0])
+    space = {r: np.empty((n_t, len(names))) for r in r_values}
+    x_phase = np.exp(-1j * ts.reshape((-1,) + (1,) * dim) * k2)
 
-    chunk = max(1, int(4e6 // max(h.size for h in hats.values())))
+    # time samples per chunk: each chunk array stays near 2^14 elements per
+    # variant, cache sized; larger chunks measured slower
+    chunk = max(1, 2**14 // max(stacked[0].size, n**dim))
     for start in range(0, n_t, chunk):
         stop = min(start + chunk, n_t)
-        sub = ts[start:stop]
-        for name, hat in hats.items():
-            w = np.fft.ifftn(
-                hat[None] * x_phase[start:stop][..., None], axes=x_axes_b, norm="ortho"
-            )
-            g = np.sqrt(measure * np.sum(w.real**2 + w.imag**2, axis=-1))
-            for r in r_values:
-                if math.isinf(r):
-                    vals = g.reshape(len(sub), -1).max(axis=1)
-                else:
-                    vals = (
-                        grid.cell_volume * np.sum(g**r, axis=tuple(range(1, g.ndim)))
-                    ) ** (1.0 / r)
-                space[(name, r)][start:stop] = vals
+        phase = x_phase[start:stop, None, None]
+        w = np.fft.ifftn(stacked[None] * phase, axes=x_axes, norm="ortho")
+        rho = np.sum(w.real**2 + w.imag**2, axis=2)
+        if m < n:
+            coarse = np.fft.rfftn(rho, axes=x_axes, norm="forward")
+            fine = np.zeros(coarse.shape[:2] + (n,) * (dim - 1) + (n // 2 + 1,),
+                            dtype=np.complex128)
+            fine[fine_modes] = coarse[coarse_modes]
+            rho = np.fft.irfftn(fine, s=grid.shape, axes=x_axes, norm="forward")
+        dens = measure * np.maximum(rho, 0.0)
+        for r in r_values:
+            if math.isinf(r):
+                vals = np.sqrt(dens.max(axis=x_axes))
+            else:
+                vals = (grid.cell_volume * np.sum(dens ** (0.5 * r), axis=x_axes)) ** (1.0 / r)
+            space[r][start:stop] = vals
 
     out = {}
     for q, r in pairs:
-        for name in denom:
-            series = space[(name, r)]
+        for i, name in enumerate(names):
+            series = space[r][:, i]
             if math.isinf(q):
                 tnorm = float(series.max())
             else:
@@ -252,6 +285,8 @@ def run_strichartz_ensemble(
     ]
 
     resolutions = (cfg.disc.n_x, 2 * cfg.disc.n_x)
+    report.settings["n_x"] = list(resolutions)
+    report.settings["time_samples"] = len(ladder_times(cfg.horizon))
     box = cfg.disc.resolved_box(spec.dim)
     for n_x in resolutions:
         grid = BoxGrid(spec.dim, box, n_x)

@@ -230,9 +230,12 @@ class FluxAxis:
         return values
 
     def flow(self, t: float) -> FluxFlow:
-        """G(t), built exactly from the eigendecomposition, then banded."""
+        """G(t), built exactly from the eigendecomposition, then banded.
+        The cos and sin parts are two real products: a complex @ real
+        product would first cast Q^T to complex."""
         q = self.op.eigenvectors
-        flow = FluxFlow((q * np.exp(1j * t * self.op.eigenvalues)) @ q.T)
+        theta = t * self.op.eigenvalues
+        flow = FluxFlow((q * np.cos(theta)) @ q.T + 1j * ((q * np.sin(theta)) @ q.T))
         self.bands[t] = flow.band
         return flow
 

@@ -8,6 +8,9 @@ import pytest
 
 from ounls.config import ConfigError, InitialData, ScenarioConfig
 from ounls.experiments import (
+    SAMPLES_PER_UNIT_TIME,
+    STRICHARTZ_PAIRS,
+    _embed_x_modes,
     band_coeffs_to_field,
     counterexample_ratio,
     embedding_ratios,
@@ -51,10 +54,15 @@ def test_admissibility_gate():
 
 def test_strichartz_records_its_pairs():
     # the pairs it ran, passed in or the config's (q, r), for the row config
+    # and the rule-derived resolutions and time samples it ran
     report = run_strichartz_ensemble(small_cfg(), [(6.0, 6.0), (8.0, 4.0)])
-    assert report.settings == {"strichartz_pairs": [[6.0, 6.0], [8.0, 4.0]]}
-    default = run_strichartz_ensemble(small_cfg(strichartz_q=8.0, strichartz_r=4.0))
-    assert default.settings == {"strichartz_pairs": [[8.0, 4.0]]}
+    assert report.settings == {"strichartz_pairs": [[6.0, 6.0], [8.0, 4.0]],
+                               "n_x": [64, 128], "time_samples": 65}
+    default = run_strichartz_ensemble(
+        small_cfg(strichartz_q=8.0, strichartz_r=4.0, horizon=0.5)
+    )
+    assert default.settings == {"strichartz_pairs": [[8.0, 4.0]], "n_x": [64, 128],
+                                "time_samples": 33}
 
 
 def test_single_mode_closed_form_ratio():
@@ -71,6 +79,101 @@ def test_single_mode_closed_form_ratio():
     for (variant, (q, r)), value in out.items():
         expected = 4.0 ** (1.0 / q) * length ** (1.0 / r - 0.5)
         assert abs(value - expected) < 1e-6 * expected, (variant, q, r)
+
+
+def reference_ladder_ratios(draw, measure, factors, grid, horizon, pairs):
+    """The ladder computed column by column on the n_x grid: per time sample
+    an FFT of every alpha column of every variant, and the alpha norm per
+    x point from the full field."""
+    band = draw.shape[0] // 2
+    x_axes_b = tuple(a + 1 for a in grid.x_axes)
+    k = grid.wavenumbers
+    if grid.dim == 1:
+        k2 = k[:, None] ** 2
+        ikx = (1j * k)[:, None]
+    else:
+        k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2
+        ikx = (1j * k)[:, None, None]
+
+    hats = {name: _embed_x_modes(draw @ f, grid.dim, grid.n_points, band)
+            for name, f in factors.items()}
+    hats["k1"] = ikx * hats["k0"]
+    denom = {
+        name: math.sqrt(measure * grid.cell_volume * float(np.sum(np.abs(h) ** 2)))
+        for name, h in hats.items()
+    }
+
+    n_t = int(round(SAMPLES_PER_UNIT_TIME * horizon)) + 1
+    ts = np.linspace(0.0, horizon, n_t)
+    r_values = sorted({pair[1] for pair in pairs})
+    space = {(v, r): np.empty(n_t) for v in hats for r in r_values}
+    x_phase = np.exp(-1j * ts.reshape((-1,) + (1,) * grid.dim) * k2[..., 0])
+    for name, hat in hats.items():
+        w = np.fft.ifftn(hat[None] * x_phase[..., None], axes=x_axes_b, norm="ortho")
+        g = np.sqrt(measure * np.sum(w.real**2 + w.imag**2, axis=-1))
+        for r in r_values:
+            if math.isinf(r):
+                vals = g.reshape(n_t, -1).max(axis=1)
+            else:
+                vals = (grid.cell_volume * np.sum(g**r, axis=x_axes_b)) ** (1.0 / r)
+            space[(name, r)] = vals
+
+    out = {}
+    for q, r in pairs:
+        for name in denom:
+            series = space[(name, r)]
+            if math.isinf(q):
+                tnorm = float(series.max())
+            else:
+                tnorm = float(np.trapezoid(series**q, ts) ** (1.0 / q))
+            out[(name, (q, r))] = tnorm / denom[name]
+    return out
+
+
+@pytest.mark.parametrize(
+    "model, dim, band, n_x, horizon, pairs",
+    [
+        ("nondiv", 1, 8, 256, 4.0, STRICHARTZ_PAIRS),
+        ("nondiv", 1, 8, 512, 4.0, STRICHARTZ_PAIRS),
+        ("div", 1, 8, 256, 4.0, STRICHARTZ_PAIRS),
+        ("div", 1, 8, 512, 4.0, STRICHARTZ_PAIRS),
+        ("nondiv", 1, 8, 256, 2.0, [(4.0, math.inf), (12.0, 3.0)]),
+        ("div", 1, 8, 256, 2.0, [(4.0, math.inf), (12.0, 3.0)]),
+        ("nondiv", 1, 8, 32, 2.0, STRICHARTZ_PAIRS),  # coarse grid = n_x grid
+        ("nondiv", 2, 4, 64, 1.0, [(4.0, 4.0), (3.0, 6.0)]),
+        ("div", 2, 3, 32, 1.0, [(4.0, 4.0), (6.0, 3.0)]),
+    ],
+)
+def test_ladder_matches_columnwise_reference(model, dim, band, n_x, horizon, pairs):
+    # the density evolved on min(n_x, 4b+2) points and resampled to n_x
+    # gives every ratio of the per-column FFTs on the n_x grid
+    spec = ModelSpec(model, dim, 2)
+    disc = DiscretizationSpec(n_x=n_x)
+    measure, factors = build_axis(spec, disc).mode_factors(band)
+    grid = BoxGrid(dim, disc.resolved_box(dim), n_x)
+    draw = random_band_coeffs(np.random.default_rng(2024 + n_x + band), dim, band)
+    got = _ladder_ratios(draw, measure, factors, grid, horizon, pairs)
+    want = reference_ladder_ratios(draw, measure, factors, grid, horizon, pairs)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-13 * value, key
+
+
+def test_ladder_clips_roundoff_negative_density():
+    # x modes +-1 in one alpha column: rho = 4 cos^2(pi x / L) for all t,
+    # zero on grid points, where the resampled density is roundoff of
+    # either sign; the odd r must not turn it into a NaN
+    spec = ModelSpec("nondiv", 1, 4)
+    disc = DiscretizationSpec(n_x=256)
+    measure, factors = build_axis(spec, disc).mode_factors(8)
+    grid = BoxGrid(1, disc.resolved_box(1), 256)
+    draw = np.zeros((17, 9), complex)
+    draw[7, 0] = draw[9, 0] = 1.0
+    pairs = [(12.0, 3.0)]
+    got = _ladder_ratios(draw, measure, factors, grid, 1.0, pairs)
+    want = reference_ladder_ratios(draw, measure, factors, grid, 1.0, pairs)
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-13 * value, key
 
 
 def test_strichartz_rows_deterministic():
