@@ -381,6 +381,7 @@ def run_embedding_ensembles(cfg: ScenarioConfig) -> EnsembleReport:
         (cfg.ensemble, band)
     )
     resolutions = (cfg.disc.n_alpha, 2 * cfg.disc.n_alpha)
+    report.settings["n_alpha"] = list(resolutions)
     for n_alpha in resolutions:
         sobolev, nonlin = embedding_ratios(coeffs, band, n_alpha, power)
         report.stats[("sobolev", n_alpha)] = _summary(sobolev)
@@ -536,6 +537,9 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     # never leaves ~1.25e-4, so both legs share the same floor.
     dt_floor = 3e-5
     sample_dt = 0.005
+    n_control_samples = 41
+    report.settings.update(dt_floor=dt_floor, sample_dt=sample_dt,
+                           control_samples=n_control_samples)
     samples = np.arange(0.0, cfg.horizon + 0.5 * sample_dt, sample_dt)
     control = StepControl(dt=cfg.dt, adaptive=True, dt_min=dt_floor)
     guard = BlowupThresholds(dt_min=dt_floor)
@@ -587,7 +591,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     control_spec = replace(cfg.model, sign=DEFOCUSING)
     control_mach = build_machinery(control_spec, cfg.disc)
     control_horizon = 2.0 * flag_time
-    control_samples = np.linspace(0.0, control_horizon, 41)
+    control_samples = np.linspace(0.0, control_horizon, n_control_samples)
     _, control_state = integrate(
         Field(data.copy()), control_mach, control_horizon, control_samples,
         StepControl(dt=cfg.dt, adaptive=True, dt_min=dt_floor),
@@ -650,7 +654,9 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
     sample_dt = 0.01
     samples = np.arange(0.0, cfg.horizon + 0.5 * sample_dt, sample_dt)
     maxima = {}
-    for n_x in (cfg.disc.n_x, 2 * cfg.disc.n_x):
+    resolutions = (cfg.disc.n_x, 2 * cfg.disc.n_x)
+    report.settings["n_x"] = list(resolutions)
+    for n_x in resolutions:
         disc = replace(cfg.disc, n_x=n_x)
         mach = build_machinery(cfg.model, disc)
         data = gaussian_field(mach, cfg.initial)

@@ -84,9 +84,14 @@ def dealias_mask(grid: BoxGrid) -> np.ndarray:
 
 
 def x_fft(data: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Unitary FFT over the x axes; trailing axes (alpha) pass through."""
-    return np.fft.fftn(data, axes=grid.x_axes, norm="ortho")
+    """Unitary FFT over the x axes; trailing axes (alpha) pass through.
+    One 1-D transform per x axis, last axis first, as fftn orders them."""
+    for axis in reversed(grid.x_axes):
+        data = np.fft.fft(data, axis=axis, norm="ortho")
+    return data
 
 
 def x_ifft(data: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    return np.fft.ifftn(data, axes=grid.x_axes, norm="ortho")
+    for axis in reversed(grid.x_axes):
+        data = np.fft.ifft(data, axis=axis, norm="ortho")
+    return data

@@ -180,9 +180,9 @@ class HermiteAxis:
         """The diagonal flow has no band to report."""
         return None
 
-    def synthesize(self, spectrum, grid: BoxGrid) -> np.ndarray:
-        """Nodal field of an x-by-alpha spectrum."""
-        return x_ifft(hermite.inverse_tensor(spectrum, self.basis), grid)
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """Nodal values along the last axis of an alpha spectrum."""
+        return hermite.inverse_tensor(spectrum, self.basis)
 
     def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
         """Alpha gradient form per x point, sum n |c_n|^2; ``power`` is
@@ -256,13 +256,26 @@ class FluxAxis:
             parts.append(f"{'dense' if band is None else band} at t {span}")
         return f"div flow band of {self.op.n_nodes} nodes: {', '.join(parts)}"
 
-    def synthesize(self, spectrum, grid: BoxGrid) -> np.ndarray:
-        return x_ifft(spectrum, grid)
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        return spectrum
+
+    @cached_property
+    def _face_weights2(self) -> np.ndarray:
+        """mu_f / h^2 for the real and the imaginary part of each face."""
+        return np.repeat(self.op.face_weights / self.op.spacing**2, 2)
 
     def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
-        """sum_f mu_f |diff_a u|^2 / h^2 per x point (``power`` unused)."""
-        diff = np.diff(spectrum, axis=-1)
-        return (diff.real**2 + diff.imag**2) @ self.op.face_weights / self.op.spacing**2
+        """sum_f mu_f |diff_a u|^2 / h^2 per x point (``power`` unused).
+
+        Taken on the float64 view (re, im interleaved): one real difference
+        of the slices two apart gives the real and imaginary face
+        differences side by side, squared in place and summed against the
+        face weights repeated twice, with no complex copy of the spectrum.
+        """
+        flat = np.ascontiguousarray(spectrum, dtype=np.complex128).view(np.float64)
+        diff = flat[..., 2:] - flat[..., :-2]
+        diff *= diff
+        return diff @ self._face_weights2
 
     def tail_fraction(self, spectrum: np.ndarray, n_tail: int) -> float:
         """Mass fraction of the ``n_tail`` most oscillatory eigenmodes of P:
@@ -325,7 +338,14 @@ def verify_div_identity(f, basis: HermiteBasis, op: DivAlphaOperator) -> float:
 
 @dataclass
 class Machinery:
-    """Assembled discrete machinery for one model on one discretization."""
+    """Assembled discrete machinery for one model on one discretization.
+
+    The stepper's spectra hold only the rows of the x modes that the 2/3
+    rule keeps: ``forward`` gathers them after the x-FFT (that gather is
+    the 2/3 projection) and ``synthesize`` scatters them into zeros before
+    the inverse x-FFT.  Each row is the alpha spectrum of one kept x mode,
+    so every flow and norm on such a spectrum runs on the kept rows only.
+    """
 
     spec: ModelSpec
     grid: BoxGrid
@@ -333,14 +353,46 @@ class Machinery:
     dealias: np.ndarray
     include_nonlinearity: bool = True
     _propagators: dict = field(default_factory=dict, repr=False)
+    _scatter: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        """Flat indices over the x grid of the modes the 2/3 rule keeps."""
+        return np.flatnonzero(self.dealias)
+
+    @cached_property
+    def _h1_weight(self) -> np.ndarray:
+        """1 + |k|^2 at the kept modes."""
+        return (1.0 - laplacian_symbol(self.grid)).reshape(-1)[self.kept]
 
     def forward(self, data: np.ndarray) -> np.ndarray:
-        """x-by-alpha spectrum of a nodal field."""
-        return self.axis.forward(x_fft(data, self.grid))
+        """Kept-row spectrum of the 2/3 projection of a nodal field."""
+        hat = x_fft(data, self.grid)
+        return self.axis.forward(hat.reshape(-1, hat.shape[-1])[self.kept])
 
     def synthesize(self, spectrum: np.ndarray) -> np.ndarray:
-        """Nodal field of an x-by-alpha spectrum."""
-        return self.axis.synthesize(spectrum, self.grid)
+        """Nodal field of a kept-row spectrum.  The rows go into a zero
+        buffer, made on first use and reused, whose other rows stay 0 (so
+        one Machinery synthesizes one field at a time)."""
+        if self._scatter is None:
+            self._scatter = np.zeros((self.dealias.size, self.axis.nodes.size), np.complex128)
+        self._scatter[self.kept] = self.axis.inverse(spectrum)
+        return x_ifft(self._scatter.reshape(self.grid.shape + (-1,)), self.grid)
+
+    def spectral_h1(self, spectrum: np.ndarray) -> float:
+        """Native H^1 of the field whose kept-row spectrum this is:
+        vol * measure * sum [(1 + |k|^2)|s|^2 + alpha gradient form]."""
+        power = spectrum.real**2 + spectrum.imag**2
+        dens = self._h1_weight * power.sum(axis=-1) + self.axis.grad_density(spectrum, power)
+        return self._native_norm(float(dens.sum()))
+
+    def spectral_l2(self, spectrum: np.ndarray) -> float:
+        """Native L^2 of the field whose kept-row spectrum this is: both
+        transforms are unitary in the native measure (Parseval)."""
+        return self._native_norm(np.vdot(spectrum, spectrum).real)
+
+    def _native_norm(self, total: float) -> float:
+        return float(np.sqrt(self.grid.cell_volume * self.axis.measure * total))
 
     def propagator(self, t: float) -> "LinearPropagator":
         """Cached exact propagator for time t (small LRU: a div-form flow
@@ -367,12 +419,9 @@ def build_machinery(
 class LinearPropagator:
     """Exact application of exp(i t L): the x phases and the axis flow.
 
-    ``apply`` is the composition of three spectral parts: the forward
-    transform (the x-FFT, then the axis transform; ``Machinery.forward``),
-    ``advance`` (the x multiplier and the alpha flow, both in spectral
-    coordinates) and the synthesis back to the nodal field
-    (``Machinery.synthesize``).  The adaptive stepper calls the parts
-    directly to carry spectra between substeps.
+    ``apply`` runs it on a nodal field over every x mode.  The stepper
+    carries kept-row spectra instead (``Machinery.forward`` and
+    ``Machinery.synthesize``) and calls ``advance`` on them.
     """
 
     grid: BoxGrid
@@ -381,47 +430,16 @@ class LinearPropagator:
     axis: HermiteAxis | FluxAxis
     flow: np.ndarray | FluxFlow
 
-    def apply(self, data: np.ndarray, mask: np.ndarray | None = None, h1: bool = False):
-        """exp(i t L) data; with ``mask`` the x multiplier is x_phase * mask,
-        so the substep also projects onto the kept Fourier modes.
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """exp(i t L) data, over every x mode."""
+        spectrum = self.advance(self.axis.forward(x_fft(data, self.grid)))
+        return x_ifft(self.axis.inverse(spectrum), self.grid)
 
-        With ``h1`` (which needs ``mask``) the result is (field, native H^1
-        of the field), the norm read off the masked spectrum: the flow is
-        unitary and commutes with the H^1 form, so no further transform is
-        needed.
-        """
-        spectrum = self.axis.forward(x_fft(data, self.grid))
-        norm = self.spectral_h1(spectrum, mask) if h1 else None
-        # rebinding frees the unphased spectrum before the synthesis allocates
-        # (an extra live buffer measured several per cent slower drift steps)
-        spectrum = self.advance(spectrum, mask)
-        out = self.axis.synthesize(spectrum, self.grid)
-        return (out, norm) if h1 else out
-
-    def advance(self, spectrum: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """exp(i t L) in spectral coordinates; ``mask`` multiplies the x
-        phase (the 2/3 projection commutes with the flow)."""
-        x_mult = self.x_phase if mask is None else self.x_phase * mask
+    def advance(self, spectrum: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """exp(i t L) in spectral coordinates, on the full x grid or, with
+        ``rows`` (flat x-mode indices), on a spectrum of those rows only."""
+        x_mult = self.x_phase if rows is None else self.x_phase.reshape(-1)[rows]
         return self.axis.advance(spectrum, x_mult[..., None], self.flow)
-
-    def spectral_h1(self, spectrum: np.ndarray, mask: np.ndarray) -> float:
-        """Native H^1 of the field whose x-by-alpha spectrum (times the mask)
-        this is: vol * measure * sum [(1 + |k|^2)|s|^2 + alpha gradient form].
-        """
-        power = spectrum.real**2 + spectrum.imag**2
-        dens = (1.0 - laplacian_symbol(self.grid)) * power.sum(axis=-1)
-        dens = dens + self.axis.grad_density(spectrum, power)
-        return self._native_norm(dens, mask)
-
-    def spectral_l2(self, spectrum: np.ndarray, mask: np.ndarray) -> float:
-        """Native L^2 of the field whose spectrum (times the mask) this is:
-        both transforms are unitary in the native measure (Parseval)."""
-        power = spectrum.real**2 + spectrum.imag**2
-        return self._native_norm(power.sum(axis=-1), mask)
-
-    def _native_norm(self, dens: np.ndarray, mask: np.ndarray) -> float:
-        dens = dens * mask
-        return float(np.sqrt(self.grid.cell_volume * self.axis.measure * dens.sum()))
 
 
 def build_linear_propagator(

@@ -5,9 +5,11 @@ phase rotation), so the native mass is conserved to roundoff per step and
 the splitting is second order and time reversible.
 
 One Strang evaluation is a leading half linear step, the nonlinear phase,
-and a trailing linear substep whose x multiplier is x_phase * dealias_mask:
-the 2/3 mask and the linear flow are both diagonal in k, so the trailing
-substep dealiases without a transform pair of its own.
+and a trailing linear substep on the kept-row spectrum of the phase's
+output: Machinery.forward keeps only the rows of the x modes that the 2/3
+rule keeps, which is the projection, so the trailing substep dealiases
+without a transform pair of its own and every alpha flow, x multiplier and
+norm runs on those rows (85 of 128, 171 of 256).
 
 The fixed-step path merges the trailing half of step i with the leading
 half of step i+1 into one masked full step (first same as last; exact
@@ -19,12 +21,13 @@ forward and inverse, or the div-form matrix G(t) over its band) and one
 nonlinear phase.
 
 The adaptive path compares one step of length dt with two of dt/2 (step
-doubling) in one fused attempt.  It carries the spectrum s0 of the
-synchronous field, where the linear flow S(t) and the 2/3 projection P are
-diagonal (N(t) is the nonlinear phase):
+doubling) in one fused attempt.  It carries the synchronous field as a
+kept-row spectrum c and a lag l, the field being S(l) c, where the linear
+flow S(t) and the 2/3 projection P are diagonal (N(t) is the nonlinear
+phase):
 
-    coarse   a = N(dt) S(dt/2) s0
-    fine     v = N(dt/2) S(dt/4) s0,   b = N(dt/2) S(dt/2) P v
+    coarse   a = N(dt) S(dt/2 + l) c
+    fine     v = N(dt/2) S(dt/4 + l) c,   b = N(dt/2) S(dt/2) P v
 
 The two middle quarter steps of the fine pair merge into one masked half
 step, as in the fixed path.  The one-step result is S(dt/2) P a and the
@@ -32,23 +35,27 @@ two-half-step one S(dt/4) P b; S(dt/4) is unitary and commutes with P, so
 
     err = ||S(dt/2) P a - S(dt/4) P b|| = ||P (S(dt/4) a - b)||,
 
-read off the spectra without a synthesis.  On acceptance the guard's H^1 is
-read off the spectrum of b and the next s0 is S(dt/4) P b.  An attempt costs
-6 x-FFTs (3 forward, 3 inverse), 5 alpha flows (4 when rejected: the banded
-div-form matrix, or a diagonal phase between 3 forward and 3 inverse Hermite
-transforms) and 3 nonlinear phases; three separate Strang evaluations cost
-12 x-FFTs, 6 alpha flows with 6 Hermite transform pairs, and 3 phases.  The
-nodal field is built only at the segment end or at a flag.
+one vdot over the kept rows, without a synthesis.  On acceptance the
+guard's H^1 is read off the spectrum of b, and the step keeps c = P b with
+the lag l = dt/4: its last quarter step folds into the next attempt's
+leading flows (first same as last).  The lag is 0 at the start of each
+segment, and S(l) is applied once at the segment end or at a flag.  An
+attempt, accepted or rejected, costs 6 x-FFTs (3 forward, 3 inverse), 4
+alpha flows (the banded div-form matrix, or a diagonal phase between 3
+forward and 3 inverse Hermite transforms) and 3 nonlinear phases; three
+separate Strang evaluations cost 12 x-FFTs, 6 alpha flows with 6 Hermite
+transform pairs, and 3 phases.  The nodal field is built only at the
+segment end or at a flag.
 
 The blow-up guard needs the native H^1 after every step.  That norm is
 invariant under the linear flow: the x phase is unitary and diagonal in k,
 the drift-form alpha phase is diagonal in the Hermite modes, and the
 div-form matrix exp(itP_h) commutes with the face-difference form
 -<P_h u, u> (its band drops only entries below 1e-15 of the largest, so
-this holds to roundoff).  So the masked spectrum that each linear substep holds already
-gives the H^1 of the field at the end of the step, and the guard reads it
-from there; the nonlinear substep's input check is the one finiteness test
-per step.
+this holds to roundoff).  So the kept-row spectrum that each linear
+substep holds already gives the H^1 of the field at the end of the step,
+and the guard reads it from there; the nonlinear substep's input check is
+the one finiteness test per step.
 """
 
 from __future__ import annotations
@@ -166,7 +173,7 @@ def _advance_fixed(state, mach, target, control, thresholds):
     half = mach.propagator(0.5 * dt)
     full = mach.propagator(dt) if n_sub > 1 else half
     start = state.field.time
-    data = half.apply(state.field.data)
+    data = mach.synthesize(half.advance(mach.forward(state.field.data), mach.kept))
     for i in range(1, n_sub + 1):
         try:
             phased = apply_nonlinearity(data, mach.spec, mach, dt)
@@ -176,55 +183,59 @@ def _advance_fixed(state, mach, target, control, thresholds):
             state.blowup_flag = True
             state.blowup_time_estimate = state.field.time
             return state
+        spectrum = mach.forward(phased)
+        h1 = mach.spectral_h1(spectrum)
         last = i == n_sub
-        data, h1 = (half if last else full).apply(phased, mach.dealias, h1=True)
+        data = mach.synthesize((half if last else full).advance(spectrum, mach.kept))
         state.accept(dt)
         time = start + i * dt
         state = detect_blowup(state, mach, thresholds, h1=h1, time=time)
         if state.blowup_flag:
             if not last:
-                data = half.apply(phased, mach.dealias)
+                data = mach.synthesize(half.advance(spectrum, mach.kept))
             state.field = Field(data, time)
             return state
     state.field = Field(data, target)
     return state
 
 
-def _doubling_attempt(s0: np.ndarray, mach: Machinery, dt: float):
-    """One fused step-doubling attempt of length dt from the spectrum ``s0``
-    of the synchronous field.
+def _doubling_attempt(carried: np.ndarray, lag: float, mach: Machinery, dt: float):
+    """One fused step-doubling attempt of length dt from the synchronous
+    field S(lag) ``carried``, given as a kept-row spectrum and a lag.
 
-    Returns (err, fine, quarter): the native L^2 distance between the
-    one-step and the two-half-step results, the spectrum of the fine pair's
-    second nonlinear output, and the quarter-step propagator whose masked
-    advance of that spectrum ends the step.
+    Returns (err, fine): the native L^2 distance between the one-step and
+    the two-half-step results, and the kept-row spectrum of the fine pair's
+    second nonlinear output, which S(dt/4) takes to the end of the step.
     """
-    half, quarter = mach.propagator(0.5 * dt), mach.propagator(0.25 * dt)
+    rows = mach.kept
 
-    def phased(prop, spectrum, t, mask=None):
-        data = mach.synthesize(prop.advance(spectrum, mask))
-        return apply_nonlinearity(data, mach.spec, mach, t)
+    def phased(t_flow, spectrum, t_phase):
+        data = mach.synthesize(mach.propagator(t_flow).advance(spectrum, rows))
+        return apply_nonlinearity(data, mach.spec, mach, t_phase)
 
-    coarse = phased(half, s0, dt)
-    mid = phased(quarter, s0, 0.5 * dt)
+    coarse = phased(0.5 * dt + lag, carried, dt)
+    mid = phased(0.25 * dt + lag, carried, 0.5 * dt)
     # the middle quarter steps of the two halves merge into one masked half
-    fine = mach.forward(phased(half, mach.forward(mid), 0.5 * dt, mach.dealias))
+    fine = mach.forward(phased(0.5 * dt, mach.forward(mid), 0.5 * dt))
     # ||S(dt/2) P coarse - S(dt/4) P fine|| = ||P (S(dt/4) coarse - fine)||
-    diff = quarter.advance(mach.forward(coarse)) - fine
-    return quarter.spectral_l2(diff, mach.dealias), fine, quarter
+    quarter = mach.propagator(0.25 * dt)
+    diff = quarter.advance(mach.forward(coarse), rows) - fine
+    return mach.spectral_l2(diff), fine
 
 
 def _advance_adaptive(state, mach, target, control, thresholds):
     eps = 1e-12 * max(1.0, abs(target))
     nominal = state.dt
     time = state.field.time
-    # the spectrum of the synchronous field is carried from step to step;
-    # the nodal field is built only at the segment end or at a flag
-    spectrum = mach.forward(state.field.data)
+    # the synchronous field is S(lag) carried: an accepted step keeps its
+    # fine spectrum and folds its last quarter step into the next attempt's
+    # leading flows; the nodal field is built only at the segment end or at
+    # a flag
+    carried, lag = mach.forward(state.field.data), 0.0
     while time < target - eps and not state.blowup_flag:
         dt = min(nominal, target - time)
         try:
-            err, fine, quarter = _doubling_attempt(spectrum, mach, dt)
+            err, fine = _doubling_attempt(carried, lag, mach, dt)
         except NonFiniteFieldError:
             state.blowup_flag = True
             state.blowup_time_estimate = time
@@ -233,19 +244,20 @@ def _advance_adaptive(state, mach, target, control, thresholds):
             nominal = max(0.5 * dt, control.dt_min)
             state.rejected_count += 1
             continue
-        h1 = quarter.spectral_h1(fine, mach.dealias)
-        spectrum = quarter.advance(fine, mach.dealias)
+        carried, lag = fine, 0.25 * dt
         time += dt
         state.accept(dt)
         state.dt = nominal
         if err > control.err_grow:
             # still failing at the dt floor: hand off to the guard
             state.floor_count += 1
-        state = detect_blowup(state, mach, thresholds, h1=h1, time=time)
+        state = detect_blowup(state, mach, thresholds, h1=mach.spectral_h1(fine), time=time)
         if err < control.err_shrink and dt == nominal:
             nominal = min(2.0 * dt, control.dt_max)
         state.dt = nominal
-    state.field = Field(mach.synthesize(spectrum), time if state.blowup_flag else target)
+    if lag:
+        carried = mach.propagator(lag).advance(carried, mach.kept)
+    state.field = Field(mach.synthesize(carried), time if state.blowup_flag else target)
     return state
 
 

@@ -104,6 +104,18 @@ def test_criterion_9_determinism(reports):
     check_row(reports, "9")
 
 
+def test_rows_record_their_runner_settings(reports):
+    # what a runner fixes in place of config entries, written by ounls all
+    # under runner_settings in each row's config file
+    assert reports["5"].settings == {"n_alpha": [64, 128]}
+    assert reports["7"].settings == {
+        "leg_signs": {"focusing leg": -1, "defocusing control": 1},
+        "dt_floor": 3e-5, "sample_dt": 0.005, "control_samples": 41,
+    }
+    for key in ("8-div", "8-nondiv"):
+        assert reports[key].settings == {"n_x": [256, 512]}
+
+
 def test_every_table_row_has_a_test():
     tested = {"2", "3-nondiv", "3-div", "4-nondiv", "4-div", "5", "6", "7",
               "8-div", "8-nondiv", "9"}

@@ -368,3 +368,21 @@ def test_recorded_band_is_the_numerical_band(n, t):
     band = int(np.abs(i - j).max())
     # small grids keep the dense product and record no band
     assert FluxFlow(g).band == (band if n > 2 * FLOW_BLOCK + 4 else None)
+
+
+@pytest.mark.parametrize("n", [65, 513])
+@pytest.mark.parametrize("x_shape", [(85,), (16, 16)], ids=["1d", "2d"])
+def test_flux_grad_density_matches_diff_form(flux_axes, n, x_shape):
+    # the float64-view form against sum_f mu_f |diff_a u|^2 / h^2 taken
+    # with np.diff on the complex spectrum
+    axis = flux_axes[n]
+    spectrum = random_spectrum(x_shape + (n,), 20)
+    diff = np.diff(spectrum, axis=-1)
+    expect = (diff.real**2 + diff.imag**2) @ axis.op.face_weights / axis.op.spacing**2
+    got = axis.grad_density(spectrum, None)
+    assert got.shape == x_shape
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    # a strided view reads the same values
+    wide = random_spectrum(x_shape + (2 * n,), 21)
+    wide[..., ::2] = spectrum
+    assert np.array_equal(axis.grad_density(wide[..., ::2], None), got)

@@ -41,6 +41,12 @@ def divm():
         n_x=128, box_half_length=8 * math.pi, div_nodes=257))
 
 
+@pytest.fixture(scope="module")
+def nondiv_2d():
+    return build_machinery(ModelSpec("nondiv", 2, 2), DiscretizationSpec(
+        n_x=32, box_half_length=4 * math.pi, n_alpha=16))
+
+
 def no_record(fld, spec, mach):
     return None
 
@@ -76,10 +82,13 @@ def test_per_step_mass_conservation(model_fixture, request):
 
 
 def strang(data, mach, dt):
-    """One unfused Strang evaluation: half linear step, nonlinear phase, and
-    a trailing half step that carries the dealias mask."""
+    """One unfused Strang evaluation: half linear step, nonlinear phase, a
+    separate 2/3 dealias pass, half linear."""
     half = mach.propagator(0.5 * dt)
-    return half.apply(apply_nonlinearity(half.apply(data), mach.spec, mach, dt), mach.dealias)
+    out = apply_nonlinearity(half.apply(data), mach.spec, mach, dt)
+    hat = x_fft(out, mach.grid)
+    hat *= mach.dealias[..., None]
+    return half.apply(x_ifft(hat, mach.grid))
 
 
 def test_time_reversibility(nondiv):
@@ -186,16 +195,6 @@ def test_blowup_truncates_schedule(nondiv):
 # ------------------------------------------------ fused fixed-step kernel
 
 
-def reference_strang_step(data, mach, dt):
-    """The unfused step: half linear, nonlinear phase, a separate 2/3
-    dealias pass, half linear."""
-    half = mach.propagator(0.5 * dt)
-    out = apply_nonlinearity(half.apply(data), mach.spec, mach, dt)
-    hat = x_fft(out, mach.grid)
-    hat *= mach.dealias[..., None]
-    return half.apply(x_ifft(hat, mach.grid))
-
-
 def native_rel(a, b, mach):
     return math.sqrt(mass(a - b, mach.spec, mach) / mass(b, mach.spec, mach))
 
@@ -219,7 +218,7 @@ def test_fused_fixed_path_matches_unfused_steps(model_fixture, request):
     expected = [sample_record(Field(data, 0.0), mach.spec, mach)]
     for _ in range(5):
         for _ in range(10):
-            data = reference_strang_step(data, mach, dt)
+            data = strang(data, mach, dt)
         expected.append(sample_record(Field(data), mach.spec, mach))
 
     assert state.step_count == 50 and not state.blowup_flag
@@ -252,18 +251,18 @@ def h1_written_out(u, mach):
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
 def test_spectral_h1_equals_h1_of_end_of_step_field(model_fixture, request):
-    # the masked full substep holds the spectrum of the nonlinear output;
-    # the norm read off it is the H^1 of the field one half step later
+    # the kept-row spectrum of the nonlinear output is what the trailing
+    # substep advances; the norm read off it is the H^1 of the field one
+    # half step later
     mach = request.getfixturevalue(model_fixture)
     dt = 1e-3
     phased = apply_nonlinearity(
         mach.propagator(0.5 * dt).apply(2.0 * gaussian(mach)), mach.spec, mach, dt
     )
-    _, h1_full = mach.propagator(dt).apply(phased, mach.dealias, h1=True)
-    end, h1_half = mach.propagator(0.5 * dt).apply(phased, mach.dealias, h1=True)
+    h1 = mach.spectral_h1(mach.forward(phased))
+    end = mach.propagator(0.5 * dt).apply(stepping._dealias(phased, mach))
     expected = h1_written_out(end, mach)
-    assert abs(h1_full - expected) <= 1e-12 * expected
-    assert abs(h1_half - expected) <= 1e-12 * expected
+    assert abs(h1 - expected) <= 1e-12 * expected
     assert abs(h1_native(end, mach.spec, mach) - expected) <= 1e-12 * expected
 
 
@@ -334,7 +333,7 @@ def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv):
     hat *= nondiv.dealias[..., None]
     data = x_ifft(hat, nondiv.grid)
     for _ in range(n):
-        data = reference_strang_step(data, nondiv, 1e-2)
+        data = strang(data, nondiv, 1e-2)
     assert native_rel(state.field.data, data, nondiv) <= 1e-10
 
 
@@ -417,18 +416,38 @@ def test_fused_adaptive_matches_step_doubling_reference(model_fixture, request, 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
 def test_spectral_error_estimate_equals_nodal_step_doubling_distance(model_fixture, request):
     mach = request.getfixturevalue(model_fixture)
-    dt = 4e-3
+    dt, dt_before = 4e-3, 6e-3
     u = stepping._dealias(narrow_pulse(mach), mach)
-    err, fine, quarter = stepping._doubling_attempt(mach.forward(u), mach, dt)
-
-    coarse_field = strang(u, mach, dt)
-    fine_field = strang(strang(u, mach, 0.5 * dt), mach, 0.5 * dt)
-    nodal = math.sqrt(mass(coarse_field - fine_field, mach.spec, mach))
     scale = math.sqrt(mass(u, mach.spec, mach))
-    assert nodal > 1e-6 * scale  # a real discrepancy, far above roundoff
-    assert abs(err - nodal) <= 1e-12 * scale
-    end = mach.synthesize(quarter.advance(fine, mach.dealias))
-    assert native_rel(end, fine_field, mach) <= 1e-12
+    # the attempt starts from the field itself (lag 0), or from the fine
+    # spectrum that an accepted step of another length left, whose
+    # synchronous field is a quarter of that step further on
+    _, carried = stepping._doubling_attempt(mach.forward(u), 0.0, mach, dt_before)
+    after = strang(strang(u, mach, 0.5 * dt_before), mach, 0.5 * dt_before)
+    for spectrum, lag, start in ((mach.forward(u), 0.0, u),
+                                 (carried, 0.25 * dt_before, after)):
+        err, fine = stepping._doubling_attempt(spectrum, lag, mach, dt)
+        coarse_field = strang(start, mach, dt)
+        fine_field = strang(strang(start, mach, 0.5 * dt), mach, 0.5 * dt)
+        nodal = math.sqrt(mass(coarse_field - fine_field, mach.spec, mach))
+        assert nodal > 1e-6 * scale  # a real discrepancy, far above roundoff
+        assert abs(err - nodal) <= 1e-12 * scale
+        end = mach.synthesize(mach.propagator(0.25 * dt).advance(fine, mach.kept))
+        assert native_rel(end, fine_field, mach) <= 1e-12
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "divm", "nondiv_2d"])
+def test_kept_rows_round_trip_is_the_dealias_projection(model_fixture, request):
+    mach = request.getfixturevalue(model_fixture)
+    u = narrow_pulse(mach) if mach.grid.dim == 1 else gaussian(mach)
+    rng = np.random.default_rng(3)
+    u = u + 1e-3 * rng.standard_normal(u.shape)  # content past the 2/3 cutoff
+    projected = stepping._dealias(u, mach)
+    assert native_rel(u, projected, mach) > 1e-6
+    spectrum = mach.forward(u)
+    assert spectrum.shape[0] == mach.kept.size == np.count_nonzero(mach.dealias)
+    assert native_rel(mach.synthesize(spectrum), projected, mach) <= 1e-13
+    assert native_rel(mach.synthesize(mach.forward(projected)), projected, mach) <= 1e-13
 
 
 @pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
