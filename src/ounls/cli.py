@@ -13,7 +13,7 @@ import time
 from dataclasses import replace
 
 from . import __version__, reporting
-from .config import SCENARIOS, ConfigError, ScenarioConfig, parse_config
+from .config import SCENARIOS, ConfigError, parse_config, resolved_dict
 from .experiments import (
     NumericCheckError,
     run_acceptance,
@@ -51,58 +51,23 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override a config value (repeatable)",
         )
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", default=None, help="output directory (overrides run.out)")
         p.add_argument("--seed", type=int, default=None, help="ensemble seed")
         p.add_argument("--threads", type=int, default=None, help="ensemble workers")
     return parser
 
 
-def _resolved_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "scenario": cfg.scenario,
-        "model": {
-            "model": cfg.model.model,
-            "d": cfg.model.dim,
-            "p": cfg.model.power,
-            "sign": cfg.model.sign,
-        },
-        "grid": {
-            "n_x": cfg.disc.n_x,
-            "box_half_length": cfg.disc.resolved_box(cfg.model.dim),
-            "n_alpha": cfg.disc.n_alpha,
-            "div_nodes": cfg.disc.div_nodes,
-            "div_half_width": cfg.disc.div_half_width,
-        },
-        "initial": vars(cfg.initial).copy(),
-        "run": {
-            "t": cfg.horizon,
-            "dt": cfg.dt,
-            "samples": cfg.n_samples,
-            "seed": cfg.seed,
-            "ensemble": cfg.ensemble,
-            "threads": cfg.threads,
-            "q": cfg.strichartz_q,
-            "r": cfg.strichartz_r,
-            "delta": cfg.scattering_delta,
-        },
-    }
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.time()
+    # the flags are the last overrides, so they win over the file and --set
+    flags = {"scenario": args.command, "seed": args.seed, "threads": args.threads,
+             "out": args.out}
+    overrides = args.overrides + [
+        f"run.{key}={value}" for key, value in flags.items() if value is not None
+    ]
     try:
-        cfg = parse_config(args.config, args.overrides)
-        cfg.scenario = args.command
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
-        cfg.out_dir = args.out
-        if cfg.scenario == "strichartz":
-            from .config import check_admissible_pair
-
-            check_admissible_pair(cfg.strichartz_q, cfg.strichartz_r, cfg.model.dim)
+        cfg = parse_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -122,8 +87,7 @@ def main(argv=None) -> int:
             reporting.emit_diagnostics(records, path)
             outputs.append(path)
             rep = reporting.Report("simulate")
-            rep.add("completed_unflagged", not state.blowup_flag,
-                    float(state.blowup_flag), 0.0, comparator="==")
+            rep.add("completed_unflagged", float(state.blowup_flag), 0.0, comparator="==")
             runs.append((cfg, rep))
         elif args.command == "all":
             runs = run_acceptance(cfg)
@@ -158,7 +122,7 @@ def main(argv=None) -> int:
             # runner_settings holds what the runner fixed in place of config
             # entries (exponent pairs, identity grids, leg signs)
             cfg_path = os.path.join(cfg.out_dir, f"config_{i:02d}_{stem}.json")
-            resolved = _resolved_dict(replace(run_cfg, scenario=stem))
+            resolved = resolved_dict(replace(run_cfg, scenario=stem))
             resolved["runner_settings"] = rep.settings
             reporting.write_json(cfg_path, resolved)
             outputs.append(cfg_path)
@@ -179,7 +143,7 @@ def main(argv=None) -> int:
                 print(f"       {rep.scenario}: {note}")
             all_passed &= rep.passed
         reporting.write_manifest(
-            cfg.out_dir, _resolved_dict(cfg), cfg.seed, started, outputs, __version__,
+            cfg.out_dir, resolved_dict(cfg), cfg.seed, started, outputs, __version__,
             row_configs,
         )
     except (reporting.OutputError, OSError) as exc:

@@ -8,8 +8,9 @@ space-time exponent pairs) are rejected here with exit-code-1 semantics.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .models import DiscretizationSpec, ModelSpec
 
@@ -115,8 +116,8 @@ def _parse_int(section, key, raw):
 _SCHEMA = {
     "model": {
         "model": ("model.model", str),
-        "d": ("model.d", "int"),
-        "p": ("model.p", "int"),
+        "d": ("model.dim", "int"),
+        "p": ("model.power", "int"),
         "sign": ("model.sign", "sign"),
     },
     "grid": {
@@ -148,6 +149,20 @@ _SCHEMA = {
         "out": ("out_dir", str),
     },
 }
+
+
+def resolved_dict(cfg: ScenarioConfig) -> dict:
+    """The config by its INI sections and keys, with the box resolved; the
+    scenario is a top-level entry and the output directory is left out."""
+    resolved = {"scenario": cfg.scenario}
+    for section, keys in _SCHEMA.items():
+        resolved[section] = {
+            key: functools.reduce(getattr, target.split("."), cfg)
+            for key, (target, _) in keys.items()
+            if target not in ("scenario", "out_dir")
+        }
+    resolved["grid"]["box_half_length"] = cfg.disc.resolved_box(cfg.model.dim)
+    return resolved
 
 
 def _coerce(section, key, raw, kind):
@@ -189,10 +204,10 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
         section, key = target.split(".", 1)
         staged.setdefault(section, {})[key] = raw
 
-    # model fields must be built atomically (frozen dataclass with validation)
-    model_kw = {"model": "nondiv", "d": 1, "p": 4, "sign": +1}
-    disc_kw: dict = {}
     cfg = ScenarioConfig()
+    # model fields must be built atomically (frozen dataclass with validation)
+    model_kw = asdict(cfg.model)
+    disc_kw: dict = {}
 
     for section, entries in staged.items():
         schema = _SCHEMA.get(section)
@@ -213,9 +228,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
                 setattr(cfg, target, value)
 
     try:
-        cfg.model = ModelSpec(
-            model_kw["model"], model_kw["d"], model_kw["p"], model_kw["sign"]
-        )
+        cfg.model = ModelSpec(**model_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     cfg.disc = DiscretizationSpec(**disc_kw)

@@ -351,7 +351,6 @@ class Machinery:
     grid: BoxGrid
     axis: HermiteAxis | FluxAxis
     dealias: np.ndarray
-    include_nonlinearity: bool = True
     _propagators: dict = field(default_factory=dict, repr=False)
     _scatter: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -407,12 +406,9 @@ class Machinery:
         return prop
 
 
-def build_machinery(
-    spec: ModelSpec, disc: DiscretizationSpec, include_nonlinearity: bool = True
-) -> Machinery:
+def build_machinery(spec: ModelSpec, disc: DiscretizationSpec) -> Machinery:
     grid = BoxGrid(spec.dim, disc.resolved_box(spec.dim), disc.n_x)
-    return Machinery(spec, grid, build_axis(spec, disc), dealias_mask(grid),
-                     include_nonlinearity=include_nonlinearity)
+    return Machinery(spec, grid, build_axis(spec, disc), dealias_mask(grid))
 
 
 @dataclass(frozen=True)
@@ -469,7 +465,7 @@ def apply_nonlinearity(data: np.ndarray, spec: ModelSpec, mach: Machinery, dt: f
     """
     if not np.all(np.isfinite(data.view(np.float64))):
         raise NonFiniteFieldError("nonfinite field values in nonlinear substep")
-    if not mach.include_nonlinearity or dt == 0.0:
+    if dt == 0.0:
         return data.copy()
     theta = nonlinear_gain(data, spec, mach)
     theta *= -spec.sign * dt

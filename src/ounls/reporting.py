@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -16,7 +17,27 @@ from .observables import DiagnosticsRecord
 
 FIELD_MAGIC = b"OUNLSFIELDSNAP01"  # 16 bytes
 
-COMPARATORS = ("<", "<=", ">=", "==", "in", "finite", "increasing", "decreasing")
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _strictly(step):
+    """Every neighbour pair passes ``step`` (a NaN fails any comparison; a
+    one-element series has none, so its element is tested for NaN)."""
+    return lambda s, limit: all(map(step, s[:-1], s[1:])) and not math.isnan(s[-1])
+
+
+# comparator -> verdict of (value, limit); the monotone comparators take the
+# whole series as their value.  Every Check's verdict is decided here.
+GATES = {
+    "<": lambda value, limit: value < limit,
+    "<=": lambda value, limit: value <= limit,
+    ">=": lambda value, limit: value >= limit,
+    "==": lambda value, limit: value == limit,
+    "in": lambda value, limit: limit[0] <= value <= limit[1],
+    "finite": lambda value, limit: math.isfinite(value),
+    "increasing": _strictly(lambda a, b: a < b),
+    "decreasing": _strictly(lambda a, b: a > b),
+}
 
 
 class OutputError(OSError):
@@ -27,9 +48,11 @@ class OutputError(OSError):
 class Check:
     """One verdict and the gate it was decided by, so that a reader can
     recompute it: ``value <comparator> limit`` for "<", "<=", ">=", "==";
-    "in" takes ``limit`` as the closed interval (lo, hi); "finite" needs no
-    limit; "increasing" and "decreasing" mean the report's rows must be
-    strictly monotone, with ``value`` and ``limit`` summarising them."""
+    "in" takes ``limit`` as the closed interval (lo, hi); "finite" needs
+    ``value`` finite and ignores ``limit``; "increasing" and "decreasing"
+    were decided on a series (kept in the report's rows) that must be
+    strictly monotone, and record its last element as ``value`` and the
+    one before it as ``limit``."""
 
     name: str
     passed: bool
@@ -64,11 +87,21 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name, passed, value, limit, note="", comparator="<=") -> Check:
-        if comparator not in COMPARATORS:
-            raise ValueError(f"unknown comparator {comparator!r}; expected one of {COMPARATORS}")
-        limit = tuple(map(float, limit)) if comparator == "in" else float(limit)
-        check = Check(name, bool(passed), float(value), limit, note, comparator)
+    def add(self, name, value, limit=math.inf, note="", comparator="<=") -> Check:
+        """Record the check ``value <comparator> limit`` with the verdict
+        ``GATES`` gives it.  For "increasing" and "decreasing" ``value`` is
+        the series and ``limit`` is not read."""
+        if comparator not in GATES:
+            raise ValueError(f"unknown comparator {comparator!r}; expected one of {tuple(GATES)}")
+        if comparator in ("increasing", "decreasing"):
+            series = [float(v) for v in value]
+            passed = GATES[comparator](series, None)
+            value, limit = series[-1], series[-2] if len(series) > 1 else math.inf
+        else:
+            value = float(value)
+            limit = tuple(map(float, limit)) if comparator == "in" else float(limit)
+            passed = GATES[comparator](value, limit)
+        check = Check(name, bool(passed), value, limit, note, comparator)
         self.checks.append(check)
         return check
 
@@ -181,9 +214,14 @@ def write_manifest(
 ) -> str:
     """Atomic once-per-run manifest with content hashes of all outputs;
     ``config`` is the base config, ``row_configs`` maps each report file to
-    the file holding the config that report ran on."""
+    the file holding the config that report ran on.  The CPU count and the
+    BLAS thread settings (null when unset) are recorded because the dense
+    products of the identity residuals round differently at different BLAS
+    thread counts."""
     manifest = {
         "tool_version": version,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "config": resolved_config,
         "row_configs": row_configs,
         "seed": seed,

@@ -119,32 +119,22 @@ def detect_blowup(
     state: StepperState,
     mach: Machinery,
     thresholds: BlowupThresholds,
-    h1: float | None = None,
-    time: float | None = None,
+    h1: float,
+    time: float,
 ) -> StepperState:
     """Flag on nonfinite values, on an H^1 ratio past the ceiling, or when
     the step controller has been driven to dt_min with rejections or
     acceptances at the floor.
 
-    ``h1`` is the native H^1 of the field at ``time`` when the caller holds
-    it already; by default both come from state.field.  A nonfinite ``h1``
-    means a nonfinite field.
+    ``h1`` is the native H^1 of the stepped field at ``time``, against the
+    ``state.h1_initial`` that ``integrate`` set.  A nonfinite ``h1`` means a
+    nonfinite field.
     """
     if state.blowup_flag:
         return state
-    if time is None:
-        time = state.field.time
-    if h1 is None:
-        h1 = (
-            observables.h1_native(state.field, mach.spec, mach)
-            if state.field.finite
-            else math.nan
-        )
     flagged = False
     if not math.isfinite(h1):
         flagged = True
-    elif state.h1_initial is None:
-        state.h1_initial = h1
     elif state.h1_initial > 0 and h1 / state.h1_initial > thresholds.norm_ratio_max:
         flagged = True
     if state.dt <= thresholds.dt_min and state.rejected_count + state.floor_count > 0:

@@ -36,6 +36,33 @@ def test_inadmissible_pair_exit_code(tmp_path):
     assert code == 1
 
 
+def test_threads_flag_is_validated_like_the_config_key(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli(["identity", "--threads", "0", "--out", str(out)]) == 1
+    assert run_cli(["identity", "--set", "run.threads=0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+SIMULATE_SMALL = [
+    "--set", "grid.n_x=64", "--set", f"grid.box_half_length={4 * math.pi}",
+    "--set", "run.t=0.05", "--set", "run.dt=0.005", "--set", "run.samples=3",
+]
+
+
+def test_config_file_out_is_used_and_out_flag_wins(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nout = from_file\nseed = 7\n")
+    assert run_cli(["simulate", "--config", str(cfg)] + SIMULATE_SMALL) == 0
+    assert (tmp_path / "from_file" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
+    flags = ["--out", str(tmp_path / "flag"), "--seed", "9", "--threads", "2"]
+    assert run_cli(["simulate", "--config", str(cfg)] + SIMULATE_SMALL + flags) == 0
+    manifest = json.load(open(tmp_path / "flag" / "manifest.json"))
+    assert manifest["seed"] == 9 and manifest["config"]["run"]["threads"] == 2
+    assert manifest["config"]["scenario"] == "simulate"
+
+
 def test_simulate_emits_outputs(tmp_path):
     out = str(tmp_path / "run")
     code = run_cli([
@@ -140,7 +167,7 @@ def test_all_runs_the_acceptance_table(tmp_path, monkeypatch, capsys):
     def stub(name, passed):
         def run(cfg, reports):
             report = Report(name)
-            report.add("gate", passed, 0.0 if passed else 1.0, 0.5, comparator="<")
+            report.add("gate", 0.0 if passed else 1.0, 0.5, comparator="<")
             report.rows.append({"member": 0})
             return report
         return run
@@ -164,7 +191,7 @@ def test_all_writes_each_row_config(tmp_path, monkeypatch):
     # config its row ran on, not the base config of the manifest
     def stub(cfg, reports):
         report = Report(f"row{cfg.disc.n_x}", settings={"div_nodes": [cfg.disc.div_nodes]})
-        report.add("gate", True, 0.0, 0.5, comparator="<")
+        report.add("gate", 0.0, 0.5, comparator="<")
         return report
 
     rows = {row.key: i for i, row in enumerate(experiments.ACCEPTANCE)}

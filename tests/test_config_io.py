@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from ounls.cli import _build_parser
-from ounls.config import SCENARIOS, ConfigError, check_admissible_pair, parse_config
+from ounls.config import (
+    _SCHEMA, SCENARIOS, ConfigError, check_admissible_pair, parse_config, resolved_dict,
+)
 from ounls.observables import DiagnosticsRecord
 from ounls.reporting import (
     Report,
@@ -140,8 +142,8 @@ def test_emit_diagnostics_requires_records(tmp_path):
 
 def test_verdict_lines_roundtrip(tmp_path):
     report = Report("demo")
-    report.add("alpha", True, 1.0, 2.0)
-    report.add("beta", False, 3.0, 2.5, note="too big")
+    report.add("alpha", 1.0, 2.0)
+    report.add("beta", 3.0, 2.5, note="too big")
     path = str(tmp_path / "verdicts.jsonl")
     emit_report(report, path)
     lines = open(path).read().splitlines()
@@ -180,3 +182,90 @@ def test_manifest_hashes_outputs(tmp_path):
     manifest = json.load(open(manifest_path))
     assert manifest["seed"] == 7
     assert manifest["outputs"]["diag.csv"] == file_sha256(data_path)
+
+
+def test_manifest_records_cpu_count_and_blas_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    path = write_manifest(str(tmp_path), {}, 7, 0.0, [], "0.1.0", {})
+    manifest = json.load(open(path))
+    assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
+    }
+
+
+def test_resolved_dict_has_every_schema_key():
+    cfg = parse_config(None, ["model.d=2", "model.p=2", "run.out=elsewhere"])
+    resolved = resolved_dict(cfg)
+    assert resolved["scenario"] == "simulate"
+    for section, keys in _SCHEMA.items():
+        assert set(resolved[section]) == set(keys) - {"scenario", "out"}
+    assert resolved["model"] == {"model": "nondiv", "d": 2, "p": 2, "sign": 1}
+    assert resolved["grid"]["box_half_length"] == pytest.approx(8 * math.pi)
+
+
+# ------------------------------------------------------------ the gate table
+
+
+def verdict(comparator, value, limit=math.inf):
+    return Report("gates").add("c", value, limit, comparator=comparator).passed
+
+
+@pytest.mark.parametrize("comparator, below, at, above", [
+    ("<", True, False, False),
+    ("<=", True, True, False),
+    (">=", False, True, True),
+    ("==", False, True, False),
+])
+def test_scalar_gates_at_their_boundary(comparator, below, at, above):
+    step = math.ulp(2.0)
+    assert verdict(comparator, 2.0 - step, 2.0) is below
+    assert verdict(comparator, 2.0, 2.0) is at
+    assert verdict(comparator, 2.0 + step, 2.0) is above
+
+
+def test_interval_gate_is_closed_at_both_ends():
+    for end in (3.5, 4.5):
+        assert verdict("in", end, (3.5, 4.5))
+    assert not verdict("in", math.nextafter(3.5, 0.0), (3.5, 4.5))
+    assert not verdict("in", math.nextafter(4.5, 9.0), (3.5, 4.5))
+
+
+def test_finite_gate():
+    assert verdict("finite", 1e308, math.nan)
+    assert not verdict("finite", math.inf)
+    assert not verdict("finite", -math.inf)
+
+
+@pytest.mark.parametrize("comparator", ["<", "<=", ">=", "==", "in", "finite",
+                                        "increasing", "decreasing"])
+def test_nan_is_red_for_every_comparator(comparator):
+    if comparator in ("increasing", "decreasing"):
+        for series in ([math.nan], [1.0, math.nan], [math.nan, 1.0], [1.0, math.nan, 2.0]):
+            assert not verdict(comparator, series)
+    else:
+        limit = (0.0, 1.0) if comparator == "in" else 1.0
+        assert not verdict(comparator, math.nan, limit)
+        if comparator != "finite":
+            assert not verdict(comparator, 0.5, (0.0, math.nan) if comparator == "in" else math.nan)
+
+
+def test_monotone_gates_and_what_they_record():
+    report = Report("gates")
+    up = report.add("up", [1.0, 2.0, 5.0], comparator="increasing")
+    assert up.passed and (up.value, up.limit) == (5.0, 2.0)
+    assert report.add("down", [5.0, 2.0, 1.0], comparator="decreasing").passed
+    single = report.add("single", [3.0], comparator="decreasing")
+    assert single.passed and (single.value, single.limit) == (3.0, math.inf)
+    # a tie is not strict
+    assert not verdict("increasing", [1.0, 2.0, 2.0])
+    assert not verdict("decreasing", [2.0, 2.0, 1.0])
+    assert not verdict("increasing", [3.0, 2.0, 5.0])
+    assert not verdict("decreasing", [1.0, 2.0])
+
+
+def test_unknown_comparator_rejected():
+    with pytest.raises(ValueError):
+        Report("gates").add("c", 1.0, 2.0, comparator="<<")
