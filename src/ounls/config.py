@@ -185,7 +185,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     staged: dict[str, dict[str, str]] = {}
 
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         read = parser.read(path)
         if not read:
             raise ConfigError(f"config file not found: {path}")

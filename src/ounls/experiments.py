@@ -106,8 +106,10 @@ def run_conservation(cfg: ScenarioConfig) -> Report:
     report = Report("conservation")
     mach = build_machinery(cfg.model, cfg.disc)
     u0 = Field(gaussian_field(mach, cfg.initial))
+    steps = (2.0 * cfg.dt, cfg.dt)
+    report.settings["dt"] = list(steps)
     drifts, ran = {}, {}
-    for dt in (2.0 * cfg.dt, cfg.dt):
+    for dt in steps:
         records, state = integrate(
             u0.copy(), mach, cfg.horizon, cfg.sample_times(), StepControl(dt=dt)
         )
@@ -149,16 +151,56 @@ def ladder_times(horizon: float) -> np.ndarray:
     return np.linspace(0.0, horizon, int(round(SAMPLES_PER_UNIT_TIME * horizon)) + 1)
 
 
+def coarse_points(n_x: int, band: int) -> int:
+    """Points per axis of the grid the ladder evolves a band-b member on:
+    min(n_x, 4b+2), where the alpha sum samples the density exactly."""
+    return min(n_x, 4 * band + 2)
+
+
+def _band_dft(band: int, m: int) -> np.ndarray:
+    """D[j, x] = exp(2 pi i j x / m) for the band modes |j| <= band: the
+    values on m points per axis of band coefficients c are c @ D, per axis.
+    The phase j x is reduced mod m in integers before scaling."""
+    modes = np.arange(-band, band + 1)
+    return np.exp((2j * np.pi / m) * (np.outer(modes, np.arange(m)) % m))
+
+
+def _int_power(powers: dict, h: int) -> np.ndarray:
+    """powers[1] ** h by repeated multiplication, keeping every power it
+    forms in ``powers`` for the next exponent."""
+    if h not in powers:
+        half = h // 2
+        powers[h] = _int_power(powers, half) * _int_power(powers, h - half)
+    return powers[h]
+
+
+def _space_norms(rho: np.ndarray, measure: float, cell: float, r_values, x_axes) -> dict:
+    """Per r, the L^r_x norm over ``x_axes`` of sqrt(measure rho), with rho
+    clipped at 0: (cell * sum (measure rho)^(r/2))^(1/r), by repeated
+    multiplication for an integer r/2, or sqrt(measure max rho) for r = inf."""
+    powers = {1: measure * np.maximum(rho, 0.0)}
+    norms = {}
+    for r in r_values:
+        if math.isinf(r):
+            norms[r] = np.sqrt(powers[1].max(axis=x_axes))
+            continue
+        h = 0.5 * r
+        dens_h = _int_power(powers, int(h)) if h.is_integer() else powers[1] ** h
+        norms[r] = (cell * np.sum(dens_h, axis=x_axes)) ** (1.0 / r)
+    return norms
+
+
 def _ladder_ratios(
     draw: np.ndarray,
     measure: float,
     factors: dict,
-    grid: BoxGrid,
+    grids: list[BoxGrid],
     horizon: float,
     pairs: list[tuple[float, float]],
-) -> dict:
+) -> list[dict]:
     """Space-time ratios of the exactly evolved member for every variant and
-    exponent pair, from one pass over the time ladder.
+    exponent pair on each of ``grids`` (one box, any resolutions), from one
+    pass over the time ladder; one dict per grid.
 
     R = ||D^k exp(itL) f||_{L^q_t L^r_x (alpha norm)} / ||D^k f||.  The
     space-time norms are diagonal in the alpha modes, so the unit-modulus
@@ -170,19 +212,18 @@ def _ladder_ratios(
     Each column of w(t, .) is a trigonometric polynomial on the 2b+1 band
     modes, so rho(t, .) has only the 4b+1 modes |k| <= 2b per axis.  w is
     evolved on a coarse grid of m = min(n_x, 4b+2) points per axis, where
-    the alpha sum samples rho exactly (m > 4b), and rho is resampled once
-    to the n_x grid by zero-padding its spectrum.  The r-norms are taken
-    there, as (cell * sum (measure rho)^(r/2))^(1/r) with rho clipped at 0
-    (a roundoff-negative value would make an odd or fractional r/2 a NaN),
-    or sqrt(measure max rho) for r = inf.  The time integral is a
+    the alpha sum samples rho exactly (m > 4b), once for all grids that
+    share m: per axis, the phased band coefficients times the band DFT
+    D[j, x] = exp(2 pi i j x / m).  rho is resampled to each n_x grid by
+    zero-padding its spectrum, and the r-norms are taken there
+    (``_space_norms``) with rho clipped at 0: a roundoff-negative value
+    would make an odd or fractional r/2 a NaN.  The time integral is a
     composite trapezoid (max for q = inf).
     """
     band = draw.shape[0] // 2  # draw is ((2b+1)^d..., b+1)
-    dim, n = grid.dim, grid.n_points
-    m = min(n, 4 * band + 2)
+    dim, half_length = grids[0].dim, grids[0].half_length
     modes = np.arange(-band, band + 1)
-    k = np.zeros(m)  # band wavenumbers at their coarse indices
-    k[modes % m] = grid.wavenumbers[modes % n]
+    k = np.pi * modes / half_length  # the band wavenumbers
     if dim == 1:
         k2 = k**2
         ikx = (1j * k)[:, None]
@@ -190,63 +231,76 @@ def _ladder_ratios(
         k2 = k[:, None] ** 2 + k[None, :] ** 2
         ikx = (1j * k)[:, None, None]  # D = d/dx_1
 
-    # every variant's coarse spectrum in one (variant, alpha, x...) array,
-    # so every FFT runs over the trailing axes
-    hats = {name: _embed_x_modes(draw @ f, dim, m, band) for name, f in factors.items()}
-    hats["k1"] = ikx * hats["k0"]
-    names = tuple(hats)
-    stacked = np.stack([np.moveaxis(hats[name], -1, 0) for name in names])
-    cell = (2.0 * grid.half_length / m) ** dim
+    # every variant's band coefficients in one (variant, alpha, band...)
+    # array, so every DFT product runs over the trailing axes
+    coeffs = {name: draw @ f for name, f in factors.items()}
+    coeffs["k1"] = ikx * coeffs["k0"]
+    names = tuple(coeffs)
+    stacked = np.stack([np.moveaxis(coeffs[name], -1, 0) for name in names])
+    volume = (2.0 * half_length) ** dim
     denom = {
-        name: math.sqrt(measure * cell * float(np.sum(h.real**2 + h.imag**2)))
-        for name, h in hats.items()
+        name: math.sqrt(measure * volume * float(np.sum(c.real**2 + c.imag**2)))
+        for name, c in coeffs.items()
     }
 
-    # rho's spectrum: the 4b+1 modes on every x axis but the last, where
-    # the real half-spectrum keeps 0..2b
     density_modes = np.arange(-2 * band, 2 * band + 1)
-    lead = (slice(None), slice(None))  # time, variant
-    coarse_modes = lead + (density_modes % m,) * (dim - 1) + (slice(0, 2 * band + 1),)
-    fine_modes = lead + (density_modes % n,) * (dim - 1) + (slice(0, 2 * band + 1),)
+
+    def spectrum_index(n):
+        """rho's spectrum on n points per axis, after the (time, variant)
+        axes: the 4b+1 modes on every x axis but the last, where the real
+        half-spectrum keeps 0..2b."""
+        return (slice(None),) * 2 + (density_modes % n,) * (dim - 1) + (slice(0, 2 * band + 1),)
+
     x_axes = tuple(range(-dim, 0))
 
     ts = ladder_times(horizon)
     n_t = len(ts)
     r_values = sorted({pair[1] for pair in pairs})
-    space = {r: np.empty((n_t, len(names))) for r in r_values}
+    space = [{r: np.empty((n_t, len(names))) for r in r_values} for _ in grids]
     x_phase = np.exp(-1j * ts.reshape((-1,) + (1,) * dim) * k2)
 
-    # time samples per chunk: each chunk array stays near 2^14 elements per
-    # variant, cache sized; larger chunks measured slower
-    chunk = max(1, 2**14 // max(stacked[0].size, n**dim))
-    for start in range(0, n_t, chunk):
-        stop = min(start + chunk, n_t)
-        phase = x_phase[start:stop, None, None]
-        w = np.fft.ifftn(stacked[None] * phase, axes=x_axes, norm="ortho")
-        rho = np.sum(w.real**2 + w.imag**2, axis=2)
-        if m < n:
-            coarse = np.fft.rfftn(rho, axes=x_axes, norm="forward")
-            fine = np.zeros(coarse.shape[:2] + (n,) * (dim - 1) + (n // 2 + 1,),
-                            dtype=np.complex128)
-            fine[fine_modes] = coarse[coarse_modes]
-            rho = np.fft.irfftn(fine, s=grid.shape, axes=x_axes, norm="forward")
-        dens = measure * np.maximum(rho, 0.0)
-        for r in r_values:
-            if math.isinf(r):
-                vals = np.sqrt(dens.max(axis=x_axes))
-            else:
-                vals = (grid.cell_volume * np.sum(dens ** (0.5 * r), axis=x_axes)) ** (1.0 / r)
-            space[r][start:stop] = vals
+    for m in sorted({coarse_points(grid.n_points, band) for grid in grids}):
+        shared = [i for i, grid in enumerate(grids) if coarse_points(grid.n_points, band) == m]
+        dft = _band_dft(band, m)
+        n_max = max(grids[i].n_points for i in shared)
+        # time samples per chunk: each chunk array stays near 2^14 elements
+        # per variant, cache sized; larger chunks measured slower
+        chunk = max(1, 2**14 // max(stacked[0, :, 0].size * m**dim, n_max**dim))
+        for start in range(0, n_t, chunk):
+            stop = min(start + chunk, n_t)
+            w = stacked[None] * x_phase[start:stop, None, None]
+            for _ in range(dim):  # one band DFT product per x axis, last first
+                values = w.reshape(-1, w.shape[-1]) @ dft
+                w = np.moveaxis(values.reshape(w.shape[:-1] + (m,)), -1, -dim)
+            rho = np.sum(w.real**2 + w.imag**2, axis=2)
+            if m < n_max:
+                coarse = np.fft.rfftn(rho, axes=x_axes, norm="forward")
+            for i in shared:
+                grid = grids[i]
+                n = grid.n_points
+                if m < n:
+                    fine = np.zeros(coarse.shape[:2] + (n,) * (dim - 1) + (n // 2 + 1,),
+                                    dtype=np.complex128)
+                    fine[spectrum_index(n)] = coarse[spectrum_index(m)]
+                    rho_n = np.fft.irfftn(fine, s=grid.shape, axes=x_axes, norm="forward")
+                else:
+                    rho_n = rho
+                norms = _space_norms(rho_n, measure, grid.cell_volume, r_values, x_axes)
+                for r, vals in norms.items():
+                    space[i][r][start:stop] = vals
 
-    out = {}
-    for q, r in pairs:
-        for i, name in enumerate(names):
-            series = space[r][:, i]
-            if math.isinf(q):
-                tnorm = float(series.max())
-            else:
-                tnorm = float(np.trapezoid(series**q, ts) ** (1.0 / q))
-            out[(name, (q, r))] = tnorm / denom[name] if denom[name] else 0.0
+    out = []
+    for grid_space in space:
+        ratios = {}
+        for q, r in pairs:
+            for i, name in enumerate(names):
+                series = grid_space[r][:, i]
+                if math.isinf(q):
+                    tnorm = float(series.max())
+                else:
+                    tnorm = float(np.trapezoid(series**q, ts) ** (1.0 / q))
+                ratios[(name, (q, r))] = tnorm / denom[name] if denom[name] else 0.0
+        out.append(ratios)
     return out
 
 
@@ -278,21 +332,22 @@ def run_strichartz_ensemble(
     resolutions = (cfg.disc.n_x, 2 * cfg.disc.n_x)
     report.settings["n_x"] = list(resolutions)
     report.settings["time_samples"] = len(ladder_times(cfg.horizon))
+    report.settings["coarse_points"] = [coarse_points(n_x, band) for n_x in resolutions]
     box = cfg.disc.resolved_box(spec.dim)
+    grids = [BoxGrid(spec.dim, box, n_x) for n_x in resolutions]
+
+    def worker(i):
+        return _ladder_ratios(members[i], measure, factors, grids, cfg.horizon, pairs)
+
+    results = _run_members(worker, cfg.ensemble, cfg.threads)  # [member][resolution]
     maxima = {}  # (variant, pair, n_x) -> ensemble max
-    for n_x in resolutions:
-        grid = BoxGrid(spec.dim, box, n_x)
-
-        def worker(i, grid=grid):
-            return _ladder_ratios(members[i], measure, factors, grid, cfg.horizon, pairs)
-
-        results = _run_members(worker, cfg.ensemble, cfg.threads)
+    for g, n_x in enumerate(resolutions):
         for key_pair in pairs:
             for variant in variant_names:
-                ratios = [res[(variant, key_pair)] for res in results]
+                ratios = [res[g][(variant, key_pair)] for res in results]
                 maxima[(variant, key_pair, n_x)] = float(np.max(ratios))
         for i, res in enumerate(results):
-            for (variant, (q, r)), value in sorted(res.items()):
+            for (variant, (q, r)), value in sorted(res[g].items()):
                 report.rows.append(
                     {"member": i, "variant": variant, "q": q, "r": r, "n_x": n_x,
                      "ratio": value}
@@ -608,6 +663,7 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
     have a finite max, stable within 20% when n_x doubles, for both rho."""
     report = Report("morawetz")
     sample_dt = 0.01
+    report.settings["sample_dt"] = sample_dt
     samples = np.arange(0.0, cfg.horizon + 0.5 * sample_dt, sample_dt)
     maxima = {}
     resolutions = (cfg.disc.n_x, 2 * cfg.disc.n_x)

@@ -90,13 +90,20 @@ def test_criterion_9_determinism(reports):
 def test_rows_record_their_runner_settings(reports):
     # what a runner fixes in place of config entries, written by ounls all
     # under runner_settings in each row's config file
+    for key in ("3-nondiv", "3-div"):
+        assert reports[key].settings == {"dt": [2e-3, 1e-3]}
+    for key in ("4-nondiv", "4-div", "9"):
+        assert reports[key].settings == {
+            "strichartz_pairs": [[6.0, 6.0], [8.0, 4.0]], "n_x": [256, 512],
+            "time_samples": 257, "coarse_points": [34, 34],
+        }
     assert reports["5"].settings == {"n_alpha": [64, 128]}
     assert reports["7"].settings == {
         "leg_signs": {"focusing leg": -1, "defocusing control": 1},
         "dt_floor": 3e-5, "sample_dt": 0.005, "control_samples": 41,
     }
     for key in ("8-div", "8-nondiv"):
-        assert reports[key].settings == {"n_x": [256, 512]}
+        assert reports[key].settings == {"n_x": [256, 512], "sample_dt": 0.01}
 
 
 def test_every_table_row_has_a_test():

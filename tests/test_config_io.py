@@ -206,6 +206,17 @@ def test_resolved_dict_has_every_schema_key():
     assert resolved["grid"]["box_half_length"] == pytest.approx(8 * math.pi)
 
 
+def test_readme_ini_example_parses_to_the_defaults(tmp_path):
+    # the README's example, inline comments and all, spells out the defaults
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write_cfg(tmp_path, example))
+    resolved, default = resolved_dict(cfg), resolved_dict(parse_config(None))
+    assert resolved["scenario"] == "conservation"
+    for section in _SCHEMA:
+        assert resolved[section] == default[section], section
+
+
 # ------------------------------------------------------------ the gate table
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ounls import stepping
+from ounls import experiments, stepping
 from ounls.config import ConfigError, InitialData, ScenarioConfig
 from ounls.experiments import (
     SAMPLES_PER_UNIT_TIME,
@@ -58,12 +58,16 @@ def test_strichartz_records_its_pairs():
     # and the rule-derived resolutions and time samples it ran
     report = run_strichartz_ensemble(small_cfg(), [(6.0, 6.0), (8.0, 4.0)])
     assert report.settings == {"strichartz_pairs": [[6.0, 6.0], [8.0, 4.0]],
-                               "n_x": [64, 128], "time_samples": 65}
+                               "n_x": [64, 128], "time_samples": 65,
+                               "coarse_points": [18, 18]}
     default = run_strichartz_ensemble(
         small_cfg(strichartz_q=8.0, strichartz_r=4.0, horizon=0.5)
     )
     assert default.settings == {"strichartz_pairs": [[8.0, 4.0]], "n_x": [64, 128],
-                                "time_samples": 33}
+                                "time_samples": 33, "coarse_points": [18, 18]}
+    # a base grid below 4b+2 points evolves on itself, its double on 4b+2
+    coarse = run_strichartz_ensemble(small_cfg(disc=DiscretizationSpec(n_x=16)), [(6.0, 6.0)])
+    assert coarse.settings["coarse_points"] == [16, 18]
 
 
 def test_single_mode_closed_form_ratio():
@@ -75,7 +79,7 @@ def test_single_mode_closed_form_ratio():
     grid = BoxGrid(1, disc.resolved_box(1), 64)
     draw = np.zeros((5, 3), complex)
     draw[3, 0] = 1.0  # one x mode, alpha mode 0
-    out = _ladder_ratios(draw, measure, factors, grid, 4.0, [(6.0, 6.0), (8.0, 4.0)])
+    (out,) = _ladder_ratios(draw, measure, factors, [grid], 4.0, [(6.0, 6.0), (8.0, 4.0)])
     length = 2.0 * grid.half_length
     for (variant, (q, r)), value in out.items():
         expected = 4.0 ** (1.0 / q) * length ** (1.0 / r - 0.5)
@@ -153,11 +157,68 @@ def test_ladder_matches_columnwise_reference(model, dim, band, n_x, horizon, pai
     measure, factors = build_axis(spec, disc).mode_factors(band)
     grid = BoxGrid(dim, disc.resolved_box(dim), n_x)
     draw = random_band_coeffs(np.random.default_rng(2024 + n_x + band), dim, band)
-    got = _ladder_ratios(draw, measure, factors, grid, horizon, pairs)
+    (got,) = _ladder_ratios(draw, measure, factors, [grid], horizon, pairs)
     want = reference_ladder_ratios(draw, measure, factors, grid, horizon, pairs)
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-13 * value, key
+
+
+@pytest.mark.parametrize(
+    "model, dim, band, n_x",
+    [
+        ("nondiv", 1, 8, 256),  # both grids evolve on 34 points
+        ("div", 1, 8, 32),  # 32 and 34 points: one evolution each
+        ("nondiv", 1, 4, 16),  # 16 and 18 points
+        ("div", 2, 3, 16),  # both on 14 x 14 points
+    ],
+)
+def test_shared_evolution_matches_reference_per_grid(model, dim, band, n_x):
+    # one call for (n_x, 2 n_x) gives each grid's per-column reference ratios
+    spec = ModelSpec(model, dim, 2)
+    disc = DiscretizationSpec(n_x=n_x)
+    measure, factors = build_axis(spec, disc).mode_factors(band)
+    grids = [BoxGrid(dim, disc.resolved_box(dim), n) for n in (n_x, 2 * n_x)]
+    draw = random_band_coeffs(np.random.default_rng(99 + n_x + band), dim, band)
+    if dim == 1:
+        pairs = STRICHARTZ_PAIRS + [(4.0, math.inf), (12.0, 3.0)]
+    else:
+        pairs = [(4.0, 4.0), (6.0, 3.0)]
+    results = _ladder_ratios(draw, measure, factors, grids, 1.0, pairs)
+    assert len(results) == 2
+    for grid, got in zip(grids, results):
+        want = reference_ladder_ratios(draw, measure, factors, grid, 1.0, pairs)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-13 * value, (grid.n_points, key)
+
+
+@pytest.mark.parametrize("n_x, evolutions", [(256, [34]), (64, [34]), (32, [32, 34])],
+                         ids=["n_x=256", "n_x=64", "n_x=32"])
+def test_each_member_is_evolved_once_per_coarse_grid(monkeypatch, n_x, evolutions):
+    # the band DFT is built once per evolution: one per member when both
+    # resolutions share 4b+2 = 34 points, two when n_x = 32 < 34
+    built = []
+    band_dft = experiments._band_dft
+
+    def spy(band, m):
+        built.append(m)
+        return band_dft(band, m)
+
+    monkeypatch.setattr(experiments, "_band_dft", spy)
+    cfg = small_cfg(disc=DiscretizationSpec(n_x=n_x), initial=InitialData(band=8))
+    report = run_strichartz_ensemble(cfg, [(6.0, 6.0)])
+    assert built == evolutions * cfg.ensemble
+    assert report.settings["coarse_points"] == [min(n, 34) for n in (n_x, 2 * n_x)]
+
+
+def test_integer_powers_match_pow():
+    # repeated multiplication shares the lower powers and agrees with **
+    dens = np.random.default_rng(3).random(1000)
+    powers = {1: dens}
+    for h in (3, 2, 4, 1):
+        np.testing.assert_allclose(experiments._int_power(powers, h), dens**h, rtol=1e-15)
+    assert sorted(powers) == [1, 2, 3, 4]
 
 
 def test_ladder_clips_roundoff_negative_density():
@@ -171,7 +232,7 @@ def test_ladder_clips_roundoff_negative_density():
     draw = np.zeros((17, 9), complex)
     draw[7, 0] = draw[9, 0] = 1.0
     pairs = [(12.0, 3.0)]
-    got = _ladder_ratios(draw, measure, factors, grid, 1.0, pairs)
+    (got,) = _ladder_ratios(draw, measure, factors, [grid], 1.0, pairs)
     want = reference_ladder_ratios(draw, measure, factors, grid, 1.0, pairs)
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-13 * value, key
