@@ -76,6 +76,16 @@ class ScenarioConfig:
         return np.linspace(0.0, self.horizon, self.n_samples)
 
 
+def check_band_resolved(n_x: int, band: int):
+    """The 2*band + 1 x modes of a band-limited draw must be distinct on n_x
+    points per axis; on fewer, modes j and j - n_x are one grid mode."""
+    if n_x < 2 * band + 1:
+        raise ConfigError(
+            f"initial.band = {band} needs grid.n_x >= {2 * band + 1}, got {n_x}: "
+            f"the band modes would alias onto each other"
+        )
+
+
 def check_admissible_pair(q: float, r: float, dim: int):
     """Space-time exponent admissibility: 2/q + d/r = d/2, q,r >= 2,
     excluding (q, r, d) = (2, inf, 2)."""
@@ -96,20 +106,9 @@ def check_admissible_pair(q: float, r: float, dim: int):
 _SIGNS = {"defocusing": +1, "focusing": -1, "+1": +1, "-1": -1, "1": +1}
 
 
-def _parse_float(section, key, raw):
-    try:
-        if raw in ("inf", "infinity"):
-            return math.inf
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from None
-
-
-def _parse_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from None
+# numeric kind -> (parser, what a bad value is told it must be); float()
+# reads "inf" and "infinity" itself
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
 # section -> key -> (target attribute path, parser)
@@ -166,10 +165,12 @@ def resolved_dict(cfg: ScenarioConfig) -> dict:
 
 
 def _coerce(section, key, raw, kind):
-    if kind == "int":
-        return _parse_int(section, key, raw)
-    if kind == "float":
-        return _parse_float(section, key, raw)
+    if kind in _NUMBERS:
+        parse, what = _NUMBERS[kind]
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}") from None
     if kind == "sign":
         if raw.lower() not in _SIGNS:
             raise ConfigError(
@@ -229,9 +230,9 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
 
     try:
         cfg.model = ModelSpec(**model_kw)
+        cfg.disc = DiscretizationSpec(**disc_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    cfg.disc = DiscretizationSpec(**disc_kw)
     cfg.initial.validate()
 
     if cfg.scenario not in SCENARIOS:
@@ -250,4 +251,6 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
         raise ConfigError("run.threads must be >= 1")
     if cfg.scenario == "strichartz":
         check_admissible_pair(cfg.strichartz_q, cfg.strichartz_r, cfg.model.dim)
+    if cfg.scenario == "strichartz" or (cfg.scenario, cfg.initial.kind) == ("simulate", "random"):
+        check_band_resolved(cfg.disc.n_x, cfg.initial.band)
     return cfg

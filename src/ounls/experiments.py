@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import hermite, observables
-from .config import InitialData, ScenarioConfig, check_admissible_pair
+from .config import InitialData, ScenarioConfig, check_admissible_pair, check_band_resolved
 from .grids import BoxGrid
 from .models import (
     DEFOCUSING, FOCUSING, MODEL_DIV, MODEL_NONDIV, DiscretizationSpec, ModelSpec,
@@ -76,6 +76,7 @@ def band_coeffs_to_field(coeffs: np.ndarray, mach: Machinery, band: int) -> np.n
     resolution independent (same coefficients give the same field on any
     grid that resolves the band)."""
     grid = mach.grid
+    check_band_resolved(grid.n_points, band)
     hat = _embed_x_modes(coeffs, grid.dim, grid.n_points, band)
     nodal_x = np.fft.ifftn(hat, axes=grid.x_axes, norm="ortho")
     return nodal_x @ mach.axis.band_shapes(band)
@@ -315,6 +316,7 @@ def run_strichartz_ensemble(
         pairs = [(cfg.strichartz_q, cfg.strichartz_r)]
     for q, r in pairs:
         check_admissible_pair(q, r, cfg.model.dim)
+    check_band_resolved(cfg.disc.n_x, cfg.initial.band)
     label = ",".join(f"(q={q:g},r={r:g})" for q, r in pairs)
     report = Report(f"strichartz{label}")
     report.settings["strichartz_pairs"] = [[q, r] for q, r in pairs]
@@ -474,10 +476,10 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
 
     pullbacks = []
 
-    def record_pullback(fld, spec, machx):
+    def record_pullback(fld, machx):
         back = machx.propagator(-fld.time).apply(fld.data) if fld.time else fld.data
         pullbacks.append((fld.time, back))
-        return observables.sample_record(fld, spec, machx)
+        return observables.sample_record(fld, machx)
 
     integrate(
         Field(raw),
@@ -541,13 +543,12 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
         raise NumericCheckError("blow-up scenario runs on the divergence-form model")
     report = Report("blowup")
     report.settings["leg_signs"] = {"focusing leg": FOCUSING, "defocusing control": DEFOCUSING}
-    spec = replace(cfg.model, sign=FOCUSING)
-    mach = build_machinery(spec, cfg.disc)
+    mach = build_machinery(replace(cfg.model, sign=FOCUSING), cfg.disc)
 
     init = cfg.initial
     data = gaussian_field(mach, init)
     doublings = 0
-    while observables.energy(data, spec, mach) >= 0.0:
+    while observables.energy(data, mach) >= 0.0:
         doublings += 1
         if doublings > 40:
             raise NumericCheckError(
@@ -605,8 +606,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     report.notes.append(_step_note("focusing leg", state))
     _flow_note(report, mach, "focusing leg")
 
-    control_spec = replace(cfg.model, sign=DEFOCUSING)
-    control_mach = build_machinery(control_spec, cfg.disc)
+    control_mach = build_machinery(replace(cfg.model, sign=DEFOCUSING), cfg.disc)
     control_horizon = 2.0 * flag_time
     control_samples = np.linspace(0.0, control_horizon, n_control_samples)
     _, control_state = integrate(
@@ -675,18 +675,16 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
 
         rows = []
 
-        def record(fld, spec, machx):
+        def record(fld, machx):
             # one snapshot: m(x) once, one auto-correlation for both rho
-            snap = observables.Snapshot(fld, spec, machx)
+            snap = observables.Snapshot(fld, machx)
             rows.append(
                 {
                     "time": fld.time,
-                    "I_abs": observables.morawetz_I(snap, spec, machx, "abs"),
-                    "I_bracket": observables.morawetz_I(snap, spec, machx, "bracket"),
-                    "bound": observables.morawetz_dI_bound(snap, spec, machx),
-                    "weighted_potential": observables.morawetz_weighted_potential(
-                        snap, spec, machx
-                    ),
+                    "I_abs": observables.morawetz_I(snap, machx, "abs"),
+                    "I_bracket": observables.morawetz_I(snap, machx, "bracket"),
+                    "bound": observables.morawetz_dI_bound(snap, machx),
+                    "weighted_potential": observables.morawetz_weighted_potential(snap, machx),
                 }
             )
             return rows[-1]
@@ -729,7 +727,7 @@ def run_simulation(cfg: ScenarioConfig):
         data = band_coeffs_to_field(
             random_band_coeffs(rng, cfg.model.dim, cfg.initial.band), mach, cfg.initial.band
         )
-        norm = math.sqrt(observables.mass(data, cfg.model, mach))
+        norm = math.sqrt(observables.mass(data, mach))
         data *= cfg.initial.amplitude / norm
     control = StepControl(dt=cfg.dt)
     return integrate(Field(data), mach, cfg.horizon, cfg.sample_times(), control)

@@ -61,6 +61,19 @@ class DiscretizationSpec:
     div_nodes: int = 513
     div_half_width: float = 12.0
 
+    def __post_init__(self):
+        n = self.n_x
+        if n < 2 or n & (n - 1):
+            raise ValueError(f"n_x must be a power of two >= 2, got {n}")
+        if self.n_alpha < 2:
+            raise ValueError(f"n_alpha must be >= 2, got {self.n_alpha}")
+        if self.div_nodes < 3:
+            raise ValueError(f"div_nodes must be >= 3, got {self.div_nodes}")
+        for name in ("box_half_length", "div_half_width"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
     def resolved_box(self, dim: int) -> float:
         if self.box_half_length is not None:
             return self.box_half_length

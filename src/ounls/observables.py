@@ -2,11 +2,12 @@
 virial potential with its second-derivative identity, and the interaction
 functional with its first-derivative bound.
 
-Every function takes a nodal Field (or bare array) and evaluates with the
-model's native measure: plain dx d(alpha) for the divergence form, the
-Gaussian-weighted measure for the drift form.  A ``Snapshot`` of the field
-may be passed in its place: it holds the pieces the functionals share, so
-``sample_record`` transforms each field once.
+Every functional is called as ``f(fld, mach)``: a nodal Field (or bare
+array) and the Machinery, whose ``spec`` says which model it is.  It
+evaluates with the model's native measure: plain dx d(alpha) for the
+divergence form, the Gaussian-weighted measure for the drift form.  A
+``Snapshot`` of the field may be passed in its place: it holds the pieces
+the functionals share, so ``sample_record`` transforms each field once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import laplacian_symbol, x_fft, x_ifft
-from .models import MODEL_DIV, ModelSpec
+from .models import MODEL_DIV
 from .operators import Machinery, nonlinear_gain
 from .state import Field
 
@@ -63,9 +64,8 @@ class Snapshot:
     so functionals called on one snapshot transform the field once.
     """
 
-    def __init__(self, fld, spec: ModelSpec, mach: Machinery):
+    def __init__(self, fld, mach: Machinery):
         self.data = _data(fld)
-        self.spec = spec
         self.mach = mach
 
     @cached_property
@@ -107,7 +107,7 @@ class Snapshot:
     @cached_property
     def potential_density(self) -> np.ndarray:
         """x density of g(alpha)|u|^{p+2} against the native alpha measure."""
-        gain = nonlinear_gain(self.data, self.spec, self.mach)
+        gain = nonlinear_gain(self.data, self.mach)
         return (gain * self.amp2) @ self.mach.axis.weights
 
     @cached_property
@@ -120,57 +120,57 @@ class Snapshot:
         return _lag_correlation(self.mass_density, self.mach.grid.spacing)
 
 
-def _snapshot(fld, spec: ModelSpec, mach: Machinery) -> Snapshot:
-    """``fld`` itself when it is a snapshot taken with this spec and
-    machinery, else a new snapshot of the field."""
-    if isinstance(fld, Snapshot) and fld.spec == spec and fld.mach is mach:
+def _snapshot(fld, mach: Machinery) -> Snapshot:
+    """``fld`` itself when it is a snapshot taken with this machinery, else
+    a new snapshot of the field."""
+    if isinstance(fld, Snapshot) and fld.mach is mach:
         return fld
-    return Snapshot(fld, spec, mach)
+    return Snapshot(fld, mach)
 
 
-def mass(fld, spec: ModelSpec, mach: Machinery) -> float:
+def mass(fld, mach: Machinery) -> float:
     """Native squared L^2: integral of |u|^2 against the model's measure."""
-    return _snapshot(fld, spec, mach).mass
+    return _snapshot(fld, mach).mass
 
 
-def energy_terms(fld, spec: ModelSpec, mach: Machinery) -> dict[str, float]:
+def energy_terms(fld, mach: Machinery) -> dict[str, float]:
     """The three energy terms: x-kinetic, alpha-kinetic, potential (signed)."""
-    snap = _snapshot(fld, spec, mach)
+    snap = _snapshot(fld, mach)
     return {
         "kinetic_x": 0.5 * snap.kinetic_x,
         "kinetic_alpha": 0.5 * snap.kinetic_alpha,
-        "potential": spec.sign / (spec.power + 2) * snap.potential,
+        "potential": mach.spec.sign / (mach.spec.power + 2) * snap.potential,
     }
 
 
-def energy(fld, spec: ModelSpec, mach: Machinery) -> float:
-    return float(sum(energy_terms(fld, spec, mach).values()))
+def energy(fld, mach: Machinery) -> float:
+    return float(sum(energy_terms(fld, mach).values()))
 
 
-def h1_native(fld, spec: ModelSpec, mach: Machinery) -> float:
+def h1_native(fld, mach: Machinery) -> float:
     """Energy-compatible H^1-type norm in the model's native measure."""
-    snap = _snapshot(fld, spec, mach)
+    snap = _snapshot(fld, mach)
     return math.sqrt(snap.mass + snap.kinetic_x + snap.kinetic_alpha)
 
 
-def _require_div(spec: ModelSpec, what: str):
-    if spec.model != MODEL_DIV:
+def _require_div(mach: Machinery, what: str):
+    if mach.spec.model != MODEL_DIV:
         raise UnsupportedModelError(
             f"{what} is defined for the divergence-form model only"
         )
 
 
-def virial(fld, spec: ModelSpec, mach: Machinery) -> float:
+def virial(fld, mach: Machinery) -> float:
     """V(t) = integral |x|^2 |u|^2 dx d(alpha)."""
-    _require_div(spec, "virial")
+    _require_div(mach, "virial")
     radius_sq = sum(c**2 for c in mach.grid.coordinates())
-    dens = _snapshot(fld, spec, mach).mass_density
+    dens = _snapshot(fld, mach).mass_density
     return float(mach.grid.cell_volume * np.sum(radius_sq * dens))
 
 
-def virial_dt(fld, spec: ModelSpec, mach: Machinery) -> float:
+def virial_dt(fld, mach: Machinery) -> float:
     """First time derivative: 4 Im integral x . grad_x(u) conj(u)."""
-    _require_div(spec, "virial_dt")
+    _require_div(mach, "virial_dt")
     u = _data(fld)
     hat = x_fft(u, mach.grid)
     k = mach.grid.wavenumbers
@@ -184,7 +184,7 @@ def virial_dt(fld, spec: ModelSpec, mach: Machinery) -> float:
     return 4.0 * mach.grid.cell_volume * total
 
 
-def virial_rhs(fld, spec: ModelSpec, mach: Machinery) -> float:
+def virial_rhs(fld, mach: Machinery) -> float:
     """Right side of the second-derivative identity, times 16.
 
     (1/16) V'' = E - (1/2) int e^{-a^2/2}|du/da|^2
@@ -192,13 +192,13 @@ def virial_rhs(fld, spec: ModelSpec, mach: Machinery) -> float:
     with sign = +1 defocusing, -1 focusing; the focusing case is the
     concavity route to finite-time blow-up.
     """
-    _require_div(spec, "virial_rhs")
-    snap = _snapshot(fld, spec, mach)
-    coeff = (spec.dim * spec.power - 4) / (4.0 * (spec.power + 2))
+    _require_div(mach, "virial_rhs")
+    snap = _snapshot(fld, mach)
+    coeff = (mach.spec.dim * mach.spec.power - 4) / (4.0 * (mach.spec.power + 2))
     return 16.0 * (
-        energy(snap, spec, mach)
+        energy(snap, mach)
         - 0.5 * snap.kinetic_alpha
-        + spec.sign * coeff * snap.potential
+        + mach.spec.sign * coeff * snap.potential
     )
 
 
@@ -229,41 +229,41 @@ def rho_values(lag_radius: np.ndarray, rho: str) -> np.ndarray:
     raise ValueError(f"unknown rho tag {rho!r}; expected one of {RHO_TAGS}")
 
 
-def morawetz_I(fld, spec: ModelSpec, mach: Machinery, rho: str = "abs") -> float:
+def morawetz_I(fld, mach: Machinery, rho: str = "abs") -> float:
     """I_rho = iint rho(x - y) m(x) m(y) dx dy as a discrete convolution.
 
     Lags use exact node differences; for rho = |x-y| the diagonal cell
     contributes zero by the quadrature convention rho(0) = 0.
     """
-    corr, radius = _snapshot(fld, spec, mach).autocorrelation
+    corr, radius = _snapshot(fld, mach).autocorrelation
     return float(mach.grid.cell_volume**2 * np.sum(rho_values(radius, rho) * corr))
 
 
-def morawetz_dI_bound(fld, spec: ModelSpec, mach: Machinery) -> float:
+def morawetz_dI_bound(fld, mach: Machinery) -> float:
     """||u||^3_{L^2} ||u||_{H^1_x-dot} in the native norms."""
-    snap = _snapshot(fld, spec, mach)
+    snap = _snapshot(fld, mach)
     return snap.mass**1.5 * math.sqrt(snap.kinetic_x)
 
 
-def morawetz_weighted_potential(fld, spec: ModelSpec, mach: Machinery) -> float:
+def morawetz_weighted_potential(fld, mach: Machinery) -> float:
     """iint m(x) (Lap rho)(x - y) m_p(y) dx dy with rho = <x - y>.
 
     The positive quantity on the left side of the interaction bound, with
     m the native mass density and m_p the |u|^{p+2} density (nonlinearity
     weight included).  Measured only; no sharp constant is asserted.
     """
-    snap = _snapshot(fld, spec, mach)
+    snap = _snapshot(fld, mach)
     corr, radius = _lag_correlation(
         snap.mass_density, mach.grid.spacing, snap.potential_density
     )
     bracket = rho_values(radius, "bracket")
-    lap_rho = (spec.dim - 1) / bracket + 1.0 / bracket**3
+    lap_rho = (mach.spec.dim - 1) / bracket + 1.0 / bracket**3
     return float(mach.grid.cell_volume**2 * np.sum(lap_rho * corr))
 
 
-def boundary_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
+def boundary_mass_fraction(fld, mach: Machinery) -> float:
     """Native-mass fraction in the outermost 10% shell of the x box."""
-    dens = _snapshot(fld, spec, mach).mass_density
+    dens = _snapshot(fld, mach).mass_density
     shell = [np.abs(c) >= 0.9 * mach.grid.half_length for c in mach.grid.coordinates()]
     outer = np.logical_or.reduce(np.broadcast_arrays(*shell))
     total = float(dens.sum())
@@ -276,40 +276,40 @@ MONITOR_THRESHOLD = 1e-8
 TAIL_MODES = 4  # the top alpha modes whose mass the tail monitor reports
 
 
-def tail_mass_fraction(fld, spec: ModelSpec, mach: Machinery) -> float:
+def tail_mass_fraction(fld, mach: Machinery) -> float:
     """Fraction of native alpha-spectral mass in the top TAIL_MODES modes."""
-    return mach.axis.tail_fraction(_snapshot(fld, spec, mach).spectrum, TAIL_MODES)
+    return mach.axis.tail_fraction(_snapshot(fld, mach).spectrum, TAIL_MODES)
 
 
-def sample_record(fld: Field, spec: ModelSpec, mach: Machinery) -> DiagnosticsRecord:
+def sample_record(fld: Field, mach: Machinery) -> DiagnosticsRecord:
     """Evaluate every monitored functional on one snapshot of the field: one
     |u|^2, one x-FFT, one alpha transform and one potential density.
 
     Warns when the truncation monitors cross 1e-8: the alpha band is too
     small (tail fraction) or the box is shedding mass (boundary fraction).
     """
-    snap = Snapshot(fld, spec, mach)
-    if spec.model == MODEL_DIV:
-        vir = virial(snap, spec, mach)
-        vir_rhs = virial_rhs(snap, spec, mach)
+    snap = Snapshot(fld, mach)
+    if mach.spec.model == MODEL_DIV:
+        vir = virial(snap, mach)
+        vir_rhs = virial_rhs(snap, mach)
     else:
         vir = math.nan
         vir_rhs = math.nan
-    tail = tail_mass_fraction(snap, spec, mach)
-    boundary = boundary_mass_fraction(snap, spec, mach)
+    tail = tail_mass_fraction(snap, mach)
+    boundary = boundary_mass_fraction(snap, mach)
     if tail > MONITOR_THRESHOLD:
         warnings.warn("alpha truncation tail fraction above 1e-8", RuntimeWarning)
     if boundary > MONITOR_THRESHOLD:
         warnings.warn("boundary shell mass fraction above 1e-8", RuntimeWarning)
     return DiagnosticsRecord(
         time=fld.time,
-        mass=mass(snap, spec, mach),
-        energy=energy(snap, spec, mach),
-        h1_native=h1_native(snap, spec, mach),
+        mass=mass(snap, mach),
+        energy=energy(snap, mach),
+        h1_native=h1_native(snap, mach),
         virial=vir,
         virial_rhs=vir_rhs,
-        morawetz_I=morawetz_I(snap, spec, mach, "abs"),
-        morawetz_dI_bound=morawetz_dI_bound(snap, spec, mach),
+        morawetz_I=morawetz_I(snap, mach, "abs"),
+        morawetz_dI_bound=morawetz_dI_bound(snap, mach),
         tail_mass_fraction=tail,
         boundary_mass_fraction=boundary,
     )

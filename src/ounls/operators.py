@@ -448,16 +448,16 @@ def build_linear_propagator(
     return LinearPropagator(grid, t, x_phase, axis, axis.flow(t))
 
 
-def nonlinear_gain(data: np.ndarray, spec: ModelSpec, mach: Machinery) -> np.ndarray:
+def nonlinear_gain(data: np.ndarray, mach: Machinery) -> np.ndarray:
     """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2);
     an axis without a gain weight (the div form) skips the multiply."""
     amp2 = data.real**2 + data.imag**2
     if mach.axis.gain_weight is not None:
         amp2 *= mach.axis.gain_weight
-    return amp2 ** (spec.power // 2)
+    return amp2 ** (mach.spec.power // 2)
 
 
-def apply_nonlinearity(data: np.ndarray, spec: ModelSpec, mach: Machinery, dt: float) -> np.ndarray:
+def apply_nonlinearity(data: np.ndarray, mach: Machinery, dt: float) -> np.ndarray:
     """Exact nonlinear substep: u -> u exp(-i sign g(alpha) |u|^p dt).
 
     Pure phase rotation, so |u| is preserved pointwise.  Raises
@@ -467,8 +467,8 @@ def apply_nonlinearity(data: np.ndarray, spec: ModelSpec, mach: Machinery, dt: f
         raise NonFiniteFieldError("nonfinite field values in nonlinear substep")
     if dt == 0.0:
         return data.copy()
-    theta = nonlinear_gain(data, spec, mach)
-    theta *= -spec.sign * dt
+    theta = nonlinear_gain(data, mach)
+    theta *= -mach.spec.sign * dt
     # exp(i theta) written part by part: cos and sin of a real array are
     # cheaper than the complex exponential of an imaginary one
     out = np.empty(data.shape, dtype=np.complex128)

@@ -11,20 +11,24 @@ rule keeps, which is the projection, so the trailing substep dealiases
 without a transform pair of its own and every alpha flow, x multiplier and
 norm runs on those rows (85 of 128, 171 of 256).
 
-The fixed-step path merges the trailing half of step i with the leading
-half of step i+1 into one masked full step (first same as last; exact
-because both halves are exact flows).  A segment of n steps between sample
-times costs n + 1 linear applications: an opening half step, n - 1 merged
-full steps and a closing half step that makes the field synchronous for
-the sample.  Each step is one x-FFT pair, one alpha application (Hermite
-forward and inverse, or the div-form matrix G(t) over its band) and one
-nonlinear phase.
+Both paths carry the synchronous field as a kept-row spectrum c and a lag
+l, the field being S(l) c, where the linear flow S(t) and the 2/3
+projection P are diagonal and N(t) is the nonlinear phase.  Each Strang
+evaluation N(t) S(t_flow + l) c runs through one helper, and the lag is
+0 at the start of each segment; S(l) is applied once, by one synthesis,
+at the segment end or at a flag, so the nodal field is built only there.
+
+The fixed-step path keeps, after each step, c = P N(dt) S(dt/2 + l) c and
+l = dt/2: the trailing half of step i and the leading half of step i+1
+are one masked full step (first same as last; exact because both halves
+are exact flows, and 0.5*dt + 0.5*dt == dt exactly).  A segment of n steps
+between sample times costs n + 1 linear applications: an opening half
+step, n - 1 merged full steps and the closing S(dt/2).  Each step is one
+x-FFT pair, one alpha application (Hermite forward and inverse, or the
+div-form matrix G(t) over its band) and one nonlinear phase.
 
 The adaptive path compares one step of length dt with two of dt/2 (step
-doubling) in one fused attempt.  It carries the synchronous field as a
-kept-row spectrum c and a lag l, the field being S(l) c, where the linear
-flow S(t) and the 2/3 projection P are diagonal (N(t) is the nonlinear
-phase):
+doubling) in one fused attempt:
 
     coarse   a = N(dt) S(dt/2 + l) c
     fine     v = N(dt/2) S(dt/4 + l) c,   b = N(dt/2) S(dt/2) P v
@@ -38,14 +42,11 @@ two-half-step one S(dt/4) P b; S(dt/4) is unitary and commutes with P, so
 one vdot over the kept rows, without a synthesis.  On acceptance the
 guard's H^1 is read off the spectrum of b, and the step keeps c = P b with
 the lag l = dt/4: its last quarter step folds into the next attempt's
-leading flows (first same as last).  The lag is 0 at the start of each
-segment, and S(l) is applied once at the segment end or at a flag.  An
-attempt, accepted or rejected, costs 6 x-FFTs (3 forward, 3 inverse), 4
-alpha flows (the banded div-form matrix, or a diagonal phase between 3
-forward and 3 inverse Hermite transforms) and 3 nonlinear phases; three
-separate Strang evaluations cost 12 x-FFTs, 6 alpha flows with 6 Hermite
-transform pairs, and 3 phases.  The nodal field is built only at the
-segment end or at a flag.
+leading flows.  An attempt, accepted or rejected, costs 6 x-FFTs (3
+forward, 3 inverse), 4 alpha flows (the banded div-form matrix, or a
+diagonal phase between 3 forward and 3 inverse Hermite transforms) and 3
+nonlinear phases; three separate Strang evaluations cost 12 x-FFTs, 6
+alpha flows with 6 Hermite transform pairs, and 3 phases.
 
 The blow-up guard needs the native H^1 after every step.  That norm is
 invariant under the linear flow: the x phase is unitary and diagonal in k,
@@ -115,13 +116,8 @@ def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
     return x_ifft(hat, mach.grid)
 
 
-def detect_blowup(
-    state: StepperState,
-    mach: Machinery,
-    thresholds: BlowupThresholds,
-    h1: float,
-    time: float,
-) -> StepperState:
+def detect_blowup(state: StepperState, thresholds: BlowupThresholds, h1: float,
+                  time: float) -> StepperState:
     """Flag on nonfinite values, on an H^1 ratio past the ceiling, or when
     the step controller has been driven to dt_min with rejections or
     acceptances at the floor.
@@ -132,16 +128,27 @@ def detect_blowup(
     """
     if state.blowup_flag:
         return state
-    flagged = False
-    if not math.isfinite(h1):
-        flagged = True
-    elif state.h1_initial > 0 and h1 / state.h1_initial > thresholds.norm_ratio_max:
-        flagged = True
-    if state.dt <= thresholds.dt_min and state.rejected_count + state.floor_count > 0:
-        flagged = True
-    if flagged:
+    at_floor = state.dt <= thresholds.dt_min and state.rejected_count + state.floor_count > 0
+    if (not math.isfinite(h1) or at_floor
+            or state.h1_initial > 0 and h1 / state.h1_initial > thresholds.norm_ratio_max):
         state.blowup_flag = True
         state.blowup_time_estimate = time
+    return state
+
+
+def _phased(mach: Machinery, spectrum: np.ndarray, t_flow: float, t_phase: float) -> np.ndarray:
+    """N(t_phase) S(t_flow) on a kept-row spectrum: the nodal output of the
+    nonlinear phase."""
+    data = mach.synthesize(mach.propagator(t_flow).advance(spectrum, mach.kept))
+    return apply_nonlinearity(data, mach, t_phase)
+
+
+def _synchronize(state, mach, carried, lag, time, target):
+    """Make the field synchronous, S(lag) ``carried``, at the flag time or
+    at the segment end."""
+    if lag:
+        carried = mach.propagator(lag).advance(carried, mach.kept)
+    state.field = Field(mach.synthesize(carried), time if state.blowup_flag else target)
     return state
 
 
@@ -151,42 +158,33 @@ def _advance_fixed(state, mach, target, control, thresholds):
     # within 1e-12 of the nominal one is snapped to it, so the float-keyed
     # propagator cache sees one key per dt and not one per one-ulp jitter
     # of remaining / n_sub
-    remaining = target - state.field.time
+    start = time = state.field.time
+    remaining = target - start
     n_sub = max(1, math.ceil(remaining / control.dt * (1.0 - 1e-12)))
     dt = remaining / n_sub
     if abs(dt - control.dt) <= 1e-12 * abs(control.dt):
         dt = control.dt
     state.dt = dt
-    # first same as last: the trailing half step of step i and the leading
-    # half step of step i+1 are one masked full step, so the field is
-    # synchronous only at the segment end or at a flag
-    half = mach.propagator(0.5 * dt)
-    full = mach.propagator(dt) if n_sub > 1 else half
-    start = state.field.time
-    data = mach.synthesize(half.advance(mach.forward(state.field.data), mach.kept))
+    # first same as last: a step keeps the spectrum of its nonlinear output
+    # with the lag dt/2, which folds into the next step's leading half step
+    carried, lag = mach.forward(state.field.data), 0.0
     for i in range(1, n_sub + 1):
         try:
-            phased = apply_nonlinearity(data, mach.spec, mach, dt)
+            # no nodal array outlives the step (one did: div_dense RSS +2 MB)
+            carried = mach.forward(_phased(mach, carried, 0.5 * dt + lag, dt))
         except NonFiniteFieldError:
             # only reachable on the first step: a later nonfinite field
             # already gave a nonfinite H^1 and flagged the step before
             state.blowup_flag = True
-            state.blowup_time_estimate = state.field.time
-            return state
-        spectrum = mach.forward(phased)
-        h1 = mach.spectral_h1(spectrum)
-        last = i == n_sub
-        data = mach.synthesize((half if last else full).advance(spectrum, mach.kept))
-        state.accept(dt)
+            state.blowup_time_estimate = time
+            break
+        lag = 0.5 * dt
         time = start + i * dt
-        state = detect_blowup(state, mach, thresholds, h1=h1, time=time)
+        state.accept(dt)
+        state = detect_blowup(state, thresholds, h1=mach.spectral_h1(carried), time=time)
         if state.blowup_flag:
-            if not last:
-                data = mach.synthesize(half.advance(spectrum, mach.kept))
-            state.field = Field(data, time)
-            return state
-    state.field = Field(data, target)
-    return state
+            break
+    return _synchronize(state, mach, carried, lag, time, target)
 
 
 def _doubling_attempt(carried: np.ndarray, lag: float, mach: Machinery, dt: float):
@@ -197,19 +195,13 @@ def _doubling_attempt(carried: np.ndarray, lag: float, mach: Machinery, dt: floa
     the two-half-step results, and the kept-row spectrum of the fine pair's
     second nonlinear output, which S(dt/4) takes to the end of the step.
     """
-    rows = mach.kept
-
-    def phased(t_flow, spectrum, t_phase):
-        data = mach.synthesize(mach.propagator(t_flow).advance(spectrum, rows))
-        return apply_nonlinearity(data, mach.spec, mach, t_phase)
-
-    coarse = phased(0.5 * dt + lag, carried, dt)
-    mid = phased(0.25 * dt + lag, carried, 0.5 * dt)
+    coarse = _phased(mach, carried, 0.5 * dt + lag, dt)
+    mid = _phased(mach, carried, 0.25 * dt + lag, 0.5 * dt)
     # the middle quarter steps of the two halves merge into one masked half
-    fine = mach.forward(phased(0.5 * dt, mach.forward(mid), 0.5 * dt))
+    fine = mach.forward(_phased(mach, mach.forward(mid), 0.5 * dt, 0.5 * dt))
     # ||S(dt/2) P coarse - S(dt/4) P fine|| = ||P (S(dt/4) coarse - fine)||
     quarter = mach.propagator(0.25 * dt)
-    diff = quarter.advance(mach.forward(coarse), rows) - fine
+    diff = quarter.advance(mach.forward(coarse), mach.kept) - fine
     return mach.spectral_l2(diff), fine
 
 
@@ -217,10 +209,8 @@ def _advance_adaptive(state, mach, target, control, thresholds):
     eps = 1e-12 * max(1.0, abs(target))
     nominal = state.dt
     time = state.field.time
-    # the synchronous field is S(lag) carried: an accepted step keeps its
-    # fine spectrum and folds its last quarter step into the next attempt's
-    # leading flows; the nodal field is built only at the segment end or at
-    # a flag
+    # an accepted step keeps its fine spectrum with the lag dt/4, and its
+    # last quarter step folds into the next attempt's leading flows
     carried, lag = mach.forward(state.field.data), 0.0
     while time < target - eps and not state.blowup_flag:
         dt = min(nominal, target - time)
@@ -241,14 +231,11 @@ def _advance_adaptive(state, mach, target, control, thresholds):
         if err > control.err_grow:
             # still failing at the dt floor: hand off to the guard
             state.floor_count += 1
-        state = detect_blowup(state, mach, thresholds, h1=mach.spectral_h1(fine), time=time)
+        state = detect_blowup(state, thresholds, h1=mach.spectral_h1(fine), time=time)
         if err < control.err_shrink and dt == nominal:
             nominal = min(2.0 * dt, control.dt_max)
         state.dt = nominal
-    if lag:
-        carried = mach.propagator(lag).advance(carried, mach.kept)
-    state.field = Field(mach.synthesize(carried), time if state.blowup_flag else target)
-    return state
+    return _synchronize(state, mach, carried, lag, time, target)
 
 
 def integrate(
@@ -275,15 +262,12 @@ def integrate(
     if samples[0] < 0 or samples[-1] > horizon + 1e-12:
         raise ValueError("sample times must lie inside [0, horizon]")
 
-    field = Field(initial.data.copy(), initial.time)
-    if field.finite:
+    state = StepperState(field=Field(initial.data.copy(), initial.time), dt=control.dt)
+    if state.field.finite:
         # project the initial data once so conservation tracks the orbit of
         # the dealiased state rather than a one-time mask transient
-        field.data = _dealias(field.data, mach)
-        state = StepperState(field=field, dt=control.dt)
-        state.h1_initial = observables.h1_native(field, mach.spec, mach)
-    else:
-        state = StepperState(field=field, dt=control.dt)
+        state.field.data = _dealias(state.field.data, mach)
+        state.h1_initial = observables.h1_native(state.field, mach)
 
     advance = _advance_adaptive if control.adaptive else _advance_fixed
     records = []
@@ -292,5 +276,5 @@ def integrate(
             state = advance(state, mach, target, control, thresholds)
         if state.blowup_flag:
             break
-        records.append(record_fn(state.field, mach.spec, mach))
+        records.append(record_fn(state.field, mach))
     return records, state

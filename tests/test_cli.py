@@ -43,6 +43,24 @@ def test_threads_flag_is_validated_like_the_config_key(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    ["grid.n_x=100"],
+    ["grid.n_alpha=1"],
+    ["model.model=div", "grid.div_nodes=2"],
+    ["grid.box_half_length=0"],
+    ["grid.box_half_length=-3"],
+    ["grid.div_half_width=inf"],
+], ids=["n_x-not-power-of-two", "n_alpha-1", "div_nodes-2", "box-zero", "box-negative",
+        "div-width-inf"])
+def test_bad_grid_value_is_a_config_error(tmp_path, capsys, overrides):
+    out = tmp_path / "o"
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert run_cli(["simulate", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 SIMULATE_SMALL = [
     "--set", "grid.n_x=64", "--set", f"grid.box_half_length={4 * math.pi}",
     "--set", "run.t=0.05", "--set", "run.dt=0.005", "--set", "run.samples=3",

@@ -67,6 +67,18 @@ def test_inadmissible_pair_message_cites_relation():
     check_admissible_pair(math.inf, 2.0, 1)
 
 
+@pytest.mark.parametrize("scenario,kind", [
+    ("strichartz", "gaussian"), ("simulate", "random"),
+])
+def test_band_must_fit_on_the_grid(scenario, kind):
+    base = [f"run.scenario={scenario}", f"initial.kind={kind}", "initial.band=8"]
+    with pytest.raises(ConfigError, match="needs grid.n_x >= 17, got 16"):
+        parse_config(overrides=base + ["grid.n_x=16"])
+    assert parse_config(overrides=base + ["grid.n_x=32"]).disc.n_x == 32
+    # a Gaussian simulate run draws no band modes, so it is not checked
+    assert parse_config(overrides=["grid.n_x=16", "initial.band=8"]).disc.n_x == 16
+
+
 def test_unknown_keys_are_hard_errors(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(write_cfg(tmp_path, "[model]\nmodle = nondiv\n"))

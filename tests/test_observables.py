@@ -57,22 +57,22 @@ def div2():
 def test_mass_gaussian_oracle(nondiv):
     # integral of e^{-x^2} dx times e^{-a^2} da equals pi
     u = template(nondiv)
-    assert abs(mass(u, nondiv.spec, nondiv) - math.pi) < 1e-8
+    assert abs(mass(u, nondiv) - math.pi) < 1e-8
 
 
 def test_mass_zero_and_scaling(nondiv):
-    assert mass(np.zeros((256, 64)), nondiv.spec, nondiv) == 0.0
+    assert mass(np.zeros((256, 64)), nondiv) == 0.0
     u = template(nondiv)
-    m1 = mass(u, nondiv.spec, nondiv)
-    m2 = mass((2.0 - 1.0j) * u, nondiv.spec, nondiv)
+    m1 = mass(u, nondiv)
+    m2 = mass((2.0 - 1.0j) * u, nondiv)
     assert abs(m2 - 5.0 * m1) < 1e-12 * m2
 
 
 def test_energy_zero_field_and_x_independent(div2):
-    assert energy(np.zeros((256, 513)), div2.spec, div2) == 0.0
+    assert energy(np.zeros((256, 513)), div2) == 0.0
     prof = np.exp(-div2.axis.nodes**2 / 4.0)
     u = np.ones(256)[:, None] * prof + 0j
-    terms = energy_terms(u, div2.spec, div2)
+    terms = energy_terms(u, div2)
     assert abs(terms["kinetic_x"]) < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_div_energy_terms_against_dense_quadrature():
         spec, DiscretizationSpec(n_x=256, div_nodes=8193)
     )
     u = template(mach)
-    terms = energy_terms(u, spec, mach)
+    terms = energy_terms(u, mach)
     kin_x = 0.5 * (SQRT_PI / 2.0) * math.sqrt(2.0 * math.pi)
     kin_a = 0.5 * SQRT_PI * (SQRT_PI / 2.0) / 4.0
     pot = 0.25 * math.sqrt(math.pi / 2.0) * SQRT_PI
@@ -103,7 +103,7 @@ def test_div_alpha_kinetic_term_second_order():
         mach = build_machinery(
             spec, DiscretizationSpec(n_x=64, box_half_length=4 * math.pi, div_nodes=nodes)
         )
-        terms = energy_terms(template(mach), spec, mach)
+        terms = energy_terms(template(mach), mach)
         errs.append(abs(terms["kinetic_alpha"] - kin_a))
     assert 1.8 <= math.log2(errs[0] / errs[1]) <= 2.2
     assert 1.8 <= math.log2(errs[1] / errs[2]) <= 2.2
@@ -115,7 +115,7 @@ def test_nondiv_energy_terms_against_closed_forms(nondiv):
     #   kin_a = 1/2 int e^{-x^2} int (a^2/4) e^{-3a^2/2}
     #   pot   = 1/6 int e^{-3x^2} int e^{-3a^2/2} w(a),  w = e^{-2a^2}
     u = template(nondiv)
-    terms = energy_terms(u, nondiv.spec, nondiv)
+    terms = energy_terms(u, nondiv)
     kin_x = 0.5 * (SQRT_PI / 2.0) * SQRT_PI
     kin_a = 0.5 * SQRT_PI * 0.25 * (SQRT_PI / 2.0)
     pot = (1.0 / 6.0) * math.sqrt(math.pi / 3.0) * (SQRT_PI / 2.0)
@@ -126,9 +126,11 @@ def test_nondiv_energy_terms_against_closed_forms(nondiv):
 
 def test_focusing_sign_flips_potential(div2):
     u = template(div2)
-    e_def = energy_terms(u, div2.spec, div2)["potential"]
-    focusing = ModelSpec("div", 1, 2, -1)
-    e_foc = energy_terms(u, focusing, div2)["potential"]
+    e_def = energy_terms(u, div2)["potential"]
+    focusing = build_machinery(
+        ModelSpec("div", 1, 2, -1), DiscretizationSpec(n_x=256, div_nodes=513)
+    )
+    e_foc = energy_terms(u, focusing)["potential"]
     assert abs(e_def + e_foc) < 1e-14 * abs(e_def)
 
 
@@ -136,18 +138,18 @@ def test_virial_gaussian_moment(div2):
     # V = int x^2 e^{-x^2} dx int e^{-a^2/2} da for the width-1 template
     u = template(div2)
     expected = (SQRT_PI / 2.0) * math.sqrt(2.0 * math.pi)
-    assert abs(virial(u, div2.spec, div2) - expected) < 1e-6
-    assert virial(np.zeros((256, 513)), div2.spec, div2) == 0.0
+    assert abs(virial(u, div2) - expected) < 1e-6
+    assert virial(np.zeros((256, 513)), div2) == 0.0
 
 
 def test_virial_rejects_nondiv(nondiv):
     u = template(nondiv)
     with pytest.raises(UnsupportedModelError):
-        virial(u, nondiv.spec, nondiv)
+        virial(u, nondiv)
     with pytest.raises(UnsupportedModelError):
-        virial_rhs(u, nondiv.spec, nondiv)
+        virial_rhs(u, nondiv)
     with pytest.raises(UnsupportedModelError):
-        virial_dt(u, nondiv.spec, nondiv)
+        virial_dt(u, nondiv)
 
 
 def test_virial_rhs_mass_critical_coefficient():
@@ -156,40 +158,40 @@ def test_virial_rhs_mass_critical_coefficient():
     spec = ModelSpec("div", 1, 4, -1)
     mach = build_machinery(spec, DiscretizationSpec(n_x=128, div_nodes=513))
     u = 1.7 * template(mach)
-    terms = energy_terms(u, spec, mach)
+    terms = energy_terms(u, mach)
     expected = 16.0 * sum(terms.values()) - 16.0 * terms["kinetic_alpha"]
-    assert abs(virial_rhs(u, spec, mach) - expected) < 1e-10 * abs(expected)
+    assert abs(virial_rhs(u, mach) - expected) < 1e-10 * abs(expected)
 
 
 def test_virial_dt_of_real_data_is_zero(div2):
     # real initial data has zero momentum: V'(0) = 4 Im int x grad u conj(u)
     u = template(div2)
-    assert abs(virial_dt(u, div2.spec, div2)) < 1e-12
+    assert abs(virial_dt(u, div2)) < 1e-12
 
 
 def test_morawetz_zero_and_spike(div2):
-    assert morawetz_I(np.zeros((256, 513)), div2.spec, div2, "abs") == 0.0
+    assert morawetz_I(np.zeros((256, 513)), div2, "abs") == 0.0
     spike = np.zeros((256, 513), complex)
     spike[17, 250] = 3.0
-    m_total = mass(spike, div2.spec, div2)
-    got = morawetz_I(spike, div2.spec, div2, "bracket")
+    m_total = mass(spike, div2)
+    got = morawetz_I(spike, div2, "bracket")
     assert abs(got - m_total**2) < 1e-12 * m_total**2
     # diagonal cell contributes zero for rho = |x - y|
-    assert abs(morawetz_I(spike, div2.spec, div2, "abs")) < 1e-12 * m_total**2
+    assert abs(morawetz_I(spike, div2, "abs")) < 1e-12 * m_total**2
 
 
 def test_morawetz_translation_invariance(div2):
     u = template(div2)
     shifted = np.roll(u, 31, axis=0)
     for rho in ("abs", "bracket"):
-        a = morawetz_I(u, div2.spec, div2, rho)
-        b = morawetz_I(shifted, div2.spec, div2, rho)
+        a = morawetz_I(u, div2, rho)
+        b = morawetz_I(shifted, div2, rho)
         assert abs(a - b) < 1e-10 * abs(a)
 
 
 def test_morawetz_unknown_rho(div2):
     with pytest.raises(ValueError):
-        morawetz_I(template(div2), div2.spec, div2, "cubic")
+        morawetz_I(template(div2), div2, "cubic")
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -200,7 +202,7 @@ def test_morawetz_against_direct_double_sum(dim):
     rng = np.random.default_rng(21)
     shape = mach.grid.shape + (8,)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    m = Snapshot(u, spec, mach).mass_density
+    m = Snapshot(u, mach).mass_density
     coords = np.stack(np.meshgrid(*([mach.grid.axis] * dim), indexing="ij"), -1)
     flat_m = m.ravel()
     flat_x = coords.reshape(-1, dim)
@@ -208,15 +210,15 @@ def test_morawetz_against_direct_double_sum(dim):
     radius = np.sqrt((diff**2).sum(-1))
     for rho, table in (("abs", radius), ("bracket", np.sqrt(1.0 + radius**2))):
         direct = mach.grid.cell_volume**2 * float(flat_m @ table @ flat_m)
-        fast = morawetz_I(u, spec, mach, rho)
+        fast = morawetz_I(u, mach, rho)
         assert abs(fast - direct) < 1e-10 * abs(direct)
 
 
 def test_morawetz_bound_value(div2):
     u = template(div2)
-    terms = energy_terms(u, div2.spec, div2)
-    expected = mass(u, div2.spec, div2) ** 1.5 * math.sqrt(2.0 * terms["kinetic_x"])
-    assert abs(morawetz_dI_bound(u, div2.spec, div2) - expected) < 1e-12 * expected
+    terms = energy_terms(u, div2)
+    expected = mass(u, div2) ** 1.5 * math.sqrt(2.0 * terms["kinetic_x"])
+    assert abs(morawetz_dI_bound(u, div2) - expected) < 1e-12 * expected
 
 
 def test_weighted_potential_against_direct_sum():
@@ -224,7 +226,7 @@ def test_weighted_potential_against_direct_sum():
     mach = build_machinery(spec, DiscretizationSpec(n_x=16, box_half_length=4.0, n_alpha=8))
     rng = np.random.default_rng(3)
     u = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-    m = Snapshot(u, spec, mach).mass_density
+    m = Snapshot(u, mach).mass_density
     amp2 = u.real**2 + u.imag**2
     gauss = np.exp(-0.5 * mach.axis.nodes**2)
     m_p = ((amp2 * gauss**2) * amp2) @ mach.axis.basis.weights
@@ -235,17 +237,17 @@ def test_weighted_potential_against_direct_sum():
             bracket = math.sqrt(1.0 + (x[i] - x[j]) ** 2)
             direct += m[i] * m_p[j] / bracket**3
     direct *= mach.grid.cell_volume**2
-    fast = morawetz_weighted_potential(u, spec, mach)
+    fast = morawetz_weighted_potential(u, mach)
     assert abs(fast - direct) < 1e-12 * abs(direct)
 
 
 def test_boundary_and_tail_monitors(nondiv):
     u = template(nondiv)
-    assert boundary_mass_fraction(u, nondiv.spec, nondiv) < 1e-12
-    assert tail_mass_fraction(u, nondiv.spec, nondiv) < 1e-8
+    assert boundary_mass_fraction(u, nondiv) < 1e-12
+    assert tail_mass_fraction(u, nondiv) < 1e-8
     edge = np.zeros((256, 64), complex)
     edge[0, 30] = 1.0  # x = -L is in the outer 10% shell
-    assert boundary_mass_fraction(edge, nondiv.spec, nondiv) == 1.0
+    assert boundary_mass_fraction(edge, nondiv) == 1.0
 
 
 def test_truncation_monitor_warns(nondiv):
@@ -255,24 +257,24 @@ def test_truncation_monitor_warns(nondiv):
     profile = nondiv.axis.basis.eigenfunctions[62] + 1e3 * nondiv.axis.basis.eigenfunctions[0]
     coeffs_like = Field(envelope[:, None] * profile + 0j, 0.0)
     with pytest.warns(RuntimeWarning, match="tail fraction") as caught:
-        sample_record(coeffs_like, nondiv.spec, nondiv)
+        sample_record(coeffs_like, nondiv)
     assert not [w for w in caught if "boundary" in str(w.message)]
 
 
 def test_h1_native_constant_alpha_profile(nondiv):
     # pure phi_0 content: h1^2 = mass (no gradients)
     u = np.ones((256, 64), complex) * nondiv.axis.basis.eigenfunctions[0]
-    h1 = h1_native(u, nondiv.spec, nondiv)
-    m = mass(u, nondiv.spec, nondiv)
+    h1 = h1_native(u, nondiv)
+    m = mass(u, nondiv)
     assert abs(h1**2 - m) < 1e-10 * m
 
 
 def test_sample_record_fields(nondiv, div2):
-    rec = sample_record(Field(template(nondiv), 0.25), nondiv.spec, nondiv)
+    rec = sample_record(Field(template(nondiv), 0.25), nondiv)
     assert rec.time == 0.25
     assert math.isnan(rec.virial) and math.isnan(rec.virial_rhs)
     assert CSV_FIELDS[0] == "time" and len(CSV_FIELDS) == 10
-    rec2 = sample_record(Field(template(div2), 0.0), div2.spec, div2)
+    rec2 = sample_record(Field(template(div2), 0.0), div2)
     assert math.isfinite(rec2.virial) and math.isfinite(rec2.virial_rhs)
 
 
@@ -285,11 +287,11 @@ def eigen_tail(u, mach):
     return float(power[..., :TAIL_MODES].sum() / power.sum())
 
 
-def separate_record(u, spec, mach):
+def separate_record(u, mach):
     """Every record field from its own pass over the field: m(x), the
     x-FFT, the alpha transform and the potential density are recomputed by
     each functional that needs them, as they were before the snapshot."""
-    grid, axis, vol = mach.grid, mach.axis, mach.grid.cell_volume
+    spec, grid, axis, vol = mach.spec, mach.grid, mach.axis, mach.grid.cell_volume
 
     def m_of(u):
         return (u.real**2 + u.imag**2) @ axis.weights
@@ -305,7 +307,7 @@ def separate_record(u, spec, mach):
         return vol * axis.measure * axis.grad_density(spectrum, power).sum()
 
     def pot(u):
-        return vol * ((nonlinear_gain(u, spec, mach) * np.abs(u) ** 2) @ axis.weights).sum()
+        return vol * ((nonlinear_gain(u, mach) * np.abs(u) ** 2) @ axis.weights).sum()
 
     def interaction(u, rho):
         m = m_of(u)
@@ -360,8 +362,8 @@ def test_sample_record_matches_separate_functionals(model, p, sign, dim):
     u = template(mach, amp=1.3, xw=2.0) * (1.0 + 0.2 * rng.standard_normal(
         mach.grid.shape + (mach.axis.nodes.size,)))
     u = u + 0.1j * np.roll(u.real, 3, axis=-1)
-    rec = sample_record(Field(u, 0.3), spec, mach)
-    expected = separate_record(u, spec, mach)
+    rec = sample_record(Field(u, 0.3), mach)
+    expected = separate_record(u, mach)
     bracket = expected.pop("morawetz_I_bracket")
     assert rec.time == 0.3
     for name, want in expected.items():
@@ -370,24 +372,24 @@ def test_sample_record_matches_separate_functionals(model, p, sign, dim):
             assert math.isnan(got), name
         else:
             assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
-    snap = Snapshot(u, spec, mach)
-    assert abs(morawetz_I(snap, spec, mach, "bracket") - bracket) <= 1e-13 * bracket
+    snap = Snapshot(u, mach)
+    assert abs(morawetz_I(snap, mach, "bracket") - bracket) <= 1e-13 * bracket
     # a functional reads the same value off a snapshot as off the field
-    assert mass(u, spec, mach) == rec.mass
-    assert energy(u, spec, mach) == rec.energy
-    assert h1_native(u, spec, mach) == rec.h1_native
-    assert (morawetz_weighted_potential(snap, spec, mach)
-            == morawetz_weighted_potential(u, spec, mach))
+    assert mass(u, mach) == rec.mass
+    assert energy(u, mach) == rec.energy
+    assert h1_native(u, mach) == rec.h1_native
+    assert (morawetz_weighted_potential(snap, mach)
+            == morawetz_weighted_potential(u, mach))
 
 
 def test_div_tail_monitor_against_full_eigen_spectrum(div2):
     rng = np.random.default_rng(4)
     u = template(div2) * (1.0 + 0.5 * rng.standard_normal((256, 513)))
-    got = tail_mass_fraction(u, div2.spec, div2)
+    got = tail_mass_fraction(u, div2)
     want = eigen_tail(u, div2)
     assert want > 1e-6  # nodal noise puts real mass on the oscillatory modes
     assert abs(got - want) <= 1e-13 * want
-    assert tail_mass_fraction(np.zeros((256, 513)), div2.spec, div2) == 0.0
+    assert tail_mass_fraction(np.zeros((256, 513)), div2) == 0.0
 
 
 def test_div_truncation_monitor_warns_on_first_eigenvectors(div2):
@@ -396,9 +398,9 @@ def test_div_truncation_monitor_warns_on_first_eigenvectors(div2):
     q = div2.axis.op.eigenvectors
     (x,) = div2.grid.coordinates()
     hot = np.exp(-x**2 / 2.0)[:, None] * (q[:, 0] + 1e3 * q[:, -1]) + 0j
-    assert abs(tail_mass_fraction(hot, div2.spec, div2) - 1.0 / (1.0 + 1e6)) < 1e-12
+    assert abs(tail_mass_fraction(hot, div2) - 1.0 / (1.0 + 1e6)) < 1e-12
     with pytest.warns(RuntimeWarning, match="tail fraction"):
-        sample_record(Field(hot, 0.0), div2.spec, div2)
+        sample_record(Field(hot, 0.0), div2)
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
@@ -416,5 +418,5 @@ def test_sample_record_transforms_the_field_once(model_fixture, request, monkeyp
     monkeypatch.setattr(observables, "nonlinear_gain",
                         counted("nonlinear_gain", observables.nonlinear_gain))
     monkeypatch.setattr(mach.axis, "forward", counted("forward", mach.axis.forward))
-    sample_record(Field(template(mach), 0.0), mach.spec, mach)
+    sample_record(Field(template(mach), 0.0), mach)
     assert calls == {"x_fft": 1, "forward": 1, "nonlinear_gain": 1}

@@ -47,14 +47,14 @@ def nondiv_2d():
         n_x=32, box_half_length=4 * math.pi, n_alpha=16))
 
 
-def no_record(fld, spec, mach):
+def no_record(fld, mach):
     return None
 
 
 def linear_only(monkeypatch):
     """Step with the nonlinear phase switched off: the stepper's substep
     returns its input unchanged."""
-    monkeypatch.setattr(stepping, "apply_nonlinearity", lambda data, spec, mach, dt: data.copy())
+    monkeypatch.setattr(stepping, "apply_nonlinearity", lambda data, mach, dt: data.copy())
 
 
 def test_zero_field_stays_zero(nondiv):
@@ -72,26 +72,26 @@ def test_linear_only_matches_exact_propagator(nondiv, monkeypatch):
                          record_fn=no_record)
     assert state.step_count == 1
     exact = nondiv.propagator(0.05).apply(u0)
-    err = math.sqrt(mass(state.field.data - exact, nondiv.spec, nondiv))
-    assert err < 1e-11 * math.sqrt(mass(u0, nondiv.spec, nondiv))
+    err = math.sqrt(mass(state.field.data - exact, nondiv))
+    assert err < 1e-11 * math.sqrt(mass(u0, nondiv))
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
 def test_per_step_mass_conservation(model_fixture, request):
     mach = request.getfixturevalue(model_fixture)
     u0 = gaussian(mach)
-    m0 = mass(u0, mach.spec, mach)
+    m0 = mass(u0, mach)
     _, state = integrate(Field(u0), mach, 1e-3, [1e-3], StepControl(dt=1e-3),
                          record_fn=no_record)
     assert state.step_count == 1
-    assert abs(mass(state.field.data, mach.spec, mach) - m0) < 1e-11 * m0
+    assert abs(mass(state.field.data, mach) - m0) < 1e-11 * m0
 
 
 def strang(data, mach, dt):
     """One unfused Strang evaluation: half linear step, nonlinear phase, a
     separate 2/3 dealias pass, half linear."""
     half = mach.propagator(0.5 * dt)
-    out = apply_nonlinearity(half.apply(data), mach.spec, mach, dt)
+    out = apply_nonlinearity(half.apply(data), mach, dt)
     hat = x_fft(out, mach.grid)
     hat *= mach.dealias[..., None]
     return half.apply(x_ifft(hat, mach.grid))
@@ -100,7 +100,7 @@ def strang(data, mach, dt):
 def test_time_reversibility(nondiv):
     u0 = gaussian(nondiv)
     back = strang(strang(u0.copy(), nondiv, 1e-2), nondiv, -1e-2)
-    err = math.sqrt(mass(back - u0, nondiv.spec, nondiv))
+    err = math.sqrt(mass(back - u0, nondiv))
     assert err < 1e-9
 
 
@@ -112,8 +112,8 @@ def test_second_order_self_convergence(nondiv):
         return state.field.data
 
     ref = final(6.25e-5)
-    e1 = math.sqrt(mass(final(1e-3) - ref, nondiv.spec, nondiv))
-    e2 = math.sqrt(mass(final(5e-4) - ref, nondiv.spec, nondiv))
+    e1 = math.sqrt(mass(final(1e-3) - ref, nondiv))
+    e2 = math.sqrt(mass(final(5e-4) - ref, nondiv))
     order = math.log2(e1 / e2)
     assert 1.8 <= order <= 2.2
 
@@ -128,8 +128,8 @@ def test_second_order_self_convergence_div(divm):
         return state.field.data
 
     ref = final(2.5e-4)
-    e1 = math.sqrt(mass(final(2e-3) - ref, small.spec, small))
-    e2 = math.sqrt(mass(final(1e-3) - ref, small.spec, small))
+    e1 = math.sqrt(mass(final(2e-3) - ref, small))
+    e2 = math.sqrt(mass(final(1e-3) - ref, small))
     assert 1.8 <= math.log2(e1 / e2) <= 2.2
 
 
@@ -159,8 +159,8 @@ def test_detect_blowup_flags_nan(nondiv):
     data = gaussian(nondiv)
     data[3, 3] = np.nan
     state = StepperState(field=Field(data, 0.7), dt=1e-3)
-    h1 = h1_native(state.field, nondiv.spec, nondiv)
-    state = detect_blowup(state, nondiv, BlowupThresholds(), h1=h1, time=0.7)
+    h1 = h1_native(state.field, nondiv)
+    state = detect_blowup(state, BlowupThresholds(), h1=h1, time=0.7)
     assert state.blowup_flag
     assert state.blowup_time_estimate == 0.7
 
@@ -186,7 +186,7 @@ def test_blowup_truncates_schedule(nondiv):
     data = gaussian(nondiv)
     records, state = integrate(
         Field(data), nondiv, 1.0, [0.0, 0.5, 1.0], StepControl(dt=1e-2),
-        record_fn=lambda f, s, m: sample_record(f, s, m),
+        record_fn=lambda f, m: sample_record(f, m),
     )
     assert len(records) == 3
 
@@ -203,7 +203,7 @@ def test_blowup_truncates_schedule(nondiv):
 
 
 def native_rel(a, b, mach):
-    return math.sqrt(mass(a - b, mach.spec, mach) / mass(b, mach.spec, mach))
+    return math.sqrt(mass(a - b, mach) / mass(b, mach))
 
 
 # the narrow pulse sheds fast content into the monitored boundary shell
@@ -222,11 +222,11 @@ def test_fused_fixed_path_matches_unfused_steps(model_fixture, request):
     hat = x_fft(u0, mach.grid)
     hat *= mach.dealias[..., None]
     data = x_ifft(hat, mach.grid)
-    expected = [sample_record(Field(data, 0.0), mach.spec, mach)]
+    expected = [sample_record(Field(data, 0.0), mach)]
     for _ in range(5):
         for _ in range(10):
             data = strang(data, mach, dt)
-        expected.append(sample_record(Field(data), mach.spec, mach))
+        expected.append(sample_record(Field(data), mach))
 
     assert state.step_count == 50 and not state.blowup_flag
     assert native_rel(state.field.data, data, mach) <= 1e-8
@@ -264,13 +264,13 @@ def test_spectral_h1_equals_h1_of_end_of_step_field(model_fixture, request):
     mach = request.getfixturevalue(model_fixture)
     dt = 1e-3
     phased = apply_nonlinearity(
-        mach.propagator(0.5 * dt).apply(2.0 * gaussian(mach)), mach.spec, mach, dt
+        mach.propagator(0.5 * dt).apply(2.0 * gaussian(mach)), mach, dt
     )
     h1 = mach.spectral_h1(mach.forward(phased))
     end = mach.propagator(0.5 * dt).apply(stepping._dealias(phased, mach))
     expected = h1_written_out(end, mach)
     assert abs(h1 - expected) <= 1e-12 * expected
-    assert abs(h1_native(end, mach.spec, mach) - expected) <= 1e-12 * expected
+    assert abs(h1_native(end, mach) - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
@@ -279,9 +279,9 @@ def test_guard_h1_matches_sampled_h1(model_fixture, request, monkeypatch):
     seen = {}
     guard = stepping.detect_blowup
 
-    def spy(state, mach_, thresholds, h1, time):
+    def spy(state, thresholds, h1, time):
         seen[time] = h1
-        return guard(state, mach_, thresholds, h1=h1, time=time)
+        return guard(state, thresholds, h1=h1, time=time)
 
     monkeypatch.setattr(stepping, "detect_blowup", spy)
     records, _ = integrate(
@@ -361,7 +361,7 @@ def reference_advance_adaptive(state, mach, target, control, thresholds):
             state.blowup_flag = True
             state.blowup_time_estimate = state.field.time
             break
-        err = math.sqrt(mass(full - fine, mach.spec, mach))
+        err = math.sqrt(mass(full - fine, mach))
         if err > control.err_grow and dt > control.dt_min:
             nominal = max(0.5 * dt, control.dt_min)
             state.rejected_count += 1
@@ -371,8 +371,8 @@ def reference_advance_adaptive(state, mach, target, control, thresholds):
         state.dt = nominal
         if err > control.err_grow:
             state.floor_count += 1
-        h1 = h1_native(state.field, mach.spec, mach)
-        state = detect_blowup(state, mach, thresholds, h1=h1, time=state.field.time)
+        h1 = h1_native(state.field, mach)
+        state = detect_blowup(state, thresholds, h1=h1, time=state.field.time)
         if err < control.err_shrink and dt == nominal:
             nominal = min(2.0 * dt, control.dt_max)
         state.dt = nominal
@@ -426,7 +426,7 @@ def test_spectral_error_estimate_equals_nodal_step_doubling_distance(model_fixtu
     mach = request.getfixturevalue(model_fixture)
     dt, dt_before = 4e-3, 6e-3
     u = stepping._dealias(narrow_pulse(mach), mach)
-    scale = math.sqrt(mass(u, mach.spec, mach))
+    scale = math.sqrt(mass(u, mach))
     # the attempt starts from the field itself (lag 0), or from the fine
     # spectrum that an accepted step of another length left, whose
     # synchronous field is a quarter of that step further on
@@ -437,7 +437,7 @@ def test_spectral_error_estimate_equals_nodal_step_doubling_distance(model_fixtu
         err, fine = stepping._doubling_attempt(spectrum, lag, mach, dt)
         coarse_field = strang(start, mach, dt)
         fine_field = strang(strang(start, mach, 0.5 * dt), mach, 0.5 * dt)
-        nodal = math.sqrt(mass(coarse_field - fine_field, mach.spec, mach))
+        nodal = math.sqrt(mass(coarse_field - fine_field, mach))
         assert nodal > 1e-6 * scale  # a real discrepancy, far above roundoff
         assert abs(err - nodal) <= 1e-12 * scale
         end = mach.synthesize(mach.propagator(0.25 * dt).advance(fine, mach.kept))
