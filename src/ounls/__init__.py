@@ -22,10 +22,9 @@ from .operators import (
     verify_div_identity,
 )
 from .state import Field
-from .stepping import BlowupThresholds, StepControl, StepperState, detect_blowup, integrate
+from .stepping import StepControl, StepperState, detect_blowup, integrate
 
 __all__ = [
-    "BlowupThresholds",
     "BoxGrid",
     "DiscretizationSpec",
     "DivAlphaOperator",

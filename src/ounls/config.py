@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field
 
-from .models import DiscretizationSpec, ModelSpec
+from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
 
 # scenario name -> one-line description; the CLI subcommands are built
 # from this table
@@ -67,7 +67,6 @@ class ScenarioConfig:
     strichartz_q: float = 6.0
     strichartz_r: float = 6.0
     scattering_delta: float = 0.05
-    scattering_ladder: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
     out_dir: str = "out"
 
     def sample_times(self):
@@ -83,6 +82,16 @@ def check_band_resolved(n_x: int, band: int):
         raise ConfigError(
             f"initial.band = {band} needs grid.n_x >= {2 * band + 1}, got {n_x}: "
             f"the band modes would alias onto each other"
+        )
+
+
+def check_alpha_band_resolved(n_alpha: int, n_modes: int):
+    """A band-limited alpha profile of n_modes Hermite modes needs a basis of
+    at least that many eigenfunctions; n_alpha gives only n_alpha."""
+    if n_alpha < n_modes:
+        raise ConfigError(
+            f"initial.band asks for {n_modes} Hermite modes, which needs "
+            f"grid.n_alpha >= {n_modes}, got {n_alpha}"
         )
 
 
@@ -251,6 +260,12 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
         raise ConfigError("run.threads must be >= 1")
     if cfg.scenario == "strichartz":
         check_admissible_pair(cfg.strichartz_q, cfg.strichartz_r, cfg.model.dim)
-    if cfg.scenario == "strichartz" or (cfg.scenario, cfg.initial.kind) == ("simulate", "random"):
+    random_data = (cfg.scenario, cfg.initial.kind) == ("simulate", "random")
+    if cfg.scenario == "strichartz" or random_data:
         check_band_resolved(cfg.disc.n_x, cfg.initial.band)
+    # embeddings draw the modes n < band, random drift-form data n <= band
+    if cfg.scenario == "embeddings":
+        check_alpha_band_resolved(cfg.disc.n_alpha, cfg.initial.band)
+    if random_data and cfg.model.model == MODEL_NONDIV:
+        check_alpha_band_resolved(cfg.disc.n_alpha, cfg.initial.band + 1)
     return cfg

@@ -18,7 +18,10 @@ from typing import Callable
 import numpy as np
 
 from . import hermite, observables
-from .config import InitialData, ScenarioConfig, check_admissible_pair, check_band_resolved
+from .config import (
+    InitialData, ScenarioConfig, check_admissible_pair, check_alpha_band_resolved,
+    check_band_resolved,
+)
 from .grids import BoxGrid
 from .models import (
     DEFOCUSING, FOCUSING, MODEL_DIV, MODEL_NONDIV, DiscretizationSpec, ModelSpec,
@@ -28,10 +31,10 @@ from .operators import (
     verify_div_identity,
 )
 from .reporting import Report, rows_csv_bytes
-from .state import Field
-from .stepping import BlowupThresholds, StepControl, integrate
+from .stepping import StepControl, integrate
 
 SAMPLES_PER_UNIT_TIME = 64
+SCATTERING_LADDER = (2.0, 4.0, 8.0, 16.0)  # the Cauchy ladder's times; the last is the horizon
 
 
 class NumericCheckError(AssertionError):
@@ -77,9 +80,12 @@ def band_coeffs_to_field(coeffs: np.ndarray, mach: Machinery, band: int) -> np.n
     grid that resolves the band)."""
     grid = mach.grid
     check_band_resolved(grid.n_points, band)
+    shapes = mach.axis.band_shapes(band)
+    # a Hermite basis has only n_alpha rows; the div form evaluates them all
+    check_alpha_band_resolved(len(shapes), band + 1)
     hat = _embed_x_modes(coeffs, grid.dim, grid.n_points, band)
     nodal_x = np.fft.ifftn(hat, axes=grid.x_axes, norm="ortho")
-    return nodal_x @ mach.axis.band_shapes(band)
+    return nodal_x @ shapes
 
 
 def _run_members(worker, count: int, threads: int) -> list:
@@ -106,14 +112,12 @@ def run_conservation(cfg: ScenarioConfig) -> Report:
         raise NumericCheckError("conservation audit expects a defocusing model")
     report = Report("conservation")
     mach = build_machinery(cfg.model, cfg.disc)
-    u0 = Field(gaussian_field(mach, cfg.initial))
+    u0 = gaussian_field(mach, cfg.initial)
     steps = (2.0 * cfg.dt, cfg.dt)
     report.settings["dt"] = list(steps)
     drifts, ran = {}, {}
     for dt in steps:
-        records, state = integrate(
-            u0.copy(), mach, cfg.horizon, cfg.sample_times(), StepControl(dt=dt)
-        )
+        records, state = integrate(u0, mach, cfg.sample_times(), StepControl(dt=dt))
         ran[dt] = state.dt
         mass0 = records[0].mass
         energy0 = records[0].energy
@@ -401,6 +405,7 @@ def embedding_ratios(
     measured end to end through the basis machinery at resolution n_alpha:
     nodal evaluation, the node sup of |u| e^{-a^2/2}, and the modal
     weighted-H^1 norm of the quadrature projection of the nonlinear term."""
+    check_alpha_band_resolved(n_alpha, band)
     axis = HermiteAxis(hermite.build_basis(n_alpha))
     u = coeffs @ axis.basis.eigenfunctions[:band]
     h1 = np.sqrt(_h1alpha_density(axis.forward(u), axis))
@@ -471,8 +476,8 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
     mach = build_machinery(cfg.model, cfg.disc)
     raw = gaussian_field(mach, cfg.initial)
     raw *= cfg.scattering_delta / _l2x_h1alpha(raw, mach)
-    ladder = list(cfg.scattering_ladder)
-    horizon = ladder[-1]
+    ladder = list(SCATTERING_LADDER)
+    report.settings["ladder"] = ladder
 
     pullbacks = []
 
@@ -481,14 +486,7 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
         pullbacks.append((fld.time, back))
         return observables.sample_record(fld, machx)
 
-    integrate(
-        Field(raw),
-        mach,
-        horizon,
-        [0.0] + ladder,
-        StepControl(dt=cfg.dt),
-        record_fn=record_pullback,
-    )
+    integrate(raw, mach, [0.0] + ladder, StepControl(dt=cfg.dt), record_fn=record_pullback)
     diffs = []
     for (_, w0), (t1, w1) in zip(pullbacks, pullbacks[1:]):
         diffs.append((t1, _l2x_h1alpha(w1 - w0, mach)))
@@ -570,8 +568,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
                            control_samples=n_control_samples)
     samples = np.arange(0.0, cfg.horizon + 0.5 * sample_dt, sample_dt)
     control = StepControl(dt=cfg.dt, adaptive=True, dt_min=dt_floor)
-    guard = BlowupThresholds(dt_min=dt_floor)
-    records, state = integrate(Field(data.copy()), mach, cfg.horizon, samples, control, guard)
+    records, state = integrate(data, mach, samples, control)
     if not state.blowup_flag:
         raise NumericCheckError("focusing run with E<0 never raised the blow-up flag")
     flag_time = state.blowup_time_estimate
@@ -609,11 +606,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     control_mach = build_machinery(replace(cfg.model, sign=DEFOCUSING), cfg.disc)
     control_horizon = 2.0 * flag_time
     control_samples = np.linspace(0.0, control_horizon, n_control_samples)
-    _, control_state = integrate(
-        Field(data.copy()), control_mach, control_horizon, control_samples,
-        StepControl(dt=cfg.dt, adaptive=True, dt_min=dt_floor),
-        BlowupThresholds(dt_min=dt_floor),
-    )
+    _, control_state = integrate(data, control_mach, control_samples, control)
     report.notes.append(_step_note("defocusing control", control_state))
     _flow_note(report, control_mach, "defocusing control")
     report.add("defocusing_control_unflagged", float(control_state.blowup_flag), 0.0,
@@ -689,8 +682,7 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
             )
             return rows[-1]
 
-        integrate(Field(data), mach, cfg.horizon, samples, StepControl(dt=cfg.dt),
-                  record_fn=record)
+        integrate(data, mach, samples, StepControl(dt=cfg.dt), record_fn=record)
         ts = np.array([r["time"] for r in rows])
         bound = np.array([r["bound"] for r in rows])
         for rho in ("abs", "bracket"):
@@ -729,8 +721,7 @@ def run_simulation(cfg: ScenarioConfig):
         )
         norm = math.sqrt(observables.mass(data, mach))
         data *= cfg.initial.amplitude / norm
-    control = StepControl(dt=cfg.dt)
-    return integrate(Field(data), mach, cfg.horizon, cfg.sample_times(), control)
+    return integrate(data, mach, cfg.sample_times(), StepControl(dt=cfg.dt))
 
 
 # ----------------------------------------------------------- acceptance table

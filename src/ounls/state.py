@@ -18,9 +18,6 @@ class Field:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
 
-    def copy(self) -> "Field":
-        return Field(self.data.copy(), self.time)
-
     @property
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data.view(np.float64))))

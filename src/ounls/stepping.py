@@ -72,22 +72,23 @@ from .operators import Machinery, NonFiniteFieldError, apply_nonlinearity
 from .state import Field
 
 
+# pinned tolerances: the adaptive controller halves dt on a step-doubling
+# discrepancy above ERR_GROW, doubles it below ERR_SHRINK up to DT_MAX, and
+# the guard flags an H^1 ratio to the initial value above H1_RATIO_MAX
+DT_MAX = 1e-1
+ERR_GROW = 1e-8
+ERR_SHRINK = 1e-11
+H1_RATIO_MAX = 1e3
+
+
 @dataclass(frozen=True)
 class StepControl:
     """Fixed-step by default; the adaptive mode halves/doubles dt from the
-    one-step versus two-half-step discrepancy in the native L^2."""
+    one-step versus two-half-step discrepancy in the native L^2.  The guard
+    flags a controller driven to ``dt_min``."""
 
     dt: float = 1e-3
     adaptive: bool = False
-    dt_min: float = 1e-8
-    dt_max: float = 1e-1
-    err_grow: float = 1e-8
-    err_shrink: float = 1e-11
-
-
-@dataclass(frozen=True)
-class BlowupThresholds:
-    norm_ratio_max: float = 1e3
     dt_min: float = 1e-8
 
 
@@ -97,7 +98,7 @@ class StepperState:
     dt: float
     step_count: int = 0
     rejected_count: int = 0
-    floor_count: int = 0  # accepted at dt_min while still failing err_grow
+    floor_count: int = 0  # accepted at dt_min while still failing ERR_GROW
     blowup_flag: bool = False
     blowup_time_estimate: float | None = None
     h1_initial: float | None = None
@@ -116,7 +117,7 @@ def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
     return x_ifft(hat, mach.grid)
 
 
-def detect_blowup(state: StepperState, thresholds: BlowupThresholds, h1: float,
+def detect_blowup(state: StepperState, control: StepControl, h1: float,
                   time: float) -> StepperState:
     """Flag on nonfinite values, on an H^1 ratio past the ceiling, or when
     the step controller has been driven to dt_min with rejections or
@@ -128,9 +129,9 @@ def detect_blowup(state: StepperState, thresholds: BlowupThresholds, h1: float,
     """
     if state.blowup_flag:
         return state
-    at_floor = state.dt <= thresholds.dt_min and state.rejected_count + state.floor_count > 0
+    at_floor = state.dt <= control.dt_min and state.rejected_count + state.floor_count > 0
     if (not math.isfinite(h1) or at_floor
-            or state.h1_initial > 0 and h1 / state.h1_initial > thresholds.norm_ratio_max):
+            or state.h1_initial > 0 and h1 / state.h1_initial > H1_RATIO_MAX):
         state.blowup_flag = True
         state.blowup_time_estimate = time
     return state
@@ -152,7 +153,7 @@ def _synchronize(state, mach, carried, lag, time, target):
     return state
 
 
-def _advance_fixed(state, mach, target, control, thresholds):
+def _advance_fixed(state, mach, target, control):
     # uniform substeps per segment, rounded up so that none is longer than
     # control.dt (the 1e-12 relative slack absorbs division jitter); a dt
     # within 1e-12 of the nominal one is snapped to it, so the float-keyed
@@ -181,7 +182,7 @@ def _advance_fixed(state, mach, target, control, thresholds):
         lag = 0.5 * dt
         time = start + i * dt
         state.accept(dt)
-        state = detect_blowup(state, thresholds, h1=mach.spectral_h1(carried), time=time)
+        state = detect_blowup(state, control, h1=mach.spectral_h1(carried), time=time)
         if state.blowup_flag:
             break
     return _synchronize(state, mach, carried, lag, time, target)
@@ -205,7 +206,7 @@ def _doubling_attempt(carried: np.ndarray, lag: float, mach: Machinery, dt: floa
     return mach.spectral_l2(diff), fine
 
 
-def _advance_adaptive(state, mach, target, control, thresholds):
+def _advance_adaptive(state, mach, target, control):
     eps = 1e-12 * max(1.0, abs(target))
     nominal = state.dt
     time = state.field.time
@@ -220,7 +221,7 @@ def _advance_adaptive(state, mach, target, control, thresholds):
             state.blowup_flag = True
             state.blowup_time_estimate = time
             break
-        if err > control.err_grow and dt > control.dt_min:
+        if err > ERR_GROW and dt > control.dt_min:
             nominal = max(0.5 * dt, control.dt_min)
             state.rejected_count += 1
             continue
@@ -228,41 +229,37 @@ def _advance_adaptive(state, mach, target, control, thresholds):
         time += dt
         state.accept(dt)
         state.dt = nominal
-        if err > control.err_grow:
+        if err > ERR_GROW:
             # still failing at the dt floor: hand off to the guard
             state.floor_count += 1
-        state = detect_blowup(state, thresholds, h1=mach.spectral_h1(fine), time=time)
-        if err < control.err_shrink and dt == nominal:
-            nominal = min(2.0 * dt, control.dt_max)
+        state = detect_blowup(state, control, h1=mach.spectral_h1(fine), time=time)
+        if err < ERR_SHRINK and dt == nominal:
+            nominal = min(2.0 * dt, DT_MAX)
         state.dt = nominal
     return _synchronize(state, mach, carried, lag, time, target)
 
 
 def integrate(
-    initial: Field,
+    initial: np.ndarray,
     mach: Machinery,
-    horizon: float,
     sample_times,
     control: StepControl | None = None,
-    thresholds: BlowupThresholds | None = None,
     record_fn=observables.sample_record,
 ):
-    """Run to each sample time exactly, emitting one diagnostics record per
-    sample; on a blow-up flag the schedule is truncated and the flag time
-    recorded.  Returns (records, final StepperState)."""
+    """Run the nodal ``initial`` data from t = 0 to each sample time
+    exactly, emitting one diagnostics record per sample; on a blow-up flag
+    the schedule is truncated and the flag time recorded.  Returns
+    (records, final StepperState)."""
     control = control or StepControl()
-    thresholds = thresholds or BlowupThresholds(dt_min=control.dt_min)
     samples = list(sample_times)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     if not samples:
         raise ValueError("empty sample schedule")
     if any(t1 > t2 for t1, t2 in zip(samples, samples[1:])):
         raise ValueError("sample times must be sorted")
-    if samples[0] < 0 or samples[-1] > horizon + 1e-12:
-        raise ValueError("sample times must lie inside [0, horizon]")
+    if samples[0] < 0:
+        raise ValueError(f"sample times must not be negative, got {samples[0]}")
 
-    state = StepperState(field=Field(initial.data.copy(), initial.time), dt=control.dt)
+    state = StepperState(field=Field(np.array(initial, dtype=np.complex128)), dt=control.dt)
     if state.field.finite:
         # project the initial data once so conservation tracks the orbit of
         # the dealiased state rather than a one-time mask transient
@@ -273,7 +270,7 @@ def integrate(
     records = []
     for target in samples:
         if target > state.field.time:
-            state = advance(state, mach, target, control, thresholds)
+            state = advance(state, mach, target, control)
         if state.blowup_flag:
             break
         records.append(record_fn(state.field, mach))

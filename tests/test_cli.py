@@ -43,19 +43,22 @@ def test_threads_flag_is_validated_like_the_config_key(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("overrides", [
-    ["grid.n_x=100"],
-    ["grid.n_alpha=1"],
-    ["model.model=div", "grid.div_nodes=2"],
-    ["grid.box_half_length=0"],
-    ["grid.box_half_length=-3"],
-    ["grid.div_half_width=inf"],
+@pytest.mark.parametrize("command,overrides", [
+    ("simulate", ["grid.n_x=100"]),
+    ("simulate", ["grid.n_alpha=1"]),
+    ("simulate", ["model.model=div", "grid.div_nodes=2"]),
+    ("simulate", ["grid.box_half_length=0"]),
+    ("simulate", ["grid.box_half_length=-3"]),
+    ("simulate", ["grid.div_half_width=inf"]),
+    # a band wider than the alpha basis
+    ("embeddings", ["grid.n_alpha=8", "initial.band=12"]),
+    ("simulate", ["initial.kind=random", "grid.n_alpha=8", "initial.band=8"]),
 ], ids=["n_x-not-power-of-two", "n_alpha-1", "div_nodes-2", "box-zero", "box-negative",
-        "div-width-inf"])
-def test_bad_grid_value_is_a_config_error(tmp_path, capsys, overrides):
+        "div-width-inf", "embeddings-band-past-n_alpha", "random-band-past-n_alpha"])
+def test_bad_grid_value_is_a_config_error(tmp_path, capsys, command, overrides):
     out = tmp_path / "o"
     args = [arg for item in overrides for arg in ("--set", item)]
-    assert run_cli(["simulate", *args, "--out", str(out)]) == 1
+    assert run_cli([command, *args, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not out.exists()

@@ -79,6 +79,21 @@ def test_band_must_fit_on_the_grid(scenario, kind):
     assert parse_config(overrides=["grid.n_x=16", "initial.band=8"]).disc.n_x == 16
 
 
+@pytest.mark.parametrize("scenario,kind,n_modes", [
+    ("embeddings", "gaussian", 8), ("simulate", "random", 9),
+])
+def test_band_must_fit_the_alpha_basis(scenario, kind, n_modes):
+    # embeddings draw the modes n < band, random drift-form data n <= band
+    base = [f"run.scenario={scenario}", f"initial.kind={kind}", "initial.band=8"]
+    with pytest.raises(ConfigError, match=f"needs grid.n_alpha >= {n_modes}, got {n_modes - 1}"):
+        parse_config(overrides=base + [f"grid.n_alpha={n_modes - 1}"])
+    assert parse_config(overrides=base + [f"grid.n_alpha={n_modes}"]).disc.n_alpha == n_modes
+    if scenario == "simulate":
+        # random div-form data are shaped on the flux nodes, not the basis
+        div = parse_config(overrides=base + ["model.model=div", "grid.n_alpha=8"])
+        assert div.disc.n_alpha == 8
+
+
 def test_unknown_keys_are_hard_errors(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(write_cfg(tmp_path, "[model]\nmodle = nondiv\n"))

@@ -25,7 +25,6 @@ from ounls.grids import BoxGrid
 from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import mass, virial, virial_dt, virial_rhs
 from ounls.operators import build_axis, build_machinery
-from ounls.state import Field
 from ounls.stepping import StepControl, integrate
 from ounls.reporting import rows_csv_bytes
 
@@ -68,6 +67,23 @@ def test_band_modes_must_be_distinct_on_the_grid(n_x):
     else:
         assert run_strichartz_ensemble(cfg).passed
         assert band_coeffs_to_field(coeffs, mach, 8).shape == (32, 64)
+
+
+@pytest.mark.parametrize("n_alpha", [8, 9])
+def test_alpha_band_must_fit_the_hermite_basis(n_alpha):
+    # embeddings draw the 8 modes n < 8, random drift-form data the 9 modes
+    # n <= 8; a basis of n_alpha eigenfunctions holds n_alpha of them
+    mach = build_machinery(ModelSpec("nondiv", 1, 4), DiscretizationSpec(n_x=32, n_alpha=n_alpha))
+    coeffs = random_band_coeffs(np.random.default_rng(2), 1, 8)
+    profiles = np.ones((2, 8), dtype=np.complex128)
+    assert all(r.shape == (2,) for r in embedding_ratios(profiles, 8, n_alpha, 2))
+    if n_alpha == 8:
+        with pytest.raises(ConfigError, match="needs grid.n_alpha >= 9, got 8"):
+            band_coeffs_to_field(coeffs, mach, 8)
+        with pytest.raises(ConfigError, match="needs grid.n_alpha >= 9, got 8"):
+            embedding_ratios(np.ones((2, 9), dtype=np.complex128), 9, n_alpha, 2)
+    else:
+        assert band_coeffs_to_field(coeffs, mach, 8).shape == (32, 9)
 
 
 def test_strichartz_records_its_pairs():
@@ -339,9 +355,10 @@ def test_random_band_field_resolution_independent():
     np.testing.assert_allclose(f2[::2], f1, atol=1e-12)
 
 
-def test_scattering_emits_u_plus():
+def test_scattering_emits_u_plus(monkeypatch):
     from ounls.experiments import run_scattering
 
+    monkeypatch.setattr(experiments, "SCATTERING_LADDER", (0.25, 0.5, 1.0))
     cfg = small_cfg(
         scenario="scattering",
         model=ModelSpec("nondiv", 1, 4),
@@ -349,7 +366,6 @@ def test_scattering_emits_u_plus():
         horizon=1.0,
         dt=5e-3,
     )
-    cfg.scattering_ladder = (0.25, 0.5, 1.0)
     report = run_scattering(cfg)
     u_plus = report.artifacts["u_plus"]
     assert u_plus.shape == (64, 64)
@@ -370,8 +386,7 @@ def test_linear_only_pullback_is_constant(monkeypatch):
         pullbacks.append(back)
         return fld.time
 
-    integrate(Field(data.copy()), mach, 1.0, [0.0, 0.5, 1.0],
-              StepControl(dt=2e-3), record_fn=record)
+    integrate(data, mach, [0.0, 0.5, 1.0], StepControl(dt=2e-3), record_fn=record)
     for later in pullbacks[1:]:
         drift = math.sqrt(mass(later - pullbacks[0], mach))
         assert drift < 1e-11
@@ -423,7 +438,7 @@ def test_virial_identity_centered_second_difference(sign):
         rows.append((fld.time, virial(fld, m), virial_rhs(fld, m)))
         return rows[-1]
 
-    integrate(Field(data), mach, 0.04, samples, StepControl(dt=1e-3), record_fn=record)
+    integrate(data, mach, samples, StepControl(dt=1e-3), record_fn=record)
     v = np.array([r[1] for r in rows])
     rhs = np.array([r[2] for r in rows])
     d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / delta**2
@@ -449,12 +464,10 @@ def test_virial_first_derivative_against_centered_difference():
     delta = 1e-3
 
     def virial_at(t):
-        _, state = integrate(Field(data.copy()), mach, abs(t), [abs(t)],
-                             StepControl(dt=abs(t) / 4 if t else 1e-3))
+        _, state = integrate(data, mach, [abs(t)], StepControl(dt=abs(t) / 4 if t else 1e-3))
         out = state.field.data
         if t < 0:
-            _, state = integrate(Field(np.conj(data.copy())), mach, abs(t), [abs(t)],
-                                 StepControl(dt=abs(t) / 4))
+            _, state = integrate(np.conj(data), mach, [abs(t)], StepControl(dt=abs(t) / 4))
             out = np.conj(state.field.data)
         return virial(out, mach)
 

@@ -5,22 +5,29 @@ runs the row on its own ``ACCEPTANCE`` config, so a red result speaks for
 ``ounls all``.  Nothing in the package has a switch for these variants.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ounls import operators, stepping
+from ounls import experiments, operators, stepping
 from ounls.config import ScenarioConfig
 from ounls.experiments import ACCEPTANCE, AcceptanceReports
+from ounls.operators import apply_div_operator
 
 ROWS = {row.key: row for row in ACCEPTANCE}
 
 
+def verdicts(report) -> dict:
+    """The report's verdicts by check name: (passed, value)."""
+    return {c.name: (c.passed, c.value) for c in report.checks}
+
+
 def run_row(key: str) -> dict:
-    """The row's verdicts by check name: (passed, value)."""
+    """The row's verdicts, run on its own config."""
     row = ROWS[key]
     base = ScenarioConfig()
-    report = row.run(row.config(base), AcceptanceReports(base))
-    return {c.name: (c.passed, c.value) for c in report.checks}
+    return verdicts(row.run(row.config(base), AcceptanceReports(base)))
 
 
 def euler_phase(data, mach, dt):
@@ -54,3 +61,31 @@ def test_conservation_gates_go_red(variant, monkeypatch):
     verdicts = run_row("3-nondiv")
     assert {name for name, (passed, _) in verdicts.items() if not passed} == red, verdicts
     assert {name for name, (passed, _) in verdicts.items() if passed} == green, verdicts
+
+
+# criterion 2 (divergence/drift identity), row 2
+def left_node_flux(values, op):
+    """The flux form with each face weight exp(-a^2/2) taken at the face's
+    left node instead of its midpoint: a first-order discretization."""
+    left = replace(op, face_weights=np.exp(-0.5 * op.nodes[:-1] ** 2))
+    return apply_div_operator(values, left)
+
+
+def test_identity_order_gates_go_red(monkeypatch):
+    monkeypatch.setattr(operators, "apply_div_operator", left_node_flux)
+    orders = run_row("2")
+    assert len(orders) == 3
+    # fitted orders near 1 against the >= 1.8 gate
+    for passed, value in orders.values():
+        assert not passed and 0.9 < value < 1.2, orders
+
+
+# criterion 9 (seeded determinism), row 9
+def test_determinism_gate_goes_red_on_an_unseeded_draw(monkeypatch):
+    draw = experiments.random_band_coeffs
+    monkeypatch.setattr(experiments, "random_band_coeffs",
+                        lambda rng, dim, band: draw(np.random.default_rng(), dim, band))
+    reports = AcceptanceReports(ScenarioConfig())
+    assert verdicts(reports["9"])["byte_identical_rows"] == (False, 0.0)
+    # each run is still a valid ensemble, so the row it reruns stays green
+    assert reports["4-nondiv"].passed

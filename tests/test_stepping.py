@@ -12,13 +12,7 @@ from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import h1_native, mass, sample_record
 from ounls.operators import apply_nonlinearity, build_machinery
 from ounls.state import Field
-from ounls.stepping import (
-    BlowupThresholds,
-    StepControl,
-    StepperState,
-    detect_blowup,
-    integrate,
-)
+from ounls.stepping import StepControl, StepperState, detect_blowup, integrate
 
 DISC = DiscretizationSpec(n_x=256, box_half_length=8 * math.pi)
 
@@ -58,8 +52,8 @@ def linear_only(monkeypatch):
 
 
 def test_zero_field_stays_zero(nondiv):
-    _, state = integrate(Field(np.zeros((256, 64), complex)), nondiv, 3e-2, [3e-2],
-                         StepControl(dt=1e-2), record_fn=no_record)
+    _, state = integrate(np.zeros((256, 64), complex), nondiv, [3e-2], StepControl(dt=1e-2),
+                         record_fn=no_record)
     assert state.step_count == 3
     assert np.all(state.field.data == 0)
     assert state.field.time == pytest.approx(3e-2)
@@ -68,8 +62,7 @@ def test_zero_field_stays_zero(nondiv):
 def test_linear_only_matches_exact_propagator(nondiv, monkeypatch):
     linear_only(monkeypatch)
     u0 = gaussian(nondiv)
-    _, state = integrate(Field(u0.copy()), nondiv, 0.05, [0.05], StepControl(dt=0.05),
-                         record_fn=no_record)
+    _, state = integrate(u0, nondiv, [0.05], StepControl(dt=0.05), record_fn=no_record)
     assert state.step_count == 1
     exact = nondiv.propagator(0.05).apply(u0)
     err = math.sqrt(mass(state.field.data - exact, nondiv))
@@ -81,8 +74,7 @@ def test_per_step_mass_conservation(model_fixture, request):
     mach = request.getfixturevalue(model_fixture)
     u0 = gaussian(mach)
     m0 = mass(u0, mach)
-    _, state = integrate(Field(u0), mach, 1e-3, [1e-3], StepControl(dt=1e-3),
-                         record_fn=no_record)
+    _, state = integrate(u0, mach, [1e-3], StepControl(dt=1e-3), record_fn=no_record)
     assert state.step_count == 1
     assert abs(mass(state.field.data, mach) - m0) < 1e-11 * m0
 
@@ -105,10 +97,10 @@ def test_time_reversibility(nondiv):
 
 
 def test_second_order_self_convergence(nondiv):
-    u0 = Field(gaussian(nondiv))
+    u0 = gaussian(nondiv)
 
     def final(dt):
-        _, state = integrate(u0.copy(), nondiv, 0.25, [0.25], StepControl(dt=dt))
+        _, state = integrate(u0, nondiv, [0.25], StepControl(dt=dt))
         return state.field.data
 
     ref = final(6.25e-5)
@@ -121,10 +113,10 @@ def test_second_order_self_convergence(nondiv):
 def test_second_order_self_convergence_div(divm):
     small = build_machinery(ModelSpec("div", 1, 2), DiscretizationSpec(
         n_x=64, box_half_length=4 * math.pi, div_nodes=257))
-    u0 = Field(gaussian(small))
+    u0 = gaussian(small)
 
     def final(dt):
-        _, state = integrate(u0.copy(), small, 0.1, [0.1], StepControl(dt=dt))
+        _, state = integrate(u0, small, [0.1], StepControl(dt=dt))
         return state.field.data
 
     ref = final(2.5e-4)
@@ -134,22 +126,18 @@ def test_second_order_self_convergence_div(divm):
 
 
 def test_integrate_validates_schedule(nondiv):
-    u0 = Field(gaussian(nondiv))
-    with pytest.raises(ValueError):
-        integrate(u0, nondiv, -1.0, [0.0])
-    with pytest.raises(ValueError):
-        integrate(u0, nondiv, 1.0, [])
-    with pytest.raises(ValueError):
-        integrate(u0, nondiv, 1.0, [0.5, 0.2])
-    with pytest.raises(ValueError):
-        integrate(u0, nondiv, 1.0, [0.0, 2.0])
+    u0 = gaussian(nondiv)
+    with pytest.raises(ValueError, match="empty"):
+        integrate(u0, nondiv, [])
+    with pytest.raises(ValueError, match="sorted"):
+        integrate(u0, nondiv, [0.5, 0.2])
+    with pytest.raises(ValueError, match="negative"):
+        integrate(u0, nondiv, [-1.0, 0.0])
 
 
 def test_integrate_linear_only_mass_identical(nondiv, monkeypatch):
     linear_only(monkeypatch)
-    records, state = integrate(
-        Field(gaussian(nondiv)), nondiv, 1.0, [0.0, 1.0], StepControl(dt=5e-3)
-    )
+    records, state = integrate(gaussian(nondiv), nondiv, [0.0, 1.0], StepControl(dt=5e-3))
     assert len(records) == 2
     assert abs(records[1].mass - records[0].mass) < 1e-11 * records[0].mass
     assert state.step_count == 200
@@ -160,7 +148,7 @@ def test_detect_blowup_flags_nan(nondiv):
     data[3, 3] = np.nan
     state = StepperState(field=Field(data, 0.7), dt=1e-3)
     h1 = h1_native(state.field, nondiv)
-    state = detect_blowup(state, BlowupThresholds(), h1=h1, time=0.7)
+    state = detect_blowup(state, StepControl(), h1=h1, time=0.7)
     assert state.blowup_flag
     assert state.blowup_time_estimate == 0.7
 
@@ -170,8 +158,7 @@ def test_detect_blowup_flags_nan(nondiv):
 @pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
 def test_moderate_defocusing_run_never_flags(nondiv):
     records, state = integrate(
-        Field(gaussian(nondiv)), nondiv, 2.0, np.linspace(0.0, 2.0, 21),
-        StepControl(dt=5e-3),
+        gaussian(nondiv), nondiv, np.linspace(0.0, 2.0, 21), StepControl(dt=5e-3)
     )
     assert not state.blowup_flag
     assert len(records) == 21
@@ -185,16 +172,14 @@ def test_blowup_truncates_schedule(nondiv):
     # a NaN injected mid-run must truncate the schedule, not raise
     data = gaussian(nondiv)
     records, state = integrate(
-        Field(data), nondiv, 1.0, [0.0, 0.5, 1.0], StepControl(dt=1e-2),
+        data, nondiv, [0.0, 0.5, 1.0], StepControl(dt=1e-2),
         record_fn=lambda f, m: sample_record(f, m),
     )
     assert len(records) == 3
 
     poisoned = gaussian(nondiv)
     poisoned[0, 0] = np.inf
-    records, state = integrate(
-        Field(poisoned), nondiv, 1.0, [0.0, 0.5, 1.0], StepControl(dt=1e-2)
-    )
+    records, state = integrate(poisoned, nondiv, [0.0, 0.5, 1.0], StepControl(dt=1e-2))
     assert state.blowup_flag
     assert len(records) < 3
 
@@ -217,7 +202,7 @@ def test_fused_fixed_path_matches_unfused_steps(model_fixture, request):
     (x,) = mach.grid.coordinates()
     u0 = np.exp(-(x**2) / (2 * 0.3**2))[:, None] * np.exp(-mach.axis.nodes**2 / 4.0) + 0j
     dt, samples = 1e-3, np.linspace(0.0, 0.05, 6)
-    records, state = integrate(Field(u0.copy()), mach, 0.05, samples, StepControl(dt=dt))
+    records, state = integrate(u0, mach, samples, StepControl(dt=dt))
 
     hat = x_fft(u0, mach.grid)
     hat *= mach.dealias[..., None]
@@ -279,14 +264,12 @@ def test_guard_h1_matches_sampled_h1(model_fixture, request, monkeypatch):
     seen = {}
     guard = stepping.detect_blowup
 
-    def spy(state, thresholds, h1, time):
+    def spy(state, control, h1, time):
         seen[time] = h1
-        return guard(state, thresholds, h1=h1, time=time)
+        return guard(state, control, h1=h1, time=time)
 
     monkeypatch.setattr(stepping, "detect_blowup", spy)
-    records, _ = integrate(
-        Field(gaussian(mach)), mach, 0.02, [0.0, 0.01, 0.02], StepControl(dt=1e-3)
-    )
+    records, _ = integrate(gaussian(mach), mach, [0.0, 0.01, 0.02], StepControl(dt=1e-3))
     assert len(seen) == 20
     for rec in records[1:]:
         at_sample = min(seen, key=lambda t: abs(t - rec.time))
@@ -308,7 +291,7 @@ def test_fixed_run_builds_one_propagator_per_substep_length(monkeypatch):
 
     monkeypatch.setattr(operators, "build_linear_propagator", counting)
     samples = np.linspace(0.0, 0.05, 6)
-    _, state = integrate(Field(gaussian(mach)), mach, 0.05, samples, StepControl(dt=1e-3),
+    _, state = integrate(gaussian(mach), mach, samples, StepControl(dt=1e-3),
                          record_fn=no_record)
     assert state.step_count == 50
     assert sorted(built) == [5e-4, 1e-3]
@@ -316,20 +299,18 @@ def test_fixed_run_builds_one_propagator_per_substep_length(monkeypatch):
 
 def test_fixed_substeps_never_exceed_control_dt(nondiv):
     # 0.125 / 2e-3 = 62.5 steps; rounding to 62 would run a dt of 2.016e-3
-    _, state = integrate(Field(gaussian(nondiv)), nondiv, 0.125, [0.0, 0.125],
-                         StepControl(dt=2e-3), record_fn=no_record)
+    _, state = integrate(gaussian(nondiv), nondiv, [0.0, 0.125], StepControl(dt=2e-3),
+                         record_fn=no_record)
     assert state.step_count == 63
     assert state.dt == pytest.approx(0.125 / 63, rel=1e-14)
 
 
-def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv):
+def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv, monkeypatch):
     # a ratio ceiling of 1 trips on the first step that raises H^1, inside
     # the segment; the returned field must be the synchronous one then
+    monkeypatch.setattr(stepping, "H1_RATIO_MAX", 1.0)
     u0 = gaussian(nondiv, amp=2.0)
-    _, state = integrate(
-        Field(u0.copy()), nondiv, 0.1, [0.0, 0.1], StepControl(dt=1e-2),
-        BlowupThresholds(norm_ratio_max=1.0),
-    )
+    _, state = integrate(u0, nondiv, [0.0, 0.1], StepControl(dt=1e-2))
     assert state.blowup_flag
     t_flag = state.blowup_time_estimate
     assert state.field.time == t_flag
@@ -347,9 +328,11 @@ def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv):
 # ------------------------------------------------ fused adaptive attempt
 
 
-def reference_advance_adaptive(state, mach, target, control, thresholds):
+def reference_advance_adaptive(state, mach, target, control):
     """Step doubling from three separate Strang evaluations, the nodal
-    field synchronous after every step, and err the nodal native L^2."""
+    field synchronous after every step, and err the nodal native L^2; the
+    tolerances are read from ``stepping`` at call time, as a test may have
+    patched them."""
     eps = 1e-12 * max(1.0, abs(target))
     nominal = state.dt
     while state.field.time < target - eps and not state.blowup_flag:
@@ -362,19 +345,19 @@ def reference_advance_adaptive(state, mach, target, control, thresholds):
             state.blowup_time_estimate = state.field.time
             break
         err = math.sqrt(mass(full - fine, mach))
-        if err > control.err_grow and dt > control.dt_min:
+        if err > stepping.ERR_GROW and dt > control.dt_min:
             nominal = max(0.5 * dt, control.dt_min)
             state.rejected_count += 1
             continue
         state.field = Field(fine, state.field.time + dt)
         state.step_count += 1
         state.dt = nominal
-        if err > control.err_grow:
+        if err > stepping.ERR_GROW:
             state.floor_count += 1
         h1 = h1_native(state.field, mach)
-        state = detect_blowup(state, thresholds, h1=h1, time=state.field.time)
-        if err < control.err_shrink and dt == nominal:
-            nominal = min(2.0 * dt, control.dt_max)
+        state = detect_blowup(state, control, h1=h1, time=state.field.time)
+        if err < stepping.ERR_SHRINK and dt == nominal:
+            nominal = min(2.0 * dt, stepping.DT_MAX)
         state.dt = nominal
     if not state.blowup_flag:
         state.field.time = target
@@ -387,13 +370,12 @@ def narrow_pulse(mach):
     return 2.0 * np.exp(-(x**2) / (2 * 0.3**2))[:, None] * np.exp(-mach.axis.nodes**2 / 4.0) + 0j
 
 
+# the pinned stepping tolerances each case patches
 ADAPTIVE_CASES = {
     # thresholds that reject the opening dt, then grow and reject again
-    "nondiv": (StepControl(dt=8e-3, adaptive=True, err_grow=5e-5, err_shrink=2.5e-5),
-               BlowupThresholds()),
+    "nondiv": {"ERR_GROW": 5e-5, "ERR_SHRINK": 2.5e-5},
     # every doubling is rejected, and the H^1 ceiling flags mid-run
-    "divm": (StepControl(dt=8e-3, adaptive=True, err_grow=1e-6, err_shrink=5e-7),
-             BlowupThresholds(norm_ratio_max=1.0035)),
+    "divm": {"ERR_GROW": 1e-6, "ERR_SHRINK": 5e-7, "H1_RATIO_MAX": 1.0035},
 }
 
 
@@ -401,12 +383,13 @@ ADAPTIVE_CASES = {
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
 def test_fused_adaptive_matches_step_doubling_reference(model_fixture, request, monkeypatch):
     mach = request.getfixturevalue(model_fixture)
-    control, thresholds = ADAPTIVE_CASES[model_fixture]
+    for name, value in ADAPTIVE_CASES[model_fixture].items():
+        monkeypatch.setattr(stepping, name, value)
+    control = StepControl(dt=8e-3, adaptive=True)
     samples = np.linspace(0.0, 0.04, 5)
 
     def run():
-        return integrate(Field(narrow_pulse(mach)), mach, 0.04, samples, control,
-                         thresholds, record_fn=no_record)
+        return integrate(narrow_pulse(mach), mach, samples, control, record_fn=no_record)
 
     _, fused = run()
     monkeypatch.setattr(stepping, "_advance_adaptive", reference_advance_adaptive)
@@ -459,13 +442,14 @@ def test_kept_rows_round_trip_is_the_dealias_projection(model_fixture, request):
 
 
 @pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
-def test_floor_acceptance_is_counted_apart_from_rejections(nondiv):
-    # dt starts at the floor and no attempt meets err_grow: every step is
+def test_floor_acceptance_is_counted_apart_from_rejections(nondiv, monkeypatch):
+    # dt starts at the floor and no attempt meets ERR_GROW: every step is
     # accepted at the floor, none is a true rejection, and the guard flags
     # the first one
+    monkeypatch.setattr(stepping, "ERR_GROW", 1e-300)
     dt = 4e-3
-    control = StepControl(dt=dt, adaptive=True, dt_min=dt, err_grow=1e-300)
-    _, state = integrate(Field(narrow_pulse(nondiv)), nondiv, 0.02, [0.0, 0.02], control,
-                         BlowupThresholds(dt_min=dt), record_fn=no_record)
+    control = StepControl(dt=dt, adaptive=True, dt_min=dt)
+    _, state = integrate(narrow_pulse(nondiv), nondiv, [0.0, 0.02], control,
+                         record_fn=no_record)
     assert (state.step_count, state.floor_count, state.rejected_count) == (1, 1, 0)
     assert state.blowup_flag and state.blowup_time_estimate == dt
