@@ -16,6 +16,7 @@ from . import __version__, reporting
 from .config import SCENARIOS, ConfigError, parse_config, resolved_dict
 from .experiments import (
     NumericCheckError,
+    check_acceptance,
     run_acceptance,
     run_blowup,
     run_conservation,
@@ -68,6 +69,8 @@ def main(argv=None) -> int:
     ]
     try:
         cfg = parse_config(args.config, overrides)
+        if args.command == "all":
+            check_acceptance(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

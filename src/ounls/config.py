@@ -243,7 +243,14 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     cfg.initial.validate()
+    check_scenario(cfg)
+    return cfg
 
+
+def check_scenario(cfg: ScenarioConfig):
+    """The run keys, and what the config's scenario reads of it: the
+    exponent pair and the bands that its grids must resolve.  `ounls all`
+    calls it on each acceptance row's config too, before any row runs."""
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; expected one of {tuple(SCENARIOS)}"
@@ -268,4 +275,3 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
         check_alpha_band_resolved(cfg.disc.n_alpha, cfg.initial.band)
     if random_data and cfg.model.model == MODEL_NONDIV:
         check_alpha_band_resolved(cfg.disc.n_alpha, cfg.initial.band + 1)
-    return cfg

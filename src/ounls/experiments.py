@@ -19,8 +19,8 @@ import numpy as np
 
 from . import hermite, observables
 from .config import (
-    InitialData, ScenarioConfig, check_admissible_pair, check_alpha_band_resolved,
-    check_band_resolved,
+    ConfigError, InitialData, ScenarioConfig, check_admissible_pair,
+    check_alpha_band_resolved, check_band_resolved, check_scenario,
 )
 from .grids import BoxGrid
 from .models import (
@@ -730,9 +730,10 @@ def run_simulation(cfg: ScenarioConfig):
 @dataclass(frozen=True)
 class Criterion:
     """One row of the acceptance table.  ``config(base)`` is the config the
-    row runs on, built from the base config; ``run(cfg, reports)`` runs the
-    row on it and returns its Report; ``reports`` holds the other rows'
-    reports by key (criterion 9 reads criterion 4's).
+    row runs on, built from the base config and naming the scenario that the
+    row runs; ``run(cfg, reports)`` runs the row on it and returns its
+    Report; ``reports`` holds the other rows' reports by key (criterion 9
+    reads criterion 4's).
     """
 
     key: str
@@ -752,9 +753,12 @@ def _box_cfg(cfg: ScenarioConfig, model: str, p: int, horizon: float, **changes)
 
 
 def _strichartz_cfg(cfg: ScenarioConfig, model: str) -> ScenarioConfig:
-    return replace(cfg, model=ModelSpec(model, 1, 4), horizon=4.0,
+    """The criterion-4 and criterion-9 runs; the row runs STRICHARTZ_PAIRS,
+    and its config holds the first of them."""
+    q, r = STRICHARTZ_PAIRS[0]
+    return replace(cfg, scenario="strichartz", model=ModelSpec(model, 1, 4), horizon=4.0,
                    disc=DiscretizationSpec(n_x=256), ensemble=64,
-                   initial=replace(cfg.initial, band=8))
+                   initial=replace(cfg.initial, band=8), strichartz_q=q, strichartz_r=r)
 
 
 def _alone(runner):
@@ -781,11 +785,13 @@ def run_determinism(cfg: ScenarioConfig, first: Report) -> Report:
 # has no scenario config and lives in the test suite
 ACCEPTANCE = (
     Criterion("2", "criterion 2 (divergence/drift identity, order >= 1.8)",
-              _alone(run_identity)),
+              _alone(run_identity), lambda cfg: replace(cfg, scenario="identity")),
     Criterion("3-nondiv", "criterion 3 (conservation, nondiv)", _alone(run_conservation),
-              lambda cfg: _box_cfg(cfg, "nondiv", 4, 1.0, n_samples=101)),
+              lambda cfg: _box_cfg(cfg, "nondiv", 4, 1.0, scenario="conservation",
+                                   n_samples=101)),
     Criterion("3-div", "criterion 3 (conservation, div)", _alone(run_conservation),
-              lambda cfg: _box_cfg(cfg, "div", 2, 1.0, n_samples=101)),
+              lambda cfg: _box_cfg(cfg, "div", 2, 1.0, scenario="conservation",
+                                   n_samples=101)),
     Criterion("4-nondiv", "criterion 4 (space-time boundedness proxy, nondiv, "
               "(6,6)+(8,4), k=0/1 and weighted-H1 variant)",
               _strichartz, lambda cfg: _strichartz_cfg(cfg, "nondiv")),
@@ -793,22 +799,24 @@ ACCEPTANCE = (
               _strichartz, lambda cfg: _strichartz_cfg(cfg, "div")),
     Criterion("5", "criterion 5 (weighted Sobolev / nonlinear estimate ensembles "
               "+ exp(a^2/8) counterexample)", _alone(run_embedding_ensembles),
-              lambda cfg: replace(cfg, model=ModelSpec("nondiv", 1, 2), ensemble=256,
-                                  initial=replace(cfg.initial, band=12))),
+              lambda cfg: replace(cfg, scenario="embeddings", model=ModelSpec("nondiv", 1, 2),
+                                  ensemble=256, initial=replace(cfg.initial, band=12))),
     Criterion("6", "criterion 6 (small-data scattering Cauchy ladder)",
               _alone(run_scattering),
-              lambda cfg: replace(cfg, model=ModelSpec("nondiv", 1, 4),
+              lambda cfg: replace(cfg, scenario="scattering", model=ModelSpec("nondiv", 1, 4),
                                   disc=DiscretizationSpec(n_x=256), horizon=16.0, dt=1e-3)),
     Criterion("7", "criterion 7 (virial identity and finite-time blow-up)",
               _alone(run_blowup),
-              lambda cfg: replace(cfg, model=ModelSpec("div", 1, 4),
+              lambda cfg: replace(cfg, scenario="blowup", model=ModelSpec("div", 1, 4),
                                   disc=DiscretizationSpec(n_x=128, box_half_length=4 * math.pi,
                                                           div_nodes=257),
                                   horizon=0.45, dt=1e-3)),
     Criterion("8-div", "criterion 8 (interaction functional bound, div)",
-              _alone(run_morawetz), lambda cfg: _box_cfg(cfg, "div", 2, 0.5)),
+              _alone(run_morawetz),
+              lambda cfg: _box_cfg(cfg, "div", 2, 0.5, scenario="morawetz")),
     Criterion("8-nondiv", "criterion 8 (interaction functional bound, nondiv)",
-              _alone(run_morawetz), lambda cfg: _box_cfg(cfg, "nondiv", 4, 0.5)),
+              _alone(run_morawetz),
+              lambda cfg: _box_cfg(cfg, "nondiv", 4, 0.5, scenario="morawetz")),
     Criterion("9", "criterion 9 (seeded determinism, byte-identical rows)",
               lambda cfg, reports: run_determinism(cfg, reports["4-nondiv"]),
               lambda cfg: _strichartz_cfg(cfg, "nondiv")),
@@ -827,6 +835,17 @@ class AcceptanceReports(dict):
         row = next(row for row in ACCEPTANCE if row.key == key)
         self[key] = report = row.run(row.config(self.base), self)
         return report
+
+
+def check_acceptance(cfg: ScenarioConfig):
+    """check_scenario on every row's config built from the base ``cfg``, so
+    a base config that some row cannot run is a ConfigError, naming that
+    row, before any row runs."""
+    for row in ACCEPTANCE:
+        try:
+            check_scenario(row.config(cfg))
+        except ConfigError as exc:
+            raise ConfigError(f"{row.title}: {exc}") from None
 
 
 def run_acceptance(cfg: ScenarioConfig) -> list[tuple[ScenarioConfig, Report]]:

@@ -13,13 +13,18 @@ unified variants measured slower (README, "The alpha axis").
 
 The div flow G(t) = exp(itP_h) is dense, but P_h is tridiagonal, so the
 entries of G(t) decay exponentially away from the diagonal (Benzi & Golub,
-BIT 39, 1999; Iserles, NZ J. Math. 29, 2000).  FluxFlow keeps the band of
-entries at or above BAND_TOL times the largest and applies it in column
-blocks; a matrix only a few blocks wide keeps the dense product.
+BIT 39, 1999; Iserles, NZ J. Math. 29, 2000): with x = |t| max|lambda|,
+|G_ij| <= sum_{k >= |i-j|} x^k / k!.  The reach R(t) (flow_reach) is where
+that tail falls below BAND_TOL / sqrt(n), so every entry farther out is
+below BAND_TOL times the largest.  FluxAxis.flow forms G only on the rows
+within R of each column, the band b <= R is the farthest entry within R at
+or above BAND_TOL times the largest, and FluxFlow applies that band in
+column blocks; a matrix only a few blocks wide keeps the dense product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,9 +38,11 @@ from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
 
 
 # entries of G(t) below BAND_TOL times the largest are dropped (roundoff
-# zeros); FLOW_BLOCK columns of the banded product are taken per matmul
+# zeros); FLOW_BLOCK columns of the banded product are taken per matmul, and
+# a flow on at most DENSE_NODES nodes keeps the dense product
 BAND_TOL = 1e-15
 FLOW_BLOCK = 32
+DENSE_NODES = 2 * FLOW_BLOCK + 4
 
 
 class NonFiniteFieldError(FloatingPointError):
@@ -91,46 +98,83 @@ def build_div_operator(n_nodes: int = 513, half_width: float = 12.0) -> DivAlpha
     return DivAlphaOperator(nodes, float(h), mu, diag, mu / h**2)
 
 
-def flow_band(matrix: np.ndarray) -> int:
-    """Largest |i - j| with |G_ij| >= BAND_TOL * max |G|: beyond it every
-    entry of the square ``matrix`` is below BAND_TOL times its largest."""
-    power = matrix.real**2 + matrix.imag**2
-    keep = power >= BAND_TOL**2 * power.max()
-    n = keep.shape[0]
-    rows = np.arange(n)
-    # every row of a unitary G holds an entry >= 1/sqrt(n), so each row
-    # has a first and a last kept column
-    first = keep.argmax(axis=1)
-    last = n - 1 - keep[:, ::-1].argmax(axis=1)
-    return int(max((rows - first).max(), (last - rows).max()))
+def flow_reach(x: float, n: int) -> int:
+    """The reach R of G(t) on n nodes, with x = |t| max|lambda|: the smallest
+    d with sum_{k>d} x^k / k! < BAND_TOL / sqrt(n), or n where no d < n has
+    it.
+
+    (P_h^k)_ij = 0 for k < |i - j| and |(P_h^k)_ij| <= max|lambda|^k, so the
+    Taylor series of G(t) bounds |G_ij| by that tail at d = |i - j| - 1.  A
+    unitary column holds an entry >= 1 / sqrt(n), so every entry beyond R is
+    below BAND_TOL times the largest.  The tail is summed relative to its
+    first term, which is taken in log space, so no factorial overflows.
+    """
+    if x == 0.0:
+        return 0
+    log_tol, log_x = math.log(BAND_TOL / math.sqrt(n)), math.log(x)
+    # the terms grow while k <= x, from 1 at k = 0: a tail from d < x is > 1
+    for d in range(int(x), n):
+        first = (d + 1) * log_x - math.lgamma(d + 2)
+        if first >= log_tol:
+            continue
+        # 1 + x/(d+2) + x^2/((d+2)(d+3)) + ..., its ratios below 1 as d >= x
+        rest, term, k = 1.0, 1.0, d + 1
+        while term > 1e-17 * rest:
+            k += 1
+            term *= x / k
+            rest += term
+        if first + math.log(rest) < log_tol:
+            return d
+    return n
+
+
+def flow_band(panels, reach: int) -> int:
+    """Largest |i - j| <= reach with |G_ij| >= BAND_TOL * max |G|, over the
+    column panels (c0, lo, G[lo:hi, c0:c1]) that hold every entry within
+    the reach.  Entries beyond it are roundoff, below the tolerance in exact
+    arithmetic, so a panel's corners are not scanned."""
+    powers = [g.real**2 + g.imag**2 for _, _, g in panels]
+    keep = BAND_TOL**2 * max(power.max() for power in powers)
+    band = 0
+    for (c0, lo, g), power in zip(panels, powers):
+        rows = np.arange(lo, lo + g.shape[0], dtype=np.int32)
+        far = np.abs(rows[:, None] - np.arange(c0, c0 + g.shape[1], dtype=np.int32))
+        band = max(band, int(far[(power >= keep) & (far <= reach)].max()))
+    return band
 
 
 class FluxFlow:
     """G(t) as the div axis applies it, along the last axis of the data.
 
-    With band b, output columns [c0, c1) read input columns
-    [c0 - b, c1 + b) only: ``blocks`` holds (c0, c1, lo, hi, G[lo:hi, c0:c1])
-    per FLOW_BLOCK columns, and the entries farther than b from the
-    diagonal, all below BAND_TOL times the largest, are skipped.  The
-    blocks never take more multiply-adds than the dense product: at a band
-    near n each block reads every row, as the dense product does.  On at
-    most 2 * FLOW_BLOCK + 4 nodes ``band`` is None and the product is the
-    dense data @ G, with no band scan: there every block reads over half
-    the rows even at a band of 1.
+    It is made from column panels (c0, lo, G[lo:hi, c0:c1]) of G that hold
+    every entry within ``reach`` of the diagonal.  With band b <= reach
+    (flow_band), output columns [c0, c1) read input columns
+    [c0 - b, c1 + b) only: ``blocks`` holds (c0, c1, lo, hi,
+    G[lo:hi, c0:c1]) per FLOW_BLOCK columns, sliced from the panels, and the
+    entries farther than b from the diagonal, all below BAND_TOL times the
+    largest, are skipped.  The blocks never take more multiply-adds than the
+    dense product: at a band near n each block reads every row, as the
+    dense product does.  With ``reach`` None (at most DENSE_NODES nodes) the
+    one panel is the dense G, ``band`` is None and the product is the dense
+    data @ G, with no band scan: there every block reads over half the rows
+    even at a band of 1.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        n = matrix.shape[0]
-        if n <= 2 * FLOW_BLOCK + 4:
-            self.band, self.matrix, self.blocks = None, matrix, ()
+    def __init__(self, panels, reach: int | None):
+        if reach is None:
+            ((_, _, self.matrix),) = panels
+            self.band, self.blocks = None, ()
             return
-        self.band = band = flow_band(matrix)
+        self.band = band = flow_band(panels, reach)
         self.matrix = None
+        n = panels[-1][0] + panels[-1][2].shape[1]
         blocks = []
-        for c0 in range(0, n, FLOW_BLOCK):
-            c1 = min(c0 + FLOW_BLOCK, n)
-            lo, hi = max(c0 - band, 0), min(c1 + band, n)
-            blocks.append((c0, c1, lo, hi, np.ascontiguousarray(matrix[lo:hi, c0:c1])))
+        for p0, p_lo, g in panels:
+            for c0 in range(p0, p0 + g.shape[1], FLOW_BLOCK):
+                c1 = min(c0 + FLOW_BLOCK, n)
+                lo, hi = max(c0 - band, 0), min(c1 + band, n)
+                block = g[lo - p_lo : hi - p_lo, c0 - p0 : c1 - p0]
+                blocks.append((c0, c1, lo, hi, np.ascontiguousarray(block)))
         self.blocks = tuple(blocks)
 
     def apply(self, data: np.ndarray) -> np.ndarray:
@@ -212,10 +256,11 @@ class FluxAxis:
     with the plain L^2 measure and an unweighted power nonlinearity.
 
     The spectrum is the nodal x-spectrum itself, the flow is
-    G(t) = Q exp(it Lambda) Q^T applied over its numerical band (FluxFlow),
-    and the gradient form is the face-difference form, the exact invariant
-    of the semi-discrete flow.  ``bands`` records, per propagator time
-    built, the band of its flow, or None where it kept the dense product.
+    G(t) = Q exp(it Lambda) Q^T formed within its reach and applied over its
+    band (FluxFlow), and the gradient form is the face-difference form, the
+    exact invariant of the semi-discrete flow.  ``bands`` records, per
+    propagator time built, the band of its flow, or None where it kept the
+    dense product.
     """
 
     def __init__(self, op: DivAlphaOperator):
@@ -230,12 +275,30 @@ class FluxAxis:
         return values
 
     def flow(self, t: float) -> FluxFlow:
-        """G(t), built exactly from the eigendecomposition, then banded.
-        The cos and sin parts are two real products: a complex @ real
-        product would first cast Q^T to complex."""
-        q = self.op.eigenvectors
-        theta = t * self.op.eigenvalues
-        flow = FluxFlow((q * np.cos(theta)) @ q.T + 1j * ((q * np.sin(theta)) @ q.T))
+        """G(t), built exactly from the eigendecomposition on the rows within
+        its reach R (flow_reach), then banded.
+
+        Columns [c0, c1) of G are formed as one panel from rows
+        [c0 - R, c1 + R) of Q, since every entry farther out is below
+        BAND_TOL times the largest.  The panels are 2R wide, rounded up to
+        whole FLOW_BLOCKs, so a reach near n is one dense product.  The cos
+        and sin parts are two real products: a complex @ real product would
+        first cast Q^T to complex.  At most DENSE_NODES nodes keep the
+        dense G with no reach.
+        """
+        q, lam = self.op.eigenvectors, self.op.eigenvalues
+        n = lam.size
+        dense = n <= DENSE_NODES
+        reach = n if dense else flow_reach(abs(t) * float(np.abs(lam).max()), n)
+        width = FLOW_BLOCK * max(1, math.ceil(2 * reach / FLOW_BLOCK))
+        cos, sin = np.cos(t * lam), np.sin(t * lam)
+        panels = []
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
+            lo = max(c0 - reach, 0)
+            rows, cols = q[lo : min(c1 + reach, n)], q[c0:c1].T
+            panels.append((c0, lo, (rows * cos) @ cols + 1j * ((rows * sin) @ cols)))
+        flow = FluxFlow(panels, None if dense else reach)
         self.bands[t] = flow.band
         return flow
 

@@ -64,6 +64,17 @@ def test_bad_grid_value_is_a_config_error(tmp_path, capsys, command, overrides):
     assert not out.exists()
 
 
+def test_all_rejects_a_base_config_that_a_row_cannot_run(tmp_path, capsys):
+    # row 5 draws 12 Hermite modes on the base n_alpha; every row's config
+    # is checked before the output directory is made and before any row runs
+    out = tmp_path / "o"
+    assert run_cli(["all", "--set", "grid.n_alpha=8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: criterion 5 ") and "grid.n_alpha >= 12" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 SIMULATE_SMALL = [
     "--set", "grid.n_x=64", "--set", f"grid.box_half_length={4 * math.pi}",
     "--set", "run.t=0.05", "--set", "run.dt=0.005", "--set", "run.samples=3",

@@ -5,14 +5,15 @@ runs the row on its own ``ACCEPTANCE`` config, so a red result speaks for
 ``ounls all``.  Nothing in the package has a switch for these variants.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ounls import experiments, operators, stepping
+from ounls import experiments, hermite, operators, stepping
 from ounls.config import ScenarioConfig
-from ounls.experiments import ACCEPTANCE, AcceptanceReports
+from ounls.experiments import ACCEPTANCE, AcceptanceReports, embedding_ratios
 from ounls.operators import apply_div_operator
 
 ROWS = {row.key: row for row in ACCEPTANCE}
@@ -61,6 +62,59 @@ def test_conservation_gates_go_red(variant, monkeypatch):
     verdicts = run_row("3-nondiv")
     assert {name for name, (passed, _) in verdicts.items() if not passed} == red, verdicts
     assert {name for name, (passed, _) in verdicts.items() if passed} == green, verdicts
+
+
+# criterion 5 (embedding ensembles), row 5
+def undamped_sup_ratios(coeffs, band, n_alpha, power):
+    """The Sobolev ratio with the node sup of |u| in place of
+    |u| e^{-a^2/2}: the undamped sup grows with the outermost node, so it
+    moves with n_alpha."""
+    sobolev, nonlinear = embedding_ratios(coeffs, band, n_alpha, power)
+    basis = hermite.build_basis(n_alpha)
+    u = np.abs(coeffs @ basis.eigenfunctions[:band])
+    damped = u * np.exp(-0.5 * basis.nodes**2)
+    return sobolev * u.max(axis=-1) / damped.max(axis=-1), nonlinear
+
+
+def decaying_counterexample(power, radius):
+    """The unweighted ratio on exp(-a^2/8) in place of exp(a^2/8): the
+    decaying profile keeps it bounded, so it levels off with the radius."""
+    a = np.linspace(-radius, radius, experiments.COUNTEREXAMPLE_NODES)
+    u = np.exp(-(a**2) / 8.0)
+    du = -(a / 4.0) * u
+    gauss = np.exp(-0.5 * a**2)
+    nl, dnl = u ** (power + 1), (power + 1) * u**power * du
+    num = np.trapezoid((nl**2 + dnl**2) * gauss, a)
+    den = np.trapezoid((u**2 + du**2) * gauss, a)
+    return math.sqrt(num) / math.sqrt(den) ** (power + 1)
+
+
+def unweighted_forward(values, basis):
+    """The Hermite projection without the Gauss weights: both norms then
+    grow with n_alpha, the nonlinear one included."""
+    return values @ basis.eigenfunctions.T
+
+
+# (variant, owner, attribute, the checks that must go red); the others,
+# the finite_* gates among them, stay green
+EMBEDDING_VARIANTS = {
+    "undamped-sup": (experiments, "embedding_ratios", undamped_sup_ratios,
+                     {"resolution_stability_sobolev"}),
+    "decaying-counterexample": (experiments, "counterexample_ratio", decaying_counterexample,
+                                {"counterexample_monotone_growth"}),
+    "unweighted-projection": (hermite, "forward_tensor", unweighted_forward,
+                              {"resolution_stability_sobolev",
+                               "resolution_stability_nonlinear"}),
+}
+
+
+@pytest.mark.parametrize("variant", list(EMBEDDING_VARIANTS))
+def test_embedding_gates_go_red(variant, monkeypatch):
+    owner, attr, broken, red = EMBEDDING_VARIANTS[variant]
+    assert all(passed for passed, _ in run_row("5").values())
+    monkeypatch.setattr(owner, attr, broken)
+    verdicts = run_row("5")
+    assert {name for name, (passed, _) in verdicts.items() if not passed} == red, verdicts
 
 
 # criterion 2 (divergence/drift identity), row 2

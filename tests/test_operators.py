@@ -15,15 +15,15 @@ from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import mass
 from ounls.operators import (
     BAND_TOL,
-    FLOW_BLOCK,
+    DENSE_NODES,
     FluxAxis,
-    FluxFlow,
     NonFiniteFieldError,
     apply_div_operator,
     apply_nonlinearity,
     build_div_operator,
     build_linear_propagator,
     build_machinery,
+    flow_reach,
     nonlinear_gain,
     verify_div_identity,
 )
@@ -343,7 +343,7 @@ def test_banded_flow_matches_dense(flux_axes, n, t, x_shape):
 
 @pytest.mark.parametrize("t", [1e-3, -3.0])
 def test_small_grid_keeps_dense_flow(flux_axes, t):
-    # 65 nodes: at most 2 * FLOW_BLOCK + 4, so no band scan and no blocks
+    # 65 nodes: at most DENSE_NODES, so no band scan and no blocks
     axis = flux_axes[65]
     flow = axis.flow(t)
     assert flow.band is None and axis.bands[t] is None
@@ -360,14 +360,57 @@ def test_banded_flow_unitary(flux_axes, t):
     assert np.abs(g.conj().T @ g - np.eye(513)).max() <= 1e-13
 
 
+def reach_of(op, t):
+    return flow_reach(abs(t) * np.abs(op.eigenvalues).max(), op.n_nodes)
+
+
 @pytest.mark.parametrize("n", [65, 257, 513])
 @pytest.mark.parametrize("t", [2.5e-4, 1e-3, 5e-2, -3.0])
 def test_recorded_band_is_the_numerical_band(n, t):
-    g = dense_flow(build_div_operator(n, 12.0), t)
-    i, j = np.nonzero(np.abs(g) >= BAND_TOL * np.abs(g).max())
-    band = int(np.abs(i - j).max())
+    # the flow forms G only within its reach; the dense G here is the
+    # reference, scanned over the same entries |i - j| <= R
+    axis = FluxAxis(build_div_operator(n, 12.0))
+    band = axis.flow(t).band
+    g = np.abs(dense_flow(axis.op, t))
+    i, j = np.nonzero(g >= BAND_TOL * g.max())
+    far = np.abs(i - j)
+    expect = int(far[far <= reach_of(axis.op, t)].max())
     # small grids keep the dense product and record no band
-    assert FluxFlow(g).band == (band if n > 2 * FLOW_BLOCK + 4 else None)
+    assert band == (expect if n > DENSE_NODES else None)
+
+
+@pytest.mark.parametrize("n", [65, 257, 513])
+@pytest.mark.parametrize("t", [2.5e-4, 1e-3, 5e-2, -3.0])
+def test_entries_beyond_the_reach_are_below_the_tolerance(n, t):
+    op = build_div_operator(n, 12.0)
+    reach = reach_of(op, t)
+    g = np.abs(dense_flow(op, t))
+    i, j = np.indices(g.shape)
+    assert np.all(g[np.abs(i - j) > reach] < BAND_TOL * g.max())
+    if t == -3.0:
+        # x = 3 max|lambda| is far above n: the reach covers the matrix
+        assert reach >= n
+
+
+def taylor_tail(x, d):
+    """sum_{k>d} x^k / k!, summed directly (small x only)."""
+    return math.fsum(x**k / math.factorial(k) for k in range(d + 1, d + 120))
+
+
+@pytest.mark.parametrize("t,reach", [(5e-4, 17), (1e-3, 22), (2e-3, 30), (-1e-3, 22)])
+def test_reach_is_the_first_tail_below_the_tolerance(div_op, t, reach):
+    x = abs(t) * np.abs(div_op.eigenvalues).max()
+    tol = BAND_TOL / math.sqrt(div_op.n_nodes)
+    assert reach_of(div_op, t) == reach
+    assert taylor_tail(x, reach) < tol <= taylor_tail(x, reach - 1)
+
+
+def test_reach_edges():
+    assert flow_reach(0.0, 513) == 0
+    # a tail from d < x exceeds 1, so x >= n leaves no reach inside the matrix
+    assert flow_reach(513.0, 513) == 513
+    # x^k / k! near k = 750 overflows a float; its log does not
+    assert 2 * 750 < flow_reach(750.0, 4097) < 4097
 
 
 @pytest.mark.parametrize("n", [65, 513])
