@@ -12,14 +12,15 @@ downstream calls the axis.  Each axis keeps its own flow arithmetic: both
 unified variants measured slower (README, "The alpha axis").
 
 The div flow G(t) = exp(itP_h) is dense, but P_h is tridiagonal, so the
-entries of G(t) decay exponentially away from the diagonal (Benzi & Golub,
-BIT 39, 1999; Iserles, NZ J. Math. 29, 2000): with x = |t| max|lambda|,
-|G_ij| <= sum_{k >= |i-j|} x^k / k!.  The reach R(t) (flow_reach) is where
-that tail falls below BAND_TOL / sqrt(n), so every entry farther out is
-below BAND_TOL times the largest.  FluxAxis.flow forms G only on the rows
-within R of each column, the band b <= R is the farthest entry within R at
-or above BAND_TOL times the largest, and FluxFlow applies that band in
-column blocks; a matrix only a few blocks wide keeps the dense product.
+Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys.
+81, 1984) bounds its entries away from the diagonal, in the decay-bound
+style of Benzi & Golub (BIT 39, 1999): with x = |t| (lambda_max -
+lambda_min), |G_ij| <= 2 sum_{k >= |i-j|} (x/4)^k / k!.  The reach R(t)
+(flow_reach) is where that tail falls below BAND_TOL / sqrt(n), so every
+entry farther out is below BAND_TOL times the largest.  FluxAxis.flow forms
+G in column blocks, each on the rows within R of its columns only, and
+FluxFlow applies those blocks; a matrix only a few blocks wide is one dense
+block.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .hermite import HermiteBasis
 from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
 
 
-# entries of G(t) below BAND_TOL times the largest are dropped (roundoff
-# zeros); FLOW_BLOCK columns of the banded product are taken per matmul, and
-# a flow on at most DENSE_NODES nodes keeps the dense product
+# entries of G(t) below BAND_TOL times the largest are never formed;
+# FLOW_BLOCK columns of G are formed and applied per matmul, and a flow on at
+# most DENSE_NODES nodes is one dense block
 BAND_TOL = 1e-15
 FLOW_BLOCK = 32
 DENSE_NODES = 2 * FLOW_BLOCK + 4
@@ -99,89 +100,60 @@ def build_div_operator(n_nodes: int = 513, half_width: float = 12.0) -> DivAlpha
 
 
 def flow_reach(x: float, n: int) -> int:
-    """The reach R of G(t) on n nodes, with x = |t| max|lambda|: the smallest
-    d with sum_{k>d} x^k / k! < BAND_TOL / sqrt(n), or n where no d < n has
-    it.
+    """The reach R of G(t) on n nodes, with x = |t| (lambda_max - lambda_min):
+    the smallest d with 2 sum_{k>d} (x/4)^k / k! < BAND_TOL / sqrt(n), or n
+    where no d < n has it.
 
-    (P_h^k)_ij = 0 for k < |i - j| and |(P_h^k)_ij| <= max|lambda|^k, so the
-    Taylor series of G(t) bounds |G_ij| by that tail at d = |i - j| - 1.  A
-    unitary column holds an entry >= 1 / sqrt(n), so every entry beyond R is
-    below BAND_TOL times the largest.  The tail is summed relative to its
-    first term, which is taken in log space, so no factorial overflows.
+    Write P_h = c + r B with c the centre of the spectrum and r = x / (2|t|),
+    so B has its spectrum in [-1, 1] and exp(itP_h) = e^{itc} sum_k
+    (2 - delta_k0) i^k J_k(x/2) T_k(B).  T_k(B) has bandwidth k (B is
+    tridiagonal) and entries of size at most 1, and |J_k(w)| <= (w/2)^k / k!
+    (Abramowitz & Stegun 9.1.62), so the tail at d = |i - j| - 1 bounds
+    |G_ij|.  A unitary column holds an entry >= 1 / sqrt(n), so every entry
+    beyond R is below BAND_TOL times the largest.  The tail is summed
+    relative to its first term, which is taken in log space, so no factorial
+    overflows.
     """
     if x == 0.0:
         return 0
-    log_tol, log_x = math.log(BAND_TOL / math.sqrt(n)), math.log(x)
-    # the terms grow while k <= x, from 1 at k = 0: a tail from d < x is > 1
-    for d in range(int(x), n):
-        first = (d + 1) * log_x - math.lgamma(d + 2)
+    y = x / 4.0
+    log_tol, log_y = math.log(BAND_TOL / (2.0 * math.sqrt(n))), math.log(y)
+    # the terms grow while k <= y, from 1 at k = 0: a tail from d < y is > 1
+    for d in range(int(y), n):
+        first = (d + 1) * log_y - math.lgamma(d + 2)
         if first >= log_tol:
             continue
-        # 1 + x/(d+2) + x^2/((d+2)(d+3)) + ..., its ratios below 1 as d >= x
+        # 1 + y/(d+2) + y^2/((d+2)(d+3)) + ..., its ratios below 1 as d >= y
         rest, term, k = 1.0, 1.0, d + 1
         while term > 1e-17 * rest:
             k += 1
-            term *= x / k
+            term *= y / k
             rest += term
         if first + math.log(rest) < log_tol:
             return d
     return n
 
 
-def flow_band(panels, reach: int) -> int:
-    """Largest |i - j| <= reach with |G_ij| >= BAND_TOL * max |G|, over the
-    column panels (c0, lo, G[lo:hi, c0:c1]) that hold every entry within
-    the reach.  Entries beyond it are roundoff, below the tolerance in exact
-    arithmetic, so a panel's corners are not scanned."""
-    powers = [g.real**2 + g.imag**2 for _, _, g in panels]
-    keep = BAND_TOL**2 * max(power.max() for power in powers)
-    band = 0
-    for (c0, lo, g), power in zip(panels, powers):
-        rows = np.arange(lo, lo + g.shape[0], dtype=np.int32)
-        far = np.abs(rows[:, None] - np.arange(c0, c0 + g.shape[1], dtype=np.int32))
-        band = max(band, int(far[(power >= keep) & (far <= reach)].max()))
-    return band
-
-
+@dataclass(frozen=True)
 class FluxFlow:
     """G(t) as the div axis applies it, along the last axis of the data.
 
-    It is made from column panels (c0, lo, G[lo:hi, c0:c1]) of G that hold
-    every entry within ``reach`` of the diagonal.  With band b <= reach
-    (flow_band), output columns [c0, c1) read input columns
-    [c0 - b, c1 + b) only: ``blocks`` holds (c0, c1, lo, hi,
-    G[lo:hi, c0:c1]) per FLOW_BLOCK columns, sliced from the panels, and the
-    entries farther than b from the diagonal, all below BAND_TOL times the
-    largest, are skipped.  The blocks never take more multiply-adds than the
-    dense product: at a band near n each block reads every row, as the
-    dense product does.  With ``reach`` None (at most DENSE_NODES nodes) the
-    one panel is the dense G, ``band`` is None and the product is the dense
-    data @ G, with no band scan: there every block reads over half the rows
-    even at a band of 1.
+    ``blocks`` holds (c0, c1, lo, hi, G[lo:hi, c0:c1]) per FLOW_BLOCK
+    output columns, with [lo, hi) the input columns within ``band`` (the
+    reach, flow_reach) of [c0, c1); the entries farther out, all below
+    BAND_TOL times the largest, are never formed.  The blocks never take
+    more multiply-adds than the dense product: at a band near n each block
+    reads every row, as the dense product does.  With ``band`` None (at
+    most DENSE_NODES nodes) the one block is the dense G: there every block
+    would read over half the rows even at a band of 1.
     """
 
-    def __init__(self, panels, reach: int | None):
-        if reach is None:
-            ((_, _, self.matrix),) = panels
-            self.band, self.blocks = None, ()
-            return
-        self.band = band = flow_band(panels, reach)
-        self.matrix = None
-        n = panels[-1][0] + panels[-1][2].shape[1]
-        blocks = []
-        for p0, p_lo, g in panels:
-            for c0 in range(p0, p0 + g.shape[1], FLOW_BLOCK):
-                c1 = min(c0 + FLOW_BLOCK, n)
-                lo, hi = max(c0 - band, 0), min(c1 + band, n)
-                block = g[lo - p_lo : hi - p_lo, c0 - p0 : c1 - p0]
-                blocks.append((c0, c1, lo, hi, np.ascontiguousarray(block)))
-        self.blocks = tuple(blocks)
+    blocks: tuple
+    band: int | None
 
     def apply(self, data: np.ndarray) -> np.ndarray:
-        """data @ G over the band (G is symmetric, so right multiplication
+        """data @ G over the blocks (G is symmetric, so right multiplication
         applies it to each alpha row)."""
-        if self.band is None:
-            return data @ self.matrix
         rows = data.reshape(-1, data.shape[-1])
         out = np.empty_like(rows)
         for c0, c1, lo, hi, block in self.blocks:
@@ -256,11 +228,11 @@ class FluxAxis:
     with the plain L^2 measure and an unweighted power nonlinearity.
 
     The spectrum is the nodal x-spectrum itself, the flow is
-    G(t) = Q exp(it Lambda) Q^T formed within its reach and applied over its
-    band (FluxFlow), and the gradient form is the face-difference form, the
+    G(t) = Q exp(it Lambda) Q^T formed and applied within its reach
+    (FluxFlow), and the gradient form is the face-difference form, the
     exact invariant of the semi-discrete flow.  ``bands`` records, per
-    propagator time built, the band of its flow, or None where it kept the
-    dense product.
+    propagator time built, the band of its flow, or None where it is one
+    dense block.
     """
 
     def __init__(self, op: DivAlphaOperator):
@@ -275,32 +247,29 @@ class FluxAxis:
         return values
 
     def flow(self, t: float) -> FluxFlow:
-        """G(t), built exactly from the eigendecomposition on the rows within
-        its reach R (flow_reach), then banded.
+        """G(t), formed exactly from the eigendecomposition within its reach
+        R (flow_reach), which is its band.
 
-        Columns [c0, c1) of G are formed as one panel from rows
-        [c0 - R, c1 + R) of Q, since every entry farther out is below
-        BAND_TOL times the largest.  The panels are 2R wide, rounded up to
-        whole FLOW_BLOCKs, so a reach near n is one dense product.  The cos
-        and sin parts are two real products: a complex @ real product would
-        first cast Q^T to complex.  At most DENSE_NODES nodes keep the
-        dense G with no reach.
+        Columns [c0, c1) of each FLOW_BLOCK are formed from rows
+        [c0 - R, c1 + R) of Q alone, since every entry farther out is below
+        BAND_TOL times the largest.  The cos and sin parts are two real
+        products: a complex @ real product would first cast Q^T to complex.
+        At most DENSE_NODES nodes form the dense G as one block, with no
+        reach.
         """
         q, lam = self.op.eigenvectors, self.op.eigenvalues
         n = lam.size
-        dense = n <= DENSE_NODES
-        reach = n if dense else flow_reach(abs(t) * float(np.abs(lam).max()), n)
-        width = FLOW_BLOCK * max(1, math.ceil(2 * reach / FLOW_BLOCK))
+        band = None if n <= DENSE_NODES else flow_reach(abs(t) * float(lam[-1] - lam[0]), n)
+        reach, width = (n, n) if band is None else (band, FLOW_BLOCK)
         cos, sin = np.cos(t * lam), np.sin(t * lam)
-        panels = []
+        blocks = []
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
-            lo = max(c0 - reach, 0)
-            rows, cols = q[lo : min(c1 + reach, n)], q[c0:c1].T
-            panels.append((c0, lo, (rows * cos) @ cols + 1j * ((rows * sin) @ cols)))
-        flow = FluxFlow(panels, None if dense else reach)
-        self.bands[t] = flow.band
-        return flow
+            lo, hi = max(c0 - reach, 0), min(c1 + reach, n)
+            rows, cols = q[lo:hi], q[c0:c1].T
+            blocks.append((c0, c1, lo, hi, (rows * cos) @ cols + 1j * ((rows * sin) @ cols)))
+        self.bands[t] = band
+        return FluxFlow(tuple(blocks), band)
 
     def advance(self, spectrum, x_mult, flow) -> np.ndarray:
         """The spectrum times the x multiplier, then G(t) along alpha."""

@@ -43,13 +43,16 @@ def wrong_sign_hermite_flow(axis, t):
     return np.exp(-1j * t * axis.basis.eigenvalues)
 
 
-# criterion 3 (conservation), row 3-nondiv: (variant, owner, attribute,
-# the checks that must go red, the checks that stay green)
+# criterion 3 (conservation): (variant, row, owner, attribute, the checks
+# that must go red, the checks that stay green)
 CONSERVATION_VARIANTS = {
-    "euler-phase": (stepping, "apply_nonlinearity", euler_phase,
+    "euler-phase": ("3-nondiv", stepping, "apply_nonlinearity", euler_phase,
                     {"mass_drift", "energy_drift", "energy_drift_halving_ratio"}, set()),
+    "euler-phase-div": ("3-div", stepping, "apply_nonlinearity", euler_phase,
+                        {"mass_drift", "energy_drift", "energy_drift_halving_ratio"}, set()),
     # a wrong flow that is still unitary keeps the mass
-    "wrong-sign-hermite-phase": (operators.HermiteAxis, "flow", wrong_sign_hermite_flow,
+    "wrong-sign-hermite-phase": ("3-nondiv", operators.HermiteAxis, "flow",
+                                 wrong_sign_hermite_flow,
                                  {"energy_drift", "energy_drift_halving_ratio"},
                                  {"mass_drift"}),
 }
@@ -57,9 +60,9 @@ CONSERVATION_VARIANTS = {
 
 @pytest.mark.parametrize("variant", list(CONSERVATION_VARIANTS))
 def test_conservation_gates_go_red(variant, monkeypatch):
-    owner, attr, broken, red, green = CONSERVATION_VARIANTS[variant]
+    row, owner, attr, broken, red, green = CONSERVATION_VARIANTS[variant]
     monkeypatch.setattr(owner, attr, broken)
-    verdicts = run_row("3-nondiv")
+    verdicts = run_row(row)
     assert {name for name, (passed, _) in verdicts.items() if not passed} == red, verdicts
     assert {name for name, (passed, _) in verdicts.items() if passed} == green, verdicts
 
