@@ -21,14 +21,12 @@ from .operators import (
     build_machinery,
     verify_div_identity,
 )
-from .state import Field
 from .stepping import StepControl, StepperState, detect_blowup, integrate
 
 __all__ = [
     "BoxGrid",
     "DiscretizationSpec",
     "DivAlphaOperator",
-    "Field",
     "FluxAxis",
     "HermiteAxis",
     "HermiteBasis",

@@ -46,8 +46,10 @@ class InitialData:
         if self.kind not in ("gaussian", "random"):
             raise ConfigError(f"unknown initial data kind {self.kind!r}")
         for name in ("amplitude", "x_width", "alpha_width"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"initial.{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"initial.{name} must be positive and finite")
+        if not math.isfinite(self.wavenumber):
+            raise ConfigError("initial.wavenumber must be finite")
         if self.band < 1:
             raise ConfigError("initial.band must be >= 1")
 
@@ -255,10 +257,13 @@ def check_scenario(cfg: ScenarioConfig):
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; expected one of {tuple(SCENARIOS)}"
         )
-    if cfg.horizon <= 0:
-        raise ConfigError("run.t must be positive")
-    if cfg.dt <= 0:
-        raise ConfigError("run.dt must be positive")
+    # each test says what must hold, so that a NaN fails it
+    if not 0 < cfg.horizon < math.inf:
+        raise ConfigError("run.t must be positive and finite")
+    if not 0 < cfg.dt < math.inf:
+        raise ConfigError("run.dt must be positive and finite")
+    if not math.isfinite(cfg.scattering_delta):
+        raise ConfigError("run.delta must be finite")
     if cfg.n_samples < 2:
         raise ConfigError("run.samples must be >= 2")
     if cfg.ensemble < 1:

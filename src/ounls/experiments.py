@@ -481,10 +481,10 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
 
     pullbacks = []
 
-    def record_pullback(fld, machx):
-        back = machx.propagator(-fld.time).apply(fld.data) if fld.time else fld.data
-        pullbacks.append((fld.time, back))
-        return observables.sample_record(fld, machx)
+    def record_pullback(data, time, machx):
+        back = machx.propagator(-time).apply(data) if time else data
+        pullbacks.append((time, back))
+        return observables.sample_record(data, time, machx)
 
     integrate(raw, mach, [0.0] + ladder, StepControl(dt=cfg.dt), record_fn=record_pullback)
     diffs = []
@@ -668,12 +668,12 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
 
         rows = []
 
-        def record(fld, machx):
+        def record(data, time, machx):
             # one snapshot: m(x) once, one auto-correlation for both rho
-            snap = observables.Snapshot(fld, machx)
+            snap = observables.Snapshot(data, machx)
             rows.append(
                 {
-                    "time": fld.time,
+                    "time": time,
                     "I_abs": observables.morawetz_I(snap, machx, "abs"),
                     "I_bracket": observables.morawetz_I(snap, machx, "bracket"),
                     "bound": observables.morawetz_dI_bound(snap, machx),

@@ -2,12 +2,13 @@
 virial potential with its second-derivative identity, and the interaction
 functional with its first-derivative bound.
 
-Every functional is called as ``f(fld, mach)``: a nodal Field (or bare
-array) and the Machinery, whose ``spec`` says which model it is.  It
-evaluates with the model's native measure: plain dx d(alpha) for the
-divergence form, the Gaussian-weighted measure for the drift form.  A
-``Snapshot`` of the field may be passed in its place: it holds the pieces
-the functionals share, so ``sample_record`` transforms each field once.
+Every functional is called as ``f(fld, mach)``: a nodal array and the
+Machinery, whose ``spec`` says which model it is.  It evaluates with the
+model's native measure: plain dx d(alpha) for the divergence form, the
+Gaussian-weighted measure for the drift form.  A ``Snapshot`` of the field
+may be passed in its place: it holds the pieces the functionals share, so
+``sample_record`` transforms each field once.  The stepper synthesizes a
+nodal field only for a record, and hands it to the record callback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .grids import laplacian_symbol, x_fft, x_ifft
 from .models import MODEL_DIV
 from .operators import Machinery, nonlinear_gain
-from .state import Field
 
 RHO_TAGS = ("abs", "bracket")
 
@@ -51,7 +51,7 @@ CSV_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _data(fld) -> np.ndarray:
-    return fld.data if isinstance(fld, (Field, Snapshot)) else np.asarray(fld)
+    return fld.data if isinstance(fld, Snapshot) else np.asarray(fld)
 
 
 class Snapshot:
@@ -281,14 +281,15 @@ def tail_mass_fraction(fld, mach: Machinery) -> float:
     return mach.axis.tail_fraction(_snapshot(fld, mach).spectrum, TAIL_MODES)
 
 
-def sample_record(fld: Field, mach: Machinery) -> DiagnosticsRecord:
-    """Evaluate every monitored functional on one snapshot of the field: one
-    |u|^2, one x-FFT, one alpha transform and one potential density.
+def sample_record(data: np.ndarray, time: float, mach: Machinery) -> DiagnosticsRecord:
+    """Evaluate every monitored functional on one snapshot of the nodal
+    field ``data`` at ``time``: one |u|^2, one x-FFT, one alpha transform
+    and one potential density.
 
     Warns when the truncation monitors cross 1e-8: the alpha band is too
     small (tail fraction) or the box is shedding mass (boundary fraction).
     """
-    snap = Snapshot(fld, mach)
+    snap = Snapshot(data, mach)
     if mach.spec.model == MODEL_DIV:
         vir = virial(snap, mach)
         vir_rhs = virial_rhs(snap, mach)
@@ -302,7 +303,7 @@ def sample_record(fld: Field, mach: Machinery) -> DiagnosticsRecord:
     if boundary > MONITOR_THRESHOLD:
         warnings.warn("boundary shell mass fraction above 1e-8", RuntimeWarning)
     return DiagnosticsRecord(
-        time=fld.time,
+        time=time,
         mass=mass(snap, mach),
         energy=energy(snap, mach),
         h1_native=h1_native(snap, mach),

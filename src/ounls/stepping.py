@@ -14,18 +14,21 @@ norm runs on those rows (85 of 128, 171 of 256).
 Both paths carry the synchronous field as a kept-row spectrum c and a lag
 l, the field being S(l) c, where the linear flow S(t) and the 2/3
 projection P are diagonal and N(t) is the nonlinear phase.  Each Strang
-evaluation N(t) S(t_flow + l) c runs through one helper, and the lag is
-0 at the start of each segment; S(l) is applied once, by one synthesis,
-at the segment end or at a flag, so the nodal field is built only there.
+evaluation N(t) S(t_flow + l) c runs through one helper.  The StepperState
+holds c, l and the time from t = 0 to the last sample: ``integrate`` takes
+one Machinery.forward of the initial data, which is its 2/3 projection,
+the lag of one segment folds into the next segment's leading flow, and
+S(l) is applied, by one synthesis, only when a record reads the nodal
+field (``StepperState.field``).
 
 The fixed-step path keeps, after each step, c = P N(dt) S(dt/2 + l) c and
 l = dt/2: the trailing half of step i and the leading half of step i+1
 are one masked full step (first same as last; exact because both halves
-are exact flows, and 0.5*dt + 0.5*dt == dt exactly).  A segment of n steps
-between sample times costs n + 1 linear applications: an opening half
-step, n - 1 merged full steps and the closing S(dt/2).  Each step is one
-x-FFT pair, one alpha application (Hermite forward and inverse, or the
-div-form matrix G(t) over its band) and one nonlinear phase.
+are exact flows, and 0.5*dt + 0.5*dt == dt exactly), and so are the last
+step of one segment and the first of the next.  Each step is one x-FFT
+pair, one alpha application (Hermite forward and inverse, or the div-form
+matrix G(t) over its band) and one nonlinear phase; each record adds the
+S(l) and the inverse transforms of its synthesis.
 
 The adaptive path compares one step of length dt with two of dt/2 (step
 doubling) in one fused attempt:
@@ -69,7 +72,6 @@ import numpy as np
 from . import observables
 from .grids import x_fft, x_ifft
 from .operators import Machinery, NonFiniteFieldError, apply_nonlinearity
-from .state import Field
 
 
 # pinned tolerances: the adaptive controller halves dt on a step-doubling
@@ -94,8 +96,13 @@ class StepControl:
 
 @dataclass
 class StepperState:
-    field: Field
+    """The synchronous field at ``time`` is S(``lag``) ``spectrum``, a
+    kept-row spectrum and the linear flow that it still owes."""
+
+    spectrum: np.ndarray
     dt: float
+    lag: float = 0.0
+    time: float = 0.0
     step_count: int = 0
     rejected_count: int = 0
     floor_count: int = 0  # accepted at dt_min while still failing ERR_GROW
@@ -110,8 +117,17 @@ class StepperState:
         lo, hi = self.dt_range or (dt, dt)
         self.dt_range = (min(lo, dt), max(hi, dt))
 
+    def field(self, mach: Machinery) -> np.ndarray:
+        """The nodal field at ``time``: S(lag) and one synthesis."""
+        carried = self.spectrum
+        if self.lag:
+            carried = mach.propagator(self.lag).advance(carried, mach.kept)
+        return mach.synthesize(carried)
+
 
 def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
+    """The nodal 2/3 projection by one x-FFT pair: the tests' reference for
+    ``Machinery.forward`` and ``synthesize``, which the stepper uses."""
     hat = x_fft(data, mach.grid)
     hat *= mach.dealias[..., None]
     return x_ifft(hat, mach.grid)
@@ -144,12 +160,10 @@ def _phased(mach: Machinery, spectrum: np.ndarray, t_flow: float, t_phase: float
     return apply_nonlinearity(data, mach, t_phase)
 
 
-def _synchronize(state, mach, carried, lag, time, target):
-    """Make the field synchronous, S(lag) ``carried``, at the flag time or
-    at the segment end."""
-    if lag:
-        carried = mach.propagator(lag).advance(carried, mach.kept)
-    state.field = Field(mach.synthesize(carried), time if state.blowup_flag else target)
+def _synchronize(state, carried, lag, time, target):
+    """Store the field S(lag) ``carried`` at the flag time or the target."""
+    state.spectrum, state.lag = carried, lag
+    state.time = time if state.blowup_flag else target
     return state
 
 
@@ -159,7 +173,7 @@ def _advance_fixed(state, mach, target, control):
     # within 1e-12 of the nominal one is snapped to it, so the float-keyed
     # propagator cache sees one key per dt and not one per one-ulp jitter
     # of remaining / n_sub
-    start = time = state.field.time
+    start = time = state.time
     remaining = target - start
     n_sub = max(1, math.ceil(remaining / control.dt * (1.0 - 1e-12)))
     dt = remaining / n_sub
@@ -168,14 +182,14 @@ def _advance_fixed(state, mach, target, control):
     state.dt = dt
     # first same as last: a step keeps the spectrum of its nonlinear output
     # with the lag dt/2, which folds into the next step's leading half step
-    carried, lag = mach.forward(state.field.data), 0.0
+    carried, lag = state.spectrum, state.lag
     for i in range(1, n_sub + 1):
         try:
             # no nodal array outlives the step (one did: div_dense RSS +2 MB)
             carried = mach.forward(_phased(mach, carried, 0.5 * dt + lag, dt))
         except NonFiniteFieldError:
-            # only reachable on the first step: a later nonfinite field
-            # already gave a nonfinite H^1 and flagged the step before
+            # only reachable on the run's first step: a later nonfinite
+            # field already gave a nonfinite H^1 and flagged the step before
             state.blowup_flag = True
             state.blowup_time_estimate = time
             break
@@ -185,7 +199,7 @@ def _advance_fixed(state, mach, target, control):
         state = detect_blowup(state, control, h1=mach.spectral_h1(carried), time=time)
         if state.blowup_flag:
             break
-    return _synchronize(state, mach, carried, lag, time, target)
+    return _synchronize(state, carried, lag, time, target)
 
 
 def _doubling_attempt(carried: np.ndarray, lag: float, mach: Machinery, dt: float):
@@ -209,10 +223,10 @@ def _doubling_attempt(carried: np.ndarray, lag: float, mach: Machinery, dt: floa
 def _advance_adaptive(state, mach, target, control):
     eps = 1e-12 * max(1.0, abs(target))
     nominal = state.dt
-    time = state.field.time
+    time = state.time
     # an accepted step keeps its fine spectrum with the lag dt/4, and its
     # last quarter step folds into the next attempt's leading flows
-    carried, lag = mach.forward(state.field.data), 0.0
+    carried, lag = state.spectrum, state.lag
     while time < target - eps and not state.blowup_flag:
         dt = min(nominal, target - time)
         try:
@@ -236,7 +250,7 @@ def _advance_adaptive(state, mach, target, control):
         if err < ERR_SHRINK and dt == nominal:
             nominal = min(2.0 * dt, DT_MAX)
         state.dt = nominal
-    return _synchronize(state, mach, carried, lag, time, target)
+    return _synchronize(state, carried, lag, time, target)
 
 
 def integrate(
@@ -247,31 +261,32 @@ def integrate(
     record_fn=observables.sample_record,
 ):
     """Run the nodal ``initial`` data from t = 0 to each sample time
-    exactly, emitting one diagnostics record per sample; on a blow-up flag
-    the schedule is truncated and the flag time recorded.  Returns
-    (records, final StepperState)."""
+    exactly, emitting one record ``record_fn(data, time, mach)`` of the
+    nodal field per sample; on a blow-up flag the schedule is truncated and
+    the flag time recorded.  Returns (records, final StepperState)."""
     control = control or StepControl()
     samples = list(sample_times)
     if not samples:
         raise ValueError("empty sample schedule")
+    if not all(math.isfinite(t) for t in samples):
+        raise ValueError("sample times must be finite")
     if any(t1 > t2 for t1, t2 in zip(samples, samples[1:])):
         raise ValueError("sample times must be sorted")
     if samples[0] < 0:
         raise ValueError(f"sample times must not be negative, got {samples[0]}")
 
-    state = StepperState(field=Field(np.array(initial, dtype=np.complex128)), dt=control.dt)
-    if state.field.finite:
-        # project the initial data once so conservation tracks the orbit of
-        # the dealiased state rather than a one-time mask transient
-        state.field.data = _dealias(state.field.data, mach)
-        state.h1_initial = observables.h1_native(state.field, mach)
+    # the forward transform projects the initial data once, so conservation
+    # tracks the orbit of the dealiased state rather than a one-time mask
+    # transient; nonfinite data flags at the first step's nonlinear phase
+    spectrum = mach.forward(np.asarray(initial, dtype=np.complex128))
+    state = StepperState(spectrum, control.dt, h1_initial=mach.spectral_h1(spectrum))
 
     advance = _advance_adaptive if control.adaptive else _advance_fixed
     records = []
     for target in samples:
-        if target > state.field.time:
+        if target > state.time:
             state = advance(state, mach, target, control)
         if state.blowup_flag:
             break
-        records.append(record_fn(state.field, mach))
+        records.append(record_fn(state.field(mach), state.time, mach))
     return records, state

@@ -53,8 +53,20 @@ def test_threads_flag_is_validated_like_the_config_key(tmp_path):
     # a band wider than the alpha basis
     ("embeddings", ["grid.n_alpha=8", "initial.band=12"]),
     ("simulate", ["initial.kind=random", "grid.n_alpha=8", "initial.band=8"]),
+    # nonfinite run and initial values
+    ("simulate", ["run.t=inf"]),
+    ("simulate", ["run.t=nan"]),
+    ("simulate", ["run.dt=nan"]),
+    ("simulate", ["run.dt=inf"]),
+    ("scattering", ["run.delta=nan"]),
+    ("simulate", ["initial.amplitude=inf"]),
+    ("simulate", ["initial.x_width=nan"]),
+    ("simulate", ["initial.alpha_width=inf"]),
+    ("simulate", ["initial.wavenumber=nan"]),
 ], ids=["n_x-not-power-of-two", "n_alpha-1", "div_nodes-2", "box-zero", "box-negative",
-        "div-width-inf", "embeddings-band-past-n_alpha", "random-band-past-n_alpha"])
+        "div-width-inf", "embeddings-band-past-n_alpha", "random-band-past-n_alpha",
+        "t-inf", "t-nan", "dt-nan", "dt-inf", "delta-nan", "amplitude-inf", "x_width-nan",
+        "alpha_width-inf", "wavenumber-nan"])
 def test_bad_grid_value_is_a_config_error(tmp_path, capsys, command, overrides):
     out = tmp_path / "o"
     args = [arg for item in overrides for arg in ("--set", item)]

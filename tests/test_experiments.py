@@ -381,10 +381,10 @@ def test_linear_only_pullback_is_constant(monkeypatch):
     data = gaussian_field(mach, InitialData(amplitude=0.05))
     pullbacks = []
 
-    def record(fld, m):
-        back = m.propagator(-fld.time).apply(fld.data) if fld.time else fld.data
+    def record(data, time, m):
+        back = m.propagator(-time).apply(data) if time else data
         pullbacks.append(back)
-        return fld.time
+        return time
 
     integrate(data, mach, [0.0, 0.5, 1.0], StepControl(dt=2e-3), record_fn=record)
     for later in pullbacks[1:]:
@@ -434,8 +434,8 @@ def test_virial_identity_centered_second_difference(sign):
     samples = np.arange(0.0, 0.04 + delta / 2, delta)
     rows = []
 
-    def record(fld, m):
-        rows.append((fld.time, virial(fld, m), virial_rhs(fld, m)))
+    def record(data, time, m):
+        rows.append((time, virial(data, m), virial_rhs(data, m)))
         return rows[-1]
 
     integrate(data, mach, samples, StepControl(dt=1e-3), record_fn=record)
@@ -465,10 +465,10 @@ def test_virial_first_derivative_against_centered_difference():
 
     def virial_at(t):
         _, state = integrate(data, mach, [abs(t)], StepControl(dt=abs(t) / 4 if t else 1e-3))
-        out = state.field.data
+        out = state.field(mach)
         if t < 0:
             _, state = integrate(np.conj(data), mach, [abs(t)], StepControl(dt=abs(t) / 4))
-            out = np.conj(state.field.data)
+            out = np.conj(state.field(mach))
         return virial(out, mach)
 
     fd = (virial_at(delta) - virial_at(-delta)) / (2.0 * delta)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ounls import experiments, hermite, operators, stepping
+from ounls import experiments, hermite, observables, operators, stepping
 from ounls.config import ScenarioConfig
 from ounls.experiments import ACCEPTANCE, AcceptanceReports, embedding_ratios
 from ounls.operators import apply_div_operator
@@ -146,3 +146,23 @@ def test_determinism_gate_goes_red_on_an_unseeded_draw(monkeypatch):
     assert verdicts(reports["9"])["byte_identical_rows"] == (False, 0.0)
     # each run is still a valid ensemble, so the row it reruns stays green
     assert reports["4-nondiv"].passed
+
+
+# criterion 8 (interaction functional), row 8-nondiv
+interaction = observables.morawetz_I
+
+
+def unweighted_interaction(fld, mach, rho="abs"):
+    """I_rho as the plain double sum over node pairs, without the cell
+    volume squared: doubling n_x makes it four times larger."""
+    return interaction(fld, mach, rho) / mach.grid.cell_volume**2
+
+
+def test_interaction_stability_gates_go_red(monkeypatch):
+    monkeypatch.setattr(observables, "morawetz_I", unweighted_interaction)
+    verdicts = run_row("8-nondiv")
+    red = {name for name, (passed, _) in verdicts.items() if not passed}
+    assert red == {"resolution_stability_abs", "resolution_stability_bracket"}, verdicts
+    # the ratio grows about 4x from n_x to 2 n_x: a relative change near 3
+    for name in red:
+        assert 2.5 < verdicts[name][1] < 3.5, verdicts

@@ -30,7 +30,6 @@ from ounls.observables import (
     virial_rhs,
 )
 from ounls.operators import build_machinery, nonlinear_gain
-from ounls.state import Field
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -255,9 +254,9 @@ def test_truncation_monitor_warns(nondiv):
     # field is localised in x, so the boundary-shell monitor stays quiet
     envelope = np.exp(-0.5 * nondiv.grid.axis**2)
     profile = nondiv.axis.basis.eigenfunctions[62] + 1e3 * nondiv.axis.basis.eigenfunctions[0]
-    coeffs_like = Field(envelope[:, None] * profile + 0j, 0.0)
+    coeffs_like = envelope[:, None] * profile + 0j
     with pytest.warns(RuntimeWarning, match="tail fraction") as caught:
-        sample_record(coeffs_like, nondiv)
+        sample_record(coeffs_like, 0.0, nondiv)
     assert not [w for w in caught if "boundary" in str(w.message)]
 
 
@@ -270,11 +269,11 @@ def test_h1_native_constant_alpha_profile(nondiv):
 
 
 def test_sample_record_fields(nondiv, div2):
-    rec = sample_record(Field(template(nondiv), 0.25), nondiv)
+    rec = sample_record(template(nondiv), 0.25, nondiv)
     assert rec.time == 0.25
     assert math.isnan(rec.virial) and math.isnan(rec.virial_rhs)
     assert CSV_FIELDS[0] == "time" and len(CSV_FIELDS) == 10
-    rec2 = sample_record(Field(template(div2), 0.0), div2)
+    rec2 = sample_record(template(div2), 0.0, div2)
     assert math.isfinite(rec2.virial) and math.isfinite(rec2.virial_rhs)
 
 
@@ -362,7 +361,7 @@ def test_sample_record_matches_separate_functionals(model, p, sign, dim):
     u = template(mach, amp=1.3, xw=2.0) * (1.0 + 0.2 * rng.standard_normal(
         mach.grid.shape + (mach.axis.nodes.size,)))
     u = u + 0.1j * np.roll(u.real, 3, axis=-1)
-    rec = sample_record(Field(u, 0.3), mach)
+    rec = sample_record(u, 0.3, mach)
     expected = separate_record(u, mach)
     bracket = expected.pop("morawetz_I_bracket")
     assert rec.time == 0.3
@@ -400,7 +399,7 @@ def test_div_truncation_monitor_warns_on_first_eigenvectors(div2):
     hot = np.exp(-x**2 / 2.0)[:, None] * (q[:, 0] + 1e3 * q[:, -1]) + 0j
     assert abs(tail_mass_fraction(hot, div2) - 1.0 / (1.0 + 1e6)) < 1e-12
     with pytest.warns(RuntimeWarning, match="tail fraction"):
-        sample_record(Field(hot, 0.0), div2)
+        sample_record(hot, 0.0, div2)
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
@@ -418,5 +417,5 @@ def test_sample_record_transforms_the_field_once(model_fixture, request, monkeyp
     monkeypatch.setattr(observables, "nonlinear_gain",
                         counted("nonlinear_gain", observables.nonlinear_gain))
     monkeypatch.setattr(mach.axis, "forward", counted("forward", mach.axis.forward))
-    sample_record(Field(template(mach), 0.0), mach)
+    sample_record(template(mach), 0.0, mach)
     assert calls == {"x_fft": 1, "forward": 1, "nonlinear_gain": 1}
