@@ -461,9 +461,9 @@ def run_embedding_ensembles(cfg: ScenarioConfig) -> Report:
 # ------------------------------------------------------------------ scattering
 
 
-def _l2x_h1alpha(data: np.ndarray, mach: Machinery) -> float:
-    dens = _h1alpha_density(mach.axis.forward(data), mach.axis)
-    return math.sqrt(mach.grid.cell_volume * float(dens.sum()))
+def _l2x_h1alpha(snap: observables.Snapshot) -> float:
+    """The L^2_x H^1_alpha norm: the native mass and the alpha gradient form."""
+    return math.sqrt(snap.mass + snap.kinetic_alpha)
 
 
 def run_scattering(cfg: ScenarioConfig) -> Report:
@@ -475,24 +475,24 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
     report = Report("scattering")
     mach = build_machinery(cfg.model, cfg.disc)
     raw = gaussian_field(mach, cfg.initial)
-    raw *= cfg.scattering_delta / _l2x_h1alpha(raw, mach)
+    raw *= cfg.scattering_delta / _l2x_h1alpha(observables.Snapshot.of(raw, mach))
     ladder = list(SCATTERING_LADDER)
     report.settings["ladder"] = ladder
 
-    pullbacks = []
+    pullbacks = []  # (time, kept-row spectrum of w(time))
 
-    def record_pullback(data, time, machx):
-        back = machx.propagator(-time).apply(data) if time else data
+    def record_pullback(snap, time, machx):
+        back = machx.propagator(-time).advance(snap.spectrum, machx.kept) if time else snap.spectrum
         pullbacks.append((time, back))
-        return observables.sample_record(data, time, machx)
+        return observables.sample_record(snap, time, machx)
 
     integrate(raw, mach, [0.0] + ladder, StepControl(dt=cfg.dt), record_fn=record_pullback)
     diffs = []
     for (_, w0), (t1, w1) in zip(pullbacks, pullbacks[1:]):
-        diffs.append((t1, _l2x_h1alpha(w1 - w0, mach)))
+        diffs.append((t1, _l2x_h1alpha(observables.Snapshot(w1 - w0, mach))))
     for t, d in diffs:
         report.rows.append({"ladder_time": t, "cauchy_difference": d})
-    report.artifacts["u_plus"] = pullbacks[-1][1]  # the inferred scattering state
+    report.artifacts["u_plus"] = mach.synthesize(pullbacks[-1][1])  # the scattering state
     values = [d for _, d in diffs]
     decreasing = report.add("cauchy_strictly_decreasing", values, comparator="decreasing")
     report.add("cauchy_final_below_tenth", values[-1] / values[0], 0.1, comparator="<")
@@ -668,9 +668,8 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
 
         rows = []
 
-        def record(data, time, machx):
+        def record(snap, time, machx):
             # one snapshot: m(x) once, one auto-correlation for both rho
-            snap = observables.Snapshot(data, machx)
             rows.append(
                 {
                     "time": time,

@@ -2,13 +2,12 @@
 virial potential with its second-derivative identity, and the interaction
 functional with its first-derivative bound.
 
-Every functional is called as ``f(fld, mach)``: a nodal array and the
-Machinery, whose ``spec`` says which model it is.  It evaluates with the
-model's native measure: plain dx d(alpha) for the divergence form, the
-Gaussian-weighted measure for the drift form.  A ``Snapshot`` of the field
-may be passed in its place: it holds the pieces the functionals share, so
-``sample_record`` transforms each field once.  The stepper synthesizes a
-nodal field only for a record, and hands it to the record callback.
+Every functional is called as ``f(fld, mach)``: a nodal array or a
+``Snapshot`` of the field, and the Machinery, whose ``spec`` says which
+model it is.  It evaluates with the model's native measure: plain
+dx d(alpha) for the divergence form, the Gaussian-weighted measure for the
+drift form.  The stepper hands each record a snapshot of the kept-row
+spectrum that it holds, so a record runs no forward transform.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import laplacian_symbol, x_fft, x_ifft
+from .grids import x_fft, x_ifft
 from .models import MODEL_DIV
 from .operators import Machinery, nonlinear_gain
 
@@ -50,23 +49,44 @@ class DiagnosticsRecord:
 CSV_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def _data(fld) -> np.ndarray:
-    return fld.data if isinstance(fld, Snapshot) else np.asarray(fld)
-
-
 class Snapshot:
     """The pieces of one field that the functionals share, each computed on
-    first use and then held: |u|^2 and the mass density m(x), one x-FFT (the
-    x-kinetic integral), the alpha spectrum (the alpha-kinetic integral and
-    the tail monitor), the potential density and the auto-correlation of m.
-
-    A functional given a snapshot in place of the field reads these pieces,
-    so functionals called on one snapshot transform the field once.
+    first use and then held.  Mass, both kinetic integrals and the tail
+    monitor are read off ``spectrum``, x-Fourier and alpha-spectral over
+    ``rows`` (flat x-mode indices or a slice; the kept rows when None).  The
+    nodal field ``data``, synthesized once when it was not given, gives
+    |u|^2, m(x), the potential density and the auto-correlation of m.
     """
 
-    def __init__(self, fld, mach: Machinery):
-        self.data = _data(fld)
+    def __init__(self, spectrum: np.ndarray, mach: Machinery, rows=None, data=None):
+        self.spectrum = spectrum
         self.mach = mach
+        self.rows = rows
+        if data is not None:
+            self.data = data
+
+    @classmethod
+    def of(cls, fld, mach: Machinery) -> "Snapshot":
+        """``fld`` itself when it is a snapshot taken with this machinery,
+        else a snapshot of the nodal field over every x mode: one x-FFT and
+        one alpha forward transform, and no projection."""
+        if isinstance(fld, Snapshot) and fld.mach is mach:
+            return fld
+        data = np.asarray(fld.data if isinstance(fld, Snapshot) else fld)
+        return cls(mach.forward(data, rows=slice(None)), mach, slice(None), data)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return self.mach.synthesize(self.spectrum)
+
+    @cached_property
+    def quadratic_forms(self) -> tuple[float, float, float]:
+        """(mass, kinetic_x, kinetic_alpha): Machinery.quadratic_forms."""
+        return self.mach.quadratic_forms(self.spectrum, self.rows)
+
+    mass = property(lambda self: self.quadratic_forms[0])
+    kinetic_x = property(lambda self: self.quadratic_forms[1])
+    kinetic_alpha = property(lambda self: self.quadratic_forms[2])
 
     @cached_property
     def amp2(self) -> np.ndarray:
@@ -76,33 +96,6 @@ class Snapshot:
     def mass_density(self) -> np.ndarray:
         """m(x) = integral |u|^2 against the native alpha measure."""
         return self.amp2 @ self.mach.axis.weights
-
-    @cached_property
-    def mass(self) -> float:
-        return float(self.mach.grid.cell_volume * self.mass_density.sum())
-
-    @cached_property
-    def kinetic_x(self) -> float:
-        """integral |grad_x u|^2 (native measure), via Fourier Parseval."""
-        grid = self.mach.grid
-        hat = x_fft(self.data, grid)
-        k2 = -laplacian_symbol(grid)
-        dens = (k2[..., None] * (hat.real**2 + hat.imag**2)) @ self.mach.axis.weights
-        return float(grid.cell_volume * dens.sum())
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """The alpha spectrum of the field (x stays nodal)."""
-        return self.mach.axis.forward(self.data)
-
-    @cached_property
-    def kinetic_alpha(self) -> float:
-        """integral of the axis's alpha-gradient quadratic form with its native
-        weight (the drift form's modal sum n |c_n|^2, the div form's
-        face-difference form)."""
-        axis, spectrum = self.mach.axis, self.spectrum
-        dens = axis.grad_density(spectrum, spectrum.real**2 + spectrum.imag**2)
-        return float(self.mach.grid.cell_volume * axis.measure * dens.sum())
 
     @cached_property
     def potential_density(self) -> np.ndarray:
@@ -120,22 +113,14 @@ class Snapshot:
         return _lag_correlation(self.mass_density, self.mach.grid.spacing)
 
 
-def _snapshot(fld, mach: Machinery) -> Snapshot:
-    """``fld`` itself when it is a snapshot taken with this machinery, else
-    a new snapshot of the field."""
-    if isinstance(fld, Snapshot) and fld.mach is mach:
-        return fld
-    return Snapshot(fld, mach)
-
-
 def mass(fld, mach: Machinery) -> float:
     """Native squared L^2: integral of |u|^2 against the model's measure."""
-    return _snapshot(fld, mach).mass
+    return Snapshot.of(fld, mach).mass
 
 
 def energy_terms(fld, mach: Machinery) -> dict[str, float]:
     """The three energy terms: x-kinetic, alpha-kinetic, potential (signed)."""
-    snap = _snapshot(fld, mach)
+    snap = Snapshot.of(fld, mach)
     return {
         "kinetic_x": 0.5 * snap.kinetic_x,
         "kinetic_alpha": 0.5 * snap.kinetic_alpha,
@@ -149,8 +134,7 @@ def energy(fld, mach: Machinery) -> float:
 
 def h1_native(fld, mach: Machinery) -> float:
     """Energy-compatible H^1-type norm in the model's native measure."""
-    snap = _snapshot(fld, mach)
-    return math.sqrt(snap.mass + snap.kinetic_x + snap.kinetic_alpha)
+    return math.sqrt(sum(Snapshot.of(fld, mach).quadratic_forms))
 
 
 def _require_div(mach: Machinery, what: str):
@@ -164,14 +148,14 @@ def virial(fld, mach: Machinery) -> float:
     """V(t) = integral |x|^2 |u|^2 dx d(alpha)."""
     _require_div(mach, "virial")
     radius_sq = sum(c**2 for c in mach.grid.coordinates())
-    dens = _snapshot(fld, mach).mass_density
+    dens = Snapshot.of(fld, mach).mass_density
     return float(mach.grid.cell_volume * np.sum(radius_sq * dens))
 
 
 def virial_dt(fld, mach: Machinery) -> float:
     """First time derivative: 4 Im integral x . grad_x(u) conj(u)."""
     _require_div(mach, "virial_dt")
-    u = _data(fld)
+    u = fld.data if isinstance(fld, Snapshot) else np.asarray(fld)
     hat = x_fft(u, mach.grid)
     k = mach.grid.wavenumbers
     total = 0.0
@@ -193,7 +177,7 @@ def virial_rhs(fld, mach: Machinery) -> float:
     concavity route to finite-time blow-up.
     """
     _require_div(mach, "virial_rhs")
-    snap = _snapshot(fld, mach)
+    snap = Snapshot.of(fld, mach)
     coeff = (mach.spec.dim * mach.spec.power - 4) / (4.0 * (mach.spec.power + 2))
     return 16.0 * (
         energy(snap, mach)
@@ -235,13 +219,13 @@ def morawetz_I(fld, mach: Machinery, rho: str = "abs") -> float:
     Lags use exact node differences; for rho = |x-y| the diagonal cell
     contributes zero by the quadrature convention rho(0) = 0.
     """
-    corr, radius = _snapshot(fld, mach).autocorrelation
+    corr, radius = Snapshot.of(fld, mach).autocorrelation
     return float(mach.grid.cell_volume**2 * np.sum(rho_values(radius, rho) * corr))
 
 
 def morawetz_dI_bound(fld, mach: Machinery) -> float:
     """||u||^3_{L^2} ||u||_{H^1_x-dot} in the native norms."""
-    snap = _snapshot(fld, mach)
+    snap = Snapshot.of(fld, mach)
     return snap.mass**1.5 * math.sqrt(snap.kinetic_x)
 
 
@@ -252,7 +236,7 @@ def morawetz_weighted_potential(fld, mach: Machinery) -> float:
     m the native mass density and m_p the |u|^{p+2} density (nonlinearity
     weight included).  Measured only; no sharp constant is asserted.
     """
-    snap = _snapshot(fld, mach)
+    snap = Snapshot.of(fld, mach)
     corr, radius = _lag_correlation(
         snap.mass_density, mach.grid.spacing, snap.potential_density
     )
@@ -263,7 +247,7 @@ def morawetz_weighted_potential(fld, mach: Machinery) -> float:
 
 def boundary_mass_fraction(fld, mach: Machinery) -> float:
     """Native-mass fraction in the outermost 10% shell of the x box."""
-    dens = _snapshot(fld, mach).mass_density
+    dens = Snapshot.of(fld, mach).mass_density
     shell = [np.abs(c) >= 0.9 * mach.grid.half_length for c in mach.grid.coordinates()]
     outer = np.logical_or.reduce(np.broadcast_arrays(*shell))
     total = float(dens.sum())
@@ -278,18 +262,19 @@ TAIL_MODES = 4  # the top alpha modes whose mass the tail monitor reports
 
 def tail_mass_fraction(fld, mach: Machinery) -> float:
     """Fraction of native alpha-spectral mass in the top TAIL_MODES modes."""
-    return mach.axis.tail_fraction(_snapshot(fld, mach).spectrum, TAIL_MODES)
+    return mach.axis.tail_fraction(Snapshot.of(fld, mach).spectrum, TAIL_MODES)
 
 
-def sample_record(data: np.ndarray, time: float, mach: Machinery) -> DiagnosticsRecord:
-    """Evaluate every monitored functional on one snapshot of the nodal
-    field ``data`` at ``time``: one |u|^2, one x-FFT, one alpha transform
-    and one potential density.
+def sample_record(fld, time: float, mach: Machinery) -> DiagnosticsRecord:
+    """Evaluate every monitored functional on one snapshot of ``fld`` at
+    ``time``: the spectral quadratic forms once, and one synthesis (for a
+    snapshot of the stepper's spectrum), |u|^2 and potential density.  A
+    nodal ``fld`` adds one x-FFT and one alpha forward transform.
 
     Warns when the truncation monitors cross 1e-8: the alpha band is too
     small (tail fraction) or the box is shedding mass (boundary fraction).
     """
-    snap = Snapshot(data, mach)
+    snap = Snapshot.of(fld, mach)
     if mach.spec.model == MODEL_DIV:
         vir = virial(snap, mach)
         vir_rhs = virial_rhs(snap, mach)

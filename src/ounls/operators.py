@@ -392,14 +392,17 @@ class Machinery:
         return np.flatnonzero(self.dealias)
 
     @cached_property
-    def _h1_weight(self) -> np.ndarray:
-        """1 + |k|^2 at the kept modes."""
-        return (1.0 - laplacian_symbol(self.grid)).reshape(-1)[self.kept]
+    def _k2_kept(self) -> np.ndarray:
+        """|k|^2 at the kept modes."""
+        return -laplacian_symbol(self.grid).reshape(-1)[self.kept]
 
-    def forward(self, data: np.ndarray) -> np.ndarray:
-        """Kept-row spectrum of the 2/3 projection of a nodal field."""
+    def forward(self, data: np.ndarray, rows=None) -> np.ndarray:
+        """Kept-row spectrum of the 2/3 projection of a nodal field, or,
+        with ``rows`` (flat x-mode indices or a slice), its spectrum over
+        those rows."""
         hat = x_fft(data, self.grid)
-        return self.axis.forward(hat.reshape(-1, hat.shape[-1])[self.kept])
+        hat = hat.reshape(-1, hat.shape[-1])
+        return self.axis.forward(hat[self.kept if rows is None else rows])
 
     def synthesize(self, spectrum: np.ndarray) -> np.ndarray:
         """Nodal field of a kept-row spectrum.  The rows go into a zero
@@ -410,20 +413,26 @@ class Machinery:
         self._scatter[self.kept] = self.axis.inverse(spectrum)
         return x_ifft(self._scatter.reshape(self.grid.shape + (-1,)), self.grid)
 
-    def spectral_h1(self, spectrum: np.ndarray) -> float:
-        """Native H^1 of the field whose kept-row spectrum this is:
-        vol * measure * sum [(1 + |k|^2)|s|^2 + alpha gradient form]."""
+    def quadratic_forms(self, spectrum: np.ndarray, rows=None) -> tuple[float, float, float]:
+        """(mass, kinetic_x, kinetic_alpha) of the field whose spectrum over
+        ``rows`` (the kept rows when None) this is: vol * measure * the sums
+        of |s|^2, |k|^2 |s|^2 and the alpha gradient form (Parseval)."""
+        k2 = self._k2_kept if rows is None else -laplacian_symbol(self.grid).reshape(-1)[rows]
         power = spectrum.real**2 + spectrum.imag**2
-        dens = self._h1_weight * power.sum(axis=-1) + self.axis.grad_density(spectrum, power)
-        return self._native_norm(float(dens.sum()))
+        row_power = power.sum(axis=-1)
+        scale = self.grid.cell_volume * self.axis.measure
+        return (scale * float(row_power.sum()), scale * float((k2 * row_power).sum()),
+                scale * float(self.axis.grad_density(spectrum, power).sum()))
+
+    def spectral_h1(self, spectrum: np.ndarray) -> float:
+        """Native H^1 of the field whose kept-row spectrum this is: the
+        square root of its mass and both kinetic integrals."""
+        return math.sqrt(sum(self.quadratic_forms(spectrum)))
 
     def spectral_l2(self, spectrum: np.ndarray) -> float:
-        """Native L^2 of the field whose kept-row spectrum this is: both
-        transforms are unitary in the native measure (Parseval)."""
-        return self._native_norm(np.vdot(spectrum, spectrum).real)
-
-    def _native_norm(self, total: float) -> float:
-        return float(np.sqrt(self.grid.cell_volume * self.axis.measure * total))
+        """Native L^2 of the field whose kept-row spectrum this is."""
+        scale = self.grid.cell_volume * self.axis.measure
+        return float(np.sqrt(scale * np.vdot(spectrum, spectrum).real))
 
     def propagator(self, t: float) -> "LinearPropagator":
         """Cached exact propagator for time t (small LRU: a div-form flow
@@ -447,9 +456,9 @@ def build_machinery(spec: ModelSpec, disc: DiscretizationSpec) -> Machinery:
 class LinearPropagator:
     """Exact application of exp(i t L): the x phases and the axis flow.
 
-    ``apply`` runs it on a nodal field over every x mode.  The stepper
-    carries kept-row spectra instead (``Machinery.forward`` and
-    ``Machinery.synthesize``) and calls ``advance`` on them.
+    The solver calls ``advance`` on kept-row spectra (``Machinery.forward``
+    and ``Machinery.synthesize``).  ``apply`` runs it on a nodal field over
+    every x mode: the tests' reference propagator, and a benchmark span.
     """
 
     grid: BoxGrid

@@ -18,8 +18,8 @@ evaluation N(t) S(t_flow + l) c runs through one helper.  The StepperState
 holds c, l and the time from t = 0 to the last sample: ``integrate`` takes
 one Machinery.forward of the initial data, which is its 2/3 projection,
 the lag of one segment folds into the next segment's leading flow, and
-S(l) is applied, by one synthesis, only when a record reads the nodal
-field (``StepperState.field``).
+S(l) is applied only for a record, which reads a snapshot of S(l) c
+(``StepperState.snapshot``) and synthesizes the nodal field once.
 
 The fixed-step path keeps, after each step, c = P N(dt) S(dt/2 + l) c and
 l = dt/2: the trailing half of step i and the leading half of step i+1
@@ -28,7 +28,8 @@ are exact flows, and 0.5*dt + 0.5*dt == dt exactly), and so are the last
 step of one segment and the first of the next.  Each step is one x-FFT
 pair, one alpha application (Hermite forward and inverse, or the div-form
 matrix G(t) over its band) and one nonlinear phase; each record adds the
-S(l) and the inverse transforms of its synthesis.
+S(l) and the inverse transforms of its synthesis, and no forward
+transform.
 
 The adaptive path compares one step of length dt with two of dt/2 (step
 doubling) in one fused attempt:
@@ -117,12 +118,13 @@ class StepperState:
         lo, hi = self.dt_range or (dt, dt)
         self.dt_range = (min(lo, dt), max(hi, dt))
 
-    def field(self, mach: Machinery) -> np.ndarray:
-        """The nodal field at ``time``: S(lag) and one synthesis."""
+    def snapshot(self, mach: Machinery) -> observables.Snapshot:
+        """The field at ``time`` as a snapshot of its kept-row spectrum
+        S(lag) c, which synthesizes the nodal field on first use."""
         carried = self.spectrum
         if self.lag:
             carried = mach.propagator(self.lag).advance(carried, mach.kept)
-        return mach.synthesize(carried)
+        return observables.Snapshot(carried, mach)
 
 
 def _dealias(data: np.ndarray, mach: Machinery) -> np.ndarray:
@@ -167,18 +169,19 @@ def _synchronize(state, carried, lag, time, target):
     return state
 
 
+def _snap_dt(dt: float, nominal: float) -> float:
+    """``nominal`` for a dt within 1e-12 relative of it, else dt, so the
+    propagator cache sees one key per dt, not one per ulp of jitter."""
+    return nominal if abs(dt - nominal) <= 1e-12 * abs(nominal) else dt
+
+
 def _advance_fixed(state, mach, target, control):
     # uniform substeps per segment, rounded up so that none is longer than
-    # control.dt (the 1e-12 relative slack absorbs division jitter); a dt
-    # within 1e-12 of the nominal one is snapped to it, so the float-keyed
-    # propagator cache sees one key per dt and not one per one-ulp jitter
-    # of remaining / n_sub
+    # control.dt (the 1e-12 relative slack absorbs division jitter)
     start = time = state.time
     remaining = target - start
     n_sub = max(1, math.ceil(remaining / control.dt * (1.0 - 1e-12)))
-    dt = remaining / n_sub
-    if abs(dt - control.dt) <= 1e-12 * abs(control.dt):
-        dt = control.dt
+    dt = _snap_dt(remaining / n_sub, control.dt)
     state.dt = dt
     # first same as last: a step keeps the spectrum of its nonlinear output
     # with the lag dt/2, which folds into the next step's leading half step
@@ -228,7 +231,8 @@ def _advance_adaptive(state, mach, target, control):
     # last quarter step folds into the next attempt's leading flows
     carried, lag = state.spectrum, state.lag
     while time < target - eps and not state.blowup_flag:
-        dt = min(nominal, target - time)
+        # a segment's last step is one ulp off nominal when time rounds
+        dt = _snap_dt(min(nominal, target - time), nominal)
         try:
             err, fine = _doubling_attempt(carried, lag, mach, dt)
         except NonFiniteFieldError:
@@ -261,9 +265,10 @@ def integrate(
     record_fn=observables.sample_record,
 ):
     """Run the nodal ``initial`` data from t = 0 to each sample time
-    exactly, emitting one record ``record_fn(data, time, mach)`` of the
-    nodal field per sample; on a blow-up flag the schedule is truncated and
-    the flag time recorded.  Returns (records, final StepperState)."""
+    exactly, emitting one record ``record_fn(snapshot, time, mach)`` per
+    sample, with an ``observables.Snapshot`` of the kept-row spectrum; on a
+    blow-up flag the schedule is truncated and the flag time recorded.
+    Returns (records, final StepperState)."""
     control = control or StepControl()
     samples = list(sample_times)
     if not samples:
@@ -288,5 +293,5 @@ def integrate(
             state = advance(state, mach, target, control)
         if state.blowup_flag:
             break
-        records.append(record_fn(state.field(mach), state.time, mach))
+        records.append(record_fn(state.snapshot(mach), state.time, mach))
     return records, state

@@ -381,8 +381,8 @@ def test_linear_only_pullback_is_constant(monkeypatch):
     data = gaussian_field(mach, InitialData(amplitude=0.05))
     pullbacks = []
 
-    def record(data, time, m):
-        back = m.propagator(-time).apply(data) if time else data
+    def record(snap, time, m):
+        back = m.propagator(-time).apply(snap.data) if time else snap.data
         pullbacks.append(back)
         return time
 
@@ -465,10 +465,10 @@ def test_virial_first_derivative_against_centered_difference():
 
     def virial_at(t):
         _, state = integrate(data, mach, [abs(t)], StepControl(dt=abs(t) / 4 if t else 1e-3))
-        out = state.field(mach)
+        out = state.snapshot(mach).data
         if t < 0:
             _, state = integrate(np.conj(data), mach, [abs(t)], StepControl(dt=abs(t) / 4))
-            out = np.conj(state.field(mach))
+            out = np.conj(state.snapshot(mach).data)
         return virial(out, mach)
 
     fd = (virial_at(delta) - virial_at(-delta)) / (2.0 * delta)

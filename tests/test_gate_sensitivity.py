@@ -166,3 +166,22 @@ def test_interaction_stability_gates_go_red(monkeypatch):
     # the ratio grows about 4x from n_x to 2 n_x: a relative change near 3
     for name in red:
         assert 2.5 < verdicts[name][1] < 3.5, verdicts
+
+
+# criterion 6 (scattering), row 6
+propagator = operators.Machinery.propagator
+
+
+def forward_time_propagator(mach, t):
+    """S(|t|) in place of S(t).  The stepper asks only for t > 0, so only
+    the pullback changes: it runs forward, and w(t) = S(t) u(t) does not
+    settle."""
+    return propagator(mach, abs(t))
+
+
+def test_scattering_gates_go_red(monkeypatch):
+    monkeypatch.setattr(operators.Machinery, "propagator", forward_time_propagator)
+    verdicts = run_row("6")
+    assert not any(passed for passed, _ in verdicts.values()), verdicts
+    # the last Cauchy difference is larger than the first, against 0.1
+    assert verdicts["cauchy_final_below_tenth"][1] > 1.0, verdicts

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate
 
-from ounls import hermite, observables
+from ounls import hermite, observables, operators
 from ounls.grids import laplacian_symbol, x_fft
 from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import (
@@ -30,6 +30,7 @@ from ounls.observables import (
     virial_rhs,
 )
 from ounls.operators import build_machinery, nonlinear_gain
+from ounls.stepping import StepControl, integrate
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -201,7 +202,7 @@ def test_morawetz_against_direct_double_sum(dim):
     rng = np.random.default_rng(21)
     shape = mach.grid.shape + (8,)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    m = Snapshot(u, mach).mass_density
+    m = Snapshot.of(u, mach).mass_density
     coords = np.stack(np.meshgrid(*([mach.grid.axis] * dim), indexing="ij"), -1)
     flat_m = m.ravel()
     flat_x = coords.reshape(-1, dim)
@@ -225,7 +226,7 @@ def test_weighted_potential_against_direct_sum():
     mach = build_machinery(spec, DiscretizationSpec(n_x=16, box_half_length=4.0, n_alpha=8))
     rng = np.random.default_rng(3)
     u = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-    m = Snapshot(u, mach).mass_density
+    m = Snapshot.of(u, mach).mass_density
     amp2 = u.real**2 + u.imag**2
     gauss = np.exp(-0.5 * mach.axis.nodes**2)
     m_p = ((amp2 * gauss**2) * amp2) @ mach.axis.basis.weights
@@ -371,7 +372,7 @@ def test_sample_record_matches_separate_functionals(model, p, sign, dim):
             assert math.isnan(got), name
         else:
             assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
-    snap = Snapshot(u, mach)
+    snap = Snapshot.of(u, mach)
     assert abs(morawetz_I(snap, mach, "bracket") - bracket) <= 1e-13 * bracket
     # a functional reads the same value off a snapshot as off the field
     assert mass(u, mach) == rec.mass
@@ -413,9 +414,64 @@ def test_sample_record_transforms_the_field_once(model_fixture, request, monkeyp
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(observables, "x_fft", counted("x_fft", observables.x_fft))
+    monkeypatch.setattr(operators, "x_fft", counted("x_fft", operators.x_fft))
     monkeypatch.setattr(observables, "nonlinear_gain",
                         counted("nonlinear_gain", observables.nonlinear_gain))
     monkeypatch.setattr(mach.axis, "forward", counted("forward", mach.axis.forward))
     sample_record(template(mach), 0.0, mach)
     assert calls == {"x_fft": 1, "forward": 1, "nonlinear_gain": 1}
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
+def test_integrate_record_runs_no_forward_transform(model_fixture, request, monkeypatch):
+    # the record reads the stepper's kept-row spectrum: its only transform
+    # is the synthesis of the nodal field, one inverse x-FFT
+    mach = request.getfixturevalue(model_fixture)
+    calls = {"x_fft": 0, "x_ifft": 0, "forward": 0, "forward_tensor": 0}
+    recording = [False]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += recording[0]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner in (operators, observables):
+        monkeypatch.setattr(owner, "x_fft", counted("x_fft", owner.x_fft))
+    monkeypatch.setattr(operators, "x_ifft", counted("x_ifft", operators.x_ifft))
+    monkeypatch.setattr(hermite, "forward_tensor",
+                        counted("forward_tensor", hermite.forward_tensor))
+    monkeypatch.setattr(mach.axis, "forward", counted("forward", mach.axis.forward))
+
+    def record(snap, time, m):
+        recording[0] = True
+        try:
+            return sample_record(snap, time, m)
+        finally:
+            recording[0] = False
+
+    records, _ = integrate(template(mach), mach, [0.0, 2e-3], StepControl(dt=1e-3),
+                           record_fn=record)
+    assert len(records) == 2
+    assert calls == {"x_fft": 0, "x_ifft": 2, "forward": 0, "forward_tensor": 0}
+
+
+@pytest.mark.filterwarnings("ignore:alpha truncation tail:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("model", ["nondiv", "div"])
+def test_kept_row_snapshot_matches_nodal_snapshot(model, dim):
+    # a 2/3-projected field read over every x mode from its nodal values,
+    # and read off its kept-row spectrum with the nodal field synthesized
+    n_x, nodes = (128, 257) if dim == 1 else (32, 65)
+    mach = build_machinery(ModelSpec(model, dim, 2, -1),
+                           DiscretizationSpec(n_x=n_x, n_alpha=32, div_nodes=nodes))
+    rng = np.random.default_rng(5)
+    u = template(mach, amp=1.3, xw=2.0) * (1.0 + 0.2 * rng.standard_normal(
+        mach.grid.shape + (mach.axis.nodes.size,)))
+    u = mach.synthesize(mach.forward(u))
+    nodal, spectral = Snapshot.of(u, mach), Snapshot(mach.forward(u), mach)
+    assert nodal.spectrum.shape[0] == mach.dealias.size
+    assert spectral.spectrum.shape[0] == mach.kept.size
+    for fn in (mass, energy, h1_native, tail_mass_fraction):
+        want, got = fn(nodal, mach), fn(spectral, mach)
+        assert abs(got - want) <= 1e-13 * abs(want), (fn.__name__, got, want)

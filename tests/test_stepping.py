@@ -54,7 +54,7 @@ def test_zero_field_stays_zero(nondiv):
     _, state = integrate(np.zeros((256, 64), complex), nondiv, [3e-2], StepControl(dt=1e-2),
                          record_fn=no_record)
     assert state.step_count == 3
-    assert np.all(state.field(nondiv) == 0)
+    assert np.all(state.snapshot(nondiv).data == 0)
     assert state.time == pytest.approx(3e-2)
 
 
@@ -64,7 +64,7 @@ def test_linear_only_matches_exact_propagator(nondiv, monkeypatch):
     _, state = integrate(u0, nondiv, [0.05], StepControl(dt=0.05), record_fn=no_record)
     assert state.step_count == 1
     exact = nondiv.propagator(0.05).apply(u0)
-    err = math.sqrt(mass(state.field(nondiv) - exact, nondiv))
+    err = math.sqrt(mass(state.snapshot(nondiv).data - exact, nondiv))
     assert err < 1e-11 * math.sqrt(mass(u0, nondiv))
 
 
@@ -75,7 +75,7 @@ def test_per_step_mass_conservation(model_fixture, request):
     m0 = mass(u0, mach)
     _, state = integrate(u0, mach, [1e-3], StepControl(dt=1e-3), record_fn=no_record)
     assert state.step_count == 1
-    assert abs(mass(state.field(mach), mach) - m0) < 1e-11 * m0
+    assert abs(mass(state.snapshot(mach).data, mach) - m0) < 1e-11 * m0
 
 
 def strang(data, mach, dt):
@@ -100,7 +100,7 @@ def test_second_order_self_convergence(nondiv):
 
     def final(dt):
         _, state = integrate(u0, nondiv, [0.25], StepControl(dt=dt))
-        return state.field(nondiv)
+        return state.snapshot(nondiv).data
 
     ref = final(6.25e-5)
     e1 = math.sqrt(mass(final(1e-3) - ref, nondiv))
@@ -116,7 +116,7 @@ def test_second_order_self_convergence_div(divm):
 
     def final(dt):
         _, state = integrate(u0, small, [0.1], StepControl(dt=dt))
-        return state.field(small)
+        return state.snapshot(small).data
 
     ref = final(2.5e-4)
     e1 = math.sqrt(mass(final(2e-3) - ref, small))
@@ -216,7 +216,7 @@ def test_fused_fixed_path_matches_unfused_steps(model_fixture, request):
         expected.append(sample_record(data, t, mach))
 
     assert state.step_count == 50 and not state.blowup_flag
-    assert native_rel(state.field(mach), data, mach) <= 1e-8
+    assert native_rel(state.snapshot(mach).data, data, mach) <= 1e-8
     for got, ref in zip(records, expected, strict=True):
         for name in ("mass", "energy", "h1_native"):
             a, b = getattr(got, name), getattr(ref, name)
@@ -279,9 +279,9 @@ def test_guard_h1_matches_sampled_h1(model_fixture, request, monkeypatch):
         assert abs(seen[at_sample] - rec.h1_native) <= 1e-12 * rec.h1_native
 
 
-def test_fixed_run_builds_one_propagator_per_substep_length(monkeypatch):
-    # 0.02 - 0.01 and friends divide by 10 to one ulp off 1e-3; those
-    # jittered lengths must not become new cache keys
+def small_nondiv_with_build_log(monkeypatch):
+    """A small drift-form machinery, and the list that every propagator
+    time built from here on is appended to."""
     mach = build_machinery(ModelSpec("nondiv", 1, 4), DiscretizationSpec(
         n_x=64, box_half_length=4 * math.pi, n_alpha=16))
     built = []
@@ -292,11 +292,33 @@ def test_fixed_run_builds_one_propagator_per_substep_length(monkeypatch):
         return build(grid, axis, t)
 
     monkeypatch.setattr(operators, "build_linear_propagator", counting)
+    return mach, built
+
+
+def test_fixed_run_builds_one_propagator_per_substep_length(monkeypatch):
+    # 0.02 - 0.01 and friends divide by 10 to one ulp off 1e-3; those
+    # jittered lengths must not become new cache keys
+    mach, built = small_nondiv_with_build_log(monkeypatch)
     samples = np.linspace(0.0, 0.05, 6)
     _, state = integrate(gaussian(mach), mach, samples, StepControl(dt=1e-3),
                          record_fn=no_record)
     assert state.step_count == 50
     assert sorted(built) == [5e-4, 1e-3]
+
+
+def test_adaptive_run_builds_one_propagator_per_flow_length(monkeypatch):
+    # three steps of 1e-2 add up to one ulp short of 0.03, so the segment's
+    # last step was target - time, one ulp off dt, and its flows and the
+    # lag it carried into the next segment became one-off cache keys (8
+    # builds); snapped to dt, every attempt uses dt/4, dt/2 and 3 dt/4
+    monkeypatch.setattr(stepping, "ERR_GROW", math.inf)  # dt stays at 1e-2
+    monkeypatch.setattr(stepping, "ERR_SHRINK", 0.0)
+    mach, built = small_nondiv_with_build_log(monkeypatch)
+    dt = 1e-2
+    _, state = integrate(gaussian(mach), mach, [0.0, 0.03, 0.06],
+                         StepControl(dt=dt, adaptive=True), record_fn=no_record)
+    assert state.step_count == 6 and state.dt_range == (dt, dt)
+    assert sorted(built) == [0.25 * dt, 0.5 * dt, 0.5 * dt + 0.25 * dt]
 
 
 def test_fixed_substeps_never_exceed_control_dt(nondiv):
@@ -324,7 +346,7 @@ def test_guard_flag_materialises_the_field_at_the_flag_time(nondiv, monkeypatch)
     data = x_ifft(hat, nondiv.grid)
     for _ in range(n):
         data = strang(data, nondiv, 1e-2)
-    assert native_rel(state.field(nondiv), data, nondiv) <= 1e-10
+    assert native_rel(state.snapshot(nondiv).data, data, nondiv) <= 1e-10
 
 
 # ------------------------------------------------ fused adaptive attempt
@@ -337,9 +359,9 @@ def reference_advance_adaptive(state, mach, target, control):
     patched them."""
     eps = 1e-12 * max(1.0, abs(target))
     nominal = state.dt
-    data, time = state.field(mach), state.time
+    data, time = state.snapshot(mach).data, state.time
     while time < target - eps and not state.blowup_flag:
-        dt = min(nominal, target - time)
+        dt = stepping._snap_dt(min(nominal, target - time), nominal)
         try:
             full = strang(data, mach, dt)
             fine = strang(strang(data, mach, 0.5 * dt), mach, 0.5 * dt)
@@ -404,7 +426,7 @@ def test_fused_adaptive_matches_step_doubling_reference(model_fixture, request, 
     assert fused.blowup_flag == ref.blowup_flag == (model_fixture == "divm")
     assert fused.blowup_time_estimate == ref.blowup_time_estimate
     assert fused.time == ref.time
-    assert native_rel(fused.field(mach), ref.field(mach), mach) <= 1e-10
+    assert native_rel(fused.snapshot(mach).data, ref.snapshot(mach).data, mach) <= 1e-10
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "divm"])
