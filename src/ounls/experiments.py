@@ -482,7 +482,7 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
     pullbacks = []  # (time, kept-row spectrum of w(time))
 
     def record_pullback(snap, time, machx):
-        back = machx.propagator(-time).advance(snap.spectrum, machx.kept) if time else snap.spectrum
+        back = machx.propagator(-time).advance(snap.spectrum) if time else snap.spectrum
         pullbacks.append((time, back))
         return observables.sample_record(snap, time, machx)
 

@@ -376,7 +376,8 @@ class Machinery:
     rule keeps: ``forward`` gathers them after the x-FFT (that gather is
     the 2/3 projection) and ``synthesize`` scatters them into zeros before
     the inverse x-FFT.  Each row is the alpha spectrum of one kept x mode,
-    so every flow and norm on such a spectrum runs on the kept rows only.
+    so every flow and norm on such a spectrum runs on the kept rows only;
+    ``propagator`` binds them into each propagator, so no caller reads them.
     """
 
     spec: ModelSpec
@@ -424,23 +425,18 @@ class Machinery:
         return (scale * float(row_power.sum()), scale * float((k2 * row_power).sum()),
                 scale * float(self.axis.grad_density(spectrum, power).sum()))
 
-    def spectral_h1(self, spectrum: np.ndarray) -> float:
-        """Native H^1 of the field whose kept-row spectrum this is: the
-        square root of its mass and both kinetic integrals."""
-        return math.sqrt(sum(self.quadratic_forms(spectrum)))
-
     def spectral_l2(self, spectrum: np.ndarray) -> float:
         """Native L^2 of the field whose kept-row spectrum this is."""
         scale = self.grid.cell_volume * self.axis.measure
         return float(np.sqrt(scale * np.vdot(spectrum, spectrum).real))
 
     def propagator(self, t: float) -> "LinearPropagator":
-        """Cached exact propagator for time t (small LRU: a div-form flow
-        holds the band blocks of G(t), or all of G(t) on a small grid, so
-        unbounded caching would hoard memory)."""
+        """Cached exact propagator for time t on the kept rows (small LRU:
+        a div-form flow holds the band blocks of G(t), or all of G(t) on a
+        small grid, so unbounded caching would hoard memory)."""
         prop = self._propagators.pop(t, None)
         if prop is None:
-            prop = build_linear_propagator(self.grid, self.axis, t)
+            prop = build_linear_propagator(self, t)
         self._propagators[t] = prop
         while len(self._propagators) > 16:
             self._propagators.pop(next(iter(self._propagators)))
@@ -456,37 +452,36 @@ def build_machinery(spec: ModelSpec, disc: DiscretizationSpec) -> Machinery:
 class LinearPropagator:
     """Exact application of exp(i t L): the x phases and the axis flow.
 
-    The solver calls ``advance`` on kept-row spectra (``Machinery.forward``
-    and ``Machinery.synthesize``).  ``apply`` runs it on a nodal field over
+    ``advance`` runs it on a kept-row spectrum, with the x phase at the kept
+    rows gathered once per build.  ``apply`` runs it on a nodal field over
     every x mode: the tests' reference propagator, and a benchmark span.
     """
 
     grid: BoxGrid
-    t: float
     x_phase: np.ndarray
+    kept_phase: np.ndarray
     axis: HermiteAxis | FluxAxis
     flow: np.ndarray | FluxFlow
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """exp(i t L) data, over every x mode."""
-        spectrum = self.advance(self.axis.forward(x_fft(data, self.grid)))
+        spectrum = self.axis.forward(x_fft(data, self.grid))
+        spectrum = self.axis.advance(spectrum, self.x_phase[..., None], self.flow)
         return x_ifft(self.axis.inverse(spectrum), self.grid)
 
-    def advance(self, spectrum: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """exp(i t L) in spectral coordinates, on the full x grid or, with
-        ``rows`` (flat x-mode indices), on a spectrum of those rows only."""
-        x_mult = self.x_phase if rows is None else self.x_phase.reshape(-1)[rows]
-        return self.axis.advance(spectrum, x_mult[..., None], self.flow)
+    def advance(self, spectrum: np.ndarray) -> np.ndarray:
+        """exp(i t L) on a kept-row spectrum."""
+        return self.axis.advance(spectrum, self.kept_phase, self.flow)
 
 
-def build_linear_propagator(
-    grid: BoxGrid, axis: HermiteAxis | FluxAxis, t: float
-) -> LinearPropagator:
-    """Propagator for time ``t``; unitary in the model's native L^2."""
+def build_linear_propagator(mach: Machinery, t: float) -> LinearPropagator:
+    """Propagator for time ``t`` on the machinery's grid, axis and kept
+    rows; unitary in the model's native L^2."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t!r}")
-    x_phase = np.exp(1j * t * laplacian_symbol(grid))
-    return LinearPropagator(grid, t, x_phase, axis, axis.flow(t))
+    x_phase = np.exp(1j * t * laplacian_symbol(mach.grid))
+    kept_phase = x_phase.reshape(-1)[mach.kept, None]
+    return LinearPropagator(mach.grid, x_phase, kept_phase, mach.axis, mach.axis.flow(t))
 
 
 def nonlinear_gain(data: np.ndarray, mach: Machinery) -> np.ndarray:
@@ -506,8 +501,6 @@ def apply_nonlinearity(data: np.ndarray, mach: Machinery, dt: float) -> np.ndarr
     """
     if not np.all(np.isfinite(data.view(np.float64))):
         raise NonFiniteFieldError("nonfinite field values in nonlinear substep")
-    if dt == 0.0:
-        return data.copy()
     theta = nonlinear_gain(data, mach)
     theta *= -mach.spec.sign * dt
     # exp(i theta) written part by part: cos and sin of a real array are

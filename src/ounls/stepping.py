@@ -13,12 +13,14 @@ norm runs on those rows (85 of 128, 171 of 256).
 
 Both paths carry the synchronous field as a kept-row spectrum c and a lag
 l, the field being S(l) c, where the linear flow S(t) and the 2/3
-projection P are diagonal and N(t) is the nonlinear phase.  Each Strang
-evaluation N(t) S(t_flow + l) c runs through one helper.  The StepperState
-holds c, l and the time from t = 0 to the last sample: ``integrate`` takes
-one Machinery.forward of the initial data, which is its 2/3 projection,
-the lag of one segment folds into the next segment's leading flow, and
-S(l) is applied only for a record, which reads a snapshot of S(l) c
+projection P are diagonal and N(t) is the nonlinear phase.  One helper
+returns the kept-row spectrum P N(t) S(t_flow + l) c of each Strang
+evaluation, so both paths pass only spectra to the propagators, which
+Machinery.propagator binds to the kept rows.  The StepperState holds c, l
+and the time from t = 0 to the last sample: ``integrate`` takes one
+Machinery.forward of the initial data, which is its 2/3 projection, the
+lag of one segment folds into the next segment's leading flow, and S(l)
+is applied only for a record, which reads a snapshot of S(l) c
 (``StepperState.snapshot``) and synthesizes the nodal field once.
 
 The fixed-step path keeps, after each step, c = P N(dt) S(dt/2 + l) c and
@@ -59,8 +61,8 @@ div-form matrix exp(itP_h) commutes with the face-difference form
 -<P_h u, u> (its band drops only entries below 1e-15 of the largest, so
 this holds to roundoff).  So the kept-row spectrum that each linear
 substep holds already gives the H^1 of the field at the end of the step,
-and the guard reads it from there; the nonlinear substep's input check is
-the one finiteness test per step.
+and the guard reads it there (observables.h1_native on a Snapshot); the
+nonlinear substep's input check is the one finiteness test per step.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class StepperState:
         S(lag) c, which synthesizes the nodal field on first use."""
         carried = self.spectrum
         if self.lag:
-            carried = mach.propagator(self.lag).advance(carried, mach.kept)
+            carried = mach.propagator(self.lag).advance(carried)
         return observables.Snapshot(carried, mach)
 
 
@@ -156,10 +158,11 @@ def detect_blowup(state: StepperState, control: StepControl, h1: float,
 
 
 def _phased(mach: Machinery, spectrum: np.ndarray, t_flow: float, t_phase: float) -> np.ndarray:
-    """N(t_phase) S(t_flow) on a kept-row spectrum: the nodal output of the
-    nonlinear phase."""
-    data = mach.synthesize(mach.propagator(t_flow).advance(spectrum, mach.kept))
-    return apply_nonlinearity(data, mach, t_phase)
+    """P N(t_phase) S(t_flow) on a kept-row spectrum: the kept-row spectrum
+    of the nonlinear phase's output.  No nodal array outlives the call,
+    which keeps div_dense's peak RSS 2 MB lower."""
+    data = mach.synthesize(mach.propagator(t_flow).advance(spectrum))
+    return mach.forward(apply_nonlinearity(data, mach, t_phase))
 
 
 def _synchronize(state, carried, lag, time, target):
@@ -188,8 +191,7 @@ def _advance_fixed(state, mach, target, control):
     carried, lag = state.spectrum, state.lag
     for i in range(1, n_sub + 1):
         try:
-            # no nodal array outlives the step (one did: div_dense RSS +2 MB)
-            carried = mach.forward(_phased(mach, carried, 0.5 * dt + lag, dt))
+            carried = _phased(mach, carried, 0.5 * dt + lag, dt)
         except NonFiniteFieldError:
             # only reachable on the run's first step: a later nonfinite
             # field already gave a nonfinite H^1 and flagged the step before
@@ -199,7 +201,8 @@ def _advance_fixed(state, mach, target, control):
         lag = 0.5 * dt
         time = start + i * dt
         state.accept(dt)
-        state = detect_blowup(state, control, h1=mach.spectral_h1(carried), time=time)
+        h1 = observables.h1_native(observables.Snapshot(carried, mach), mach)
+        state = detect_blowup(state, control, h1=h1, time=time)
         if state.blowup_flag:
             break
     return _synchronize(state, carried, lag, time, target)
@@ -216,10 +219,9 @@ def _doubling_attempt(carried: np.ndarray, lag: float, mach: Machinery, dt: floa
     coarse = _phased(mach, carried, 0.5 * dt + lag, dt)
     mid = _phased(mach, carried, 0.25 * dt + lag, 0.5 * dt)
     # the middle quarter steps of the two halves merge into one masked half
-    fine = mach.forward(_phased(mach, mach.forward(mid), 0.5 * dt, 0.5 * dt))
+    fine = _phased(mach, mid, 0.5 * dt, 0.5 * dt)
     # ||S(dt/2) P coarse - S(dt/4) P fine|| = ||P (S(dt/4) coarse - fine)||
-    quarter = mach.propagator(0.25 * dt)
-    diff = quarter.advance(mach.forward(coarse), mach.kept) - fine
+    diff = mach.propagator(0.25 * dt).advance(coarse) - fine
     return mach.spectral_l2(diff), fine
 
 
@@ -250,7 +252,8 @@ def _advance_adaptive(state, mach, target, control):
         if err > ERR_GROW:
             # still failing at the dt floor: hand off to the guard
             state.floor_count += 1
-        state = detect_blowup(state, control, h1=mach.spectral_h1(fine), time=time)
+        h1 = observables.h1_native(observables.Snapshot(fine, mach), mach)
+        state = detect_blowup(state, control, h1=h1, time=time)
         if err < ERR_SHRINK and dt == nominal:
             nominal = min(2.0 * dt, DT_MAX)
         state.dt = nominal
@@ -284,7 +287,8 @@ def integrate(
     # tracks the orbit of the dealiased state rather than a one-time mask
     # transient; nonfinite data flags at the first step's nonlinear phase
     spectrum = mach.forward(np.asarray(initial, dtype=np.complex128))
-    state = StepperState(spectrum, control.dt, h1_initial=mach.spectral_h1(spectrum))
+    h1 = observables.h1_native(observables.Snapshot(spectrum, mach), mach)
+    state = StepperState(spectrum, control.dt, h1_initial=h1)
 
     advance = _advance_adaptive if control.adaptive else _advance_fixed
     records = []

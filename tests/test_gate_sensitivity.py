@@ -14,6 +14,7 @@ import pytest
 from ounls import experiments, hermite, observables, operators, stepping
 from ounls.config import ScenarioConfig
 from ounls.experiments import ACCEPTANCE, AcceptanceReports, embedding_ratios
+from ounls.models import FOCUSING
 from ounls.operators import apply_div_operator
 
 ROWS = {row.key: row for row in ACCEPTANCE}
@@ -185,3 +186,14 @@ def test_scattering_gates_go_red(monkeypatch):
     assert not any(passed for passed, _ in verdicts.values()), verdicts
     # the last Cauchy difference is larger than the first, against 0.1
     assert verdicts["cauchy_final_below_tenth"][1] > 1.0, verdicts
+
+
+# criterion 7 (blow-up), row 7
+def test_defocusing_control_gate_goes_red(monkeypatch):
+    # the control leg runs focusing on the same E < 0 data, so it flags too;
+    # the focusing leg's checks do not read the control
+    monkeypatch.setattr(experiments, "DEFOCUSING", FOCUSING)
+    verdicts = run_row("7")
+    assert verdicts["defocusing_control_unflagged"] == (False, 1.0), verdicts
+    red = {name for name, (passed, _) in verdicts.items() if not passed}
+    assert red == {"defocusing_control_unflagged"}, verdicts
