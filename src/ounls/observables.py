@@ -54,26 +54,33 @@ class Snapshot:
     first use and then held.  Mass, both kinetic integrals and the tail
     monitor are read off ``spectrum``, x-Fourier and alpha-spectral over
     ``rows`` (flat x-mode indices or a slice; the kept rows when None).  The
-    nodal field ``data``, synthesized once when it was not given, gives
-    |u|^2, m(x), the potential density and the auto-correlation of m.
+    nodal field ``data`` gives |u|^2, m(x), the potential density and the
+    auto-correlation of m.  Either is given; the other is transformed from
+    it once, when first read.
     """
 
-    def __init__(self, spectrum: np.ndarray, mach: Machinery, rows=None, data=None):
-        self.spectrum = spectrum
+    def __init__(self, spectrum: np.ndarray | None, mach: Machinery, rows=None, data=None):
         self.mach = mach
         self.rows = rows
+        if spectrum is not None:
+            self.spectrum = spectrum
         if data is not None:
             self.data = data
 
     @classmethod
     def of(cls, fld, mach: Machinery) -> "Snapshot":
         """``fld`` itself when it is a snapshot taken with this machinery,
-        else a snapshot of the nodal field over every x mode: one x-FFT and
-        one alpha forward transform, and no projection."""
+        else a snapshot of the nodal field over every x mode, whose spectrum
+        (one x-FFT and one alpha forward transform, and no projection) is
+        formed only if a functional reads it."""
         if isinstance(fld, Snapshot) and fld.mach is mach:
             return fld
         data = np.asarray(fld.data if isinstance(fld, Snapshot) else fld)
-        return cls(mach.forward(data, rows=slice(None)), mach, slice(None), data)
+        return cls(None, mach, slice(None), data)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return self.mach.forward(self.data, rows=self.rows)
 
     @cached_property
     def data(self) -> np.ndarray:

@@ -45,6 +45,13 @@ BAND_TOL = 1e-15
 FLOW_BLOCK = 32
 DENSE_NODES = 2 * FLOW_BLOCK + 4
 
+# below PHASE_TINY a nonlinear phase angle is not resolvable in float64:
+# half an ulp below 1.0 is 2^-54 and theta^2/2 < 2^-55, so cos(theta) rounds
+# to 1.0, and theta^3/6 < theta 2^-56 is below half an ulp of theta, so
+# sin(theta) rounds to theta.  cos first leaves 1.0 at 2^-26.5, where
+# theta^2/2 reaches 2^-54: half a binade above PHASE_TINY.
+PHASE_TINY = 2.0**-27
+
 
 class NonFiniteFieldError(FloatingPointError):
     """Nonfinite values reached the nonlinear term (upstream blow-up)."""
@@ -498,15 +505,25 @@ def apply_nonlinearity(data: np.ndarray, mach: Machinery, dt: float) -> np.ndarr
 
     Pure phase rotation, so |u| is preserved pointwise.  Raises
     NonFiniteFieldError on nonfinite input, which signals upstream blow-up.
+
+    The phase exp(i theta), theta = -sign g |u|^p dt, is filled as
+    (1, theta), and cos and sin are evaluated only where |theta| >=
+    PHASE_TINY.  Below it float64 cos rounds to exactly 1.0 and sin to
+    exactly theta (see PHASE_TINY), so the result is bitwise that of cos
+    and sin on every node; localized data leave most angles below it.
     """
     if not np.all(np.isfinite(data.view(np.float64))):
         raise NonFiniteFieldError("nonfinite field values in nonlinear substep")
     theta = nonlinear_gain(data, mach)
     theta *= -mach.spec.sign * dt
-    # exp(i theta) written part by part: cos and sin of a real array are
-    # cheaper than the complex exponential of an imaginary one
+    # cos and sin of a real array are cheaper than the complex exponential
+    # of an imaginary one; a NaN angle fails the mask and stays NaN
     out = np.empty(data.shape, dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    out.real = 1.0
+    out.imag = theta
+    live = theta >= PHASE_TINY
+    live |= theta <= -PHASE_TINY
+    np.cos(theta, out=out.real, where=live)
+    np.sin(theta, out=out.imag, where=live)
     out *= data
     return out

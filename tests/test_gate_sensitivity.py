@@ -121,6 +121,34 @@ def test_embedding_gates_go_red(variant, monkeypatch):
     assert {name for name, (passed, _) in verdicts.items() if not passed} == red, verdicts
 
 
+# the finite_* gates of rows 5 and 8-nondiv: a finite gate reads red only on
+# a nonfinite value, so each variant makes what its ratios divide by NaN
+def nan_h1alpha_density(coeffs, axis):
+    return np.full(coeffs.shape[:-1], np.nan)
+
+
+# (variant, row, owner, attribute, the checks that must go red); the others
+# stay green
+FINITE_VARIANTS = {
+    "nan-interaction-bound": ("8-nondiv", observables, "morawetz_dI_bound",
+                              lambda fld, mach: math.nan,
+                              {"finite_ratio_abs", "finite_ratio_bracket",
+                               "resolution_stability_abs",
+                               "resolution_stability_bracket"}),
+    "nan-h1alpha": ("5", experiments, "_h1alpha_density", nan_h1alpha_density,
+                    {"finite_sobolev", "finite_nonlinear",
+                     "resolution_stability_sobolev", "resolution_stability_nonlinear"}),
+}
+
+
+@pytest.mark.parametrize("variant", list(FINITE_VARIANTS))
+def test_finite_gates_go_red(variant, monkeypatch):
+    row, owner, attr, broken, red = FINITE_VARIANTS[variant]
+    monkeypatch.setattr(owner, attr, broken)
+    verdicts = run_row(row)
+    assert {name for name, (passed, _) in verdicts.items() if not passed} == red, verdicts
+
+
 # criterion 2 (divergence/drift identity), row 2
 def left_node_flux(values, op):
     """The flux form with each face weight exp(-a^2/2) taken at the face's

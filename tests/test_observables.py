@@ -423,6 +423,32 @@ def test_sample_record_transforms_the_field_once(model_fixture, request, monkeyp
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
+def test_nodal_functionals_on_an_array_run_no_forward_transform(
+    model_fixture, request, monkeypatch
+):
+    # a snapshot of a nodal array transforms it forward only when a
+    # functional reads its spectrum; these read the nodal field alone
+    mach = request.getfixturevalue(model_fixture)
+    calls = {"x_fft": 0, "forward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operators, "x_fft", counted("x_fft", operators.x_fft))
+    monkeypatch.setattr(mach.axis, "forward", counted("forward", mach.axis.forward))
+    u = template(mach)
+    functionals = [boundary_mass_fraction, morawetz_I, morawetz_weighted_potential]
+    if mach.spec.model == "div":
+        functionals.append(virial)
+    for functional in functionals:
+        assert math.isfinite(functional(u, mach))
+    assert calls == {"x_fft": 0, "forward": 0}
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
 def test_integrate_record_runs_no_forward_transform(model_fixture, request, monkeypatch):
     # the record reads the stepper's kept-row spectrum: its only transform
     # is the synthesis of the nodal field, one inverse x-FFT

@@ -16,6 +16,7 @@ from ounls.observables import mass
 from ounls.operators import (
     BAND_TOL,
     DENSE_NODES,
+    PHASE_TINY,
     FluxAxis,
     NonFiniteFieldError,
     apply_div_operator,
@@ -247,6 +248,76 @@ def test_nonlinearity_focusing_sign():
     u = np.ones((64, 129), complex)
     out = apply_nonlinearity(u, mach, 0.1)
     np.testing.assert_allclose(out, np.exp(+0.1j) * u, rtol=1e-14)
+
+
+def full_trig_phase(u, mach, dt):
+    """The nonlinear substep with cos and sin evaluated on every node."""
+    theta = nonlinear_gain(u, mach)
+    theta *= -mach.spec.sign * dt
+    out = np.empty(u.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= u
+    return out
+
+
+def field_with_angles(mach, angles, dt, seed):
+    """A field with random phases whose nonlinear angle at each node is
+    ``angles`` (one per node, up to rounding) for a step of ``dt``."""
+    shape = mach.grid.shape + (mach.axis.nodes.size,)
+    rng = np.random.default_rng(seed)
+    unit = np.exp(2j * np.pi * rng.random(shape))
+    unit_gain = nonlinear_gain(unit, mach)
+    scale = (np.reshape(angles, shape) / (dt * unit_gain)) ** (1.0 / mach.spec.power)
+    return scale * unit
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("model", ["nondiv", "div"])
+def test_masked_phase_is_bitwise_the_full_trig_phase(model, sign):
+    # angles from 1e-20 to 10 straddle PHASE_TINY, with 2^-26 and 2^-25.5,
+    # where cos no longer rounds to 1.0, among them
+    mach = build_machinery(ModelSpec(model, 1, 4, sign),
+                           DiscretizationSpec(n_x=64, n_alpha=64, div_nodes=65))
+    dt = 0.37
+    marks = [2.0**-26, 2.0**-25.5, PHASE_TINY, np.nextafter(PHASE_TINY, 0.0),
+             1.5 * PHASE_TINY]
+    size = mach.grid.shape[0] * mach.axis.nodes.size
+    angles = np.concatenate([np.logspace(-20, 1, size - len(marks)), marks])
+    u = field_with_angles(mach, np.random.default_rng(24).permutation(angles), dt, 25)
+    theta = np.abs(nonlinear_gain(u, mach) * dt)
+    live = theta >= PHASE_TINY
+    assert 0 < np.count_nonzero(live) < theta.size
+    # the data reach the angles where the trig differs from (1, theta)
+    assert np.any(np.cos(theta[theta < 2.0**-25]) != 1.0)
+    got = apply_nonlinearity(u, mach, dt)
+    assert np.array_equal(got.view(np.uint64), full_trig_phase(u, mach, dt).view(np.uint64))
+
+
+def test_phase_below_tiny_is_one_and_theta_on_this_host():
+    # the float64 identities the masked phase rests on: below PHASE_TINY,
+    # including +-0 and subnormals, cos is exactly 1.0 and sin exactly theta
+    below = np.concatenate([
+        [0.0, 5e-324, 2.0**-1060, np.nextafter(2.0**-1022, 0.0),
+         np.nextafter(PHASE_TINY, 0.0)],
+        np.logspace(-320, math.log10(PHASE_TINY), 100_000, endpoint=False),
+    ])
+    theta = np.concatenate([below, -below])
+    assert np.all(np.abs(theta) < PHASE_TINY)
+    assert np.all(np.cos(theta) == 1.0)
+    assert np.array_equal(np.sin(theta).view(np.uint64), theta.view(np.uint64))
+    # so a substep whose angles all lie below it is the rotation by (1, theta)
+    mach = build_machinery(ModelSpec("div", 1, 2),
+                           DiscretizationSpec(n_x=64, div_nodes=65))
+    angles = np.logspace(-20, math.log10(PHASE_TINY / 2), 64 * 65)
+    u = field_with_angles(mach, angles, 0.1, 26)
+    gain = nonlinear_gain(u, mach)
+    phase = np.empty(u.shape, dtype=np.complex128)
+    phase.real = 1.0
+    phase.imag = -0.1 * gain
+    phase *= u
+    assert np.array_equal(apply_nonlinearity(u, mach, 0.1).view(np.uint64),
+                          phase.view(np.uint64))
 
 
 def test_propagator_identity_at_zero(nondiv_mach):
