@@ -29,6 +29,11 @@ SCENARIOS = {
 }
 
 
+# the morawetz scenario samples its run this far apart; its centred dI/dt
+# needs three samples
+MORAWETZ_SAMPLE_DT = 0.01
+
+
 class ConfigError(ValueError):
     """Malformed, unknown or inadmissible configuration input."""
 
@@ -262,14 +267,19 @@ def check_scenario(cfg: ScenarioConfig):
         raise ConfigError("run.t must be positive and finite")
     if not 0 < cfg.dt < math.inf:
         raise ConfigError("run.dt must be positive and finite")
-    if not math.isfinite(cfg.scattering_delta):
-        raise ConfigError("run.delta must be finite")
+    if not 0 < cfg.scattering_delta < math.inf:
+        raise ConfigError("run.delta must be positive and finite")
     if cfg.n_samples < 2:
         raise ConfigError("run.samples must be >= 2")
     if cfg.ensemble < 1:
         raise ConfigError("run.ensemble must be >= 1")
     if cfg.threads < 1:
         raise ConfigError("run.threads must be >= 1")
+    if cfg.scenario == "morawetz" and cfg.horizon < 2 * MORAWETZ_SAMPLE_DT:
+        raise ConfigError(
+            f"run.t must be >= {2 * MORAWETZ_SAMPLE_DT:g}: the centred dI/dt needs "
+            f"3 samples {MORAWETZ_SAMPLE_DT:g} apart"
+        )
     if cfg.scenario == "strichartz":
         check_admissible_pair(cfg.strichartz_q, cfg.strichartz_r, cfg.model.dim)
     random_data = (cfg.scenario, cfg.initial.kind) == ("simulate", "random")

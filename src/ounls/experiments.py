@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hermite, observables
 from .config import (
-    ConfigError, InitialData, ScenarioConfig, check_admissible_pair,
+    MORAWETZ_SAMPLE_DT, ConfigError, InitialData, ScenarioConfig, check_admissible_pair,
     check_alpha_band_resolved, check_band_resolved, check_scenario,
 )
 from .grids import BoxGrid
@@ -97,8 +97,10 @@ def _run_members(worker, count: int, threads: int) -> list:
 
 def _add_resolution_stability(report: Report, name: str, lo: float, hi: float, bound: float):
     """The doubled-resolution gate: the ensemble or run maxima at the base
-    resolution (lo) and at twice it (hi) agree within |hi - lo| / lo <= bound."""
-    report.add(name, abs(hi - lo) / lo, bound, note=f"max ratio {lo:.6g} -> {hi:.6g}")
+    resolution (lo) and at twice it (hi) agree within |hi - lo| / lo <= bound.
+    A zero base maximum measured nothing, so it records NaN, which is red."""
+    change = abs(hi - lo) / lo if lo else math.nan
+    report.add(name, change, bound, note=f"max ratio {lo:.6g} -> {hi:.6g}")
 
 
 # ---------------------------------------------------------------- conservation
@@ -505,15 +507,20 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
 
 
 def _fit_parabola_root(times: np.ndarray, values: np.ndarray):
-    """Least-squares quadratic; the root is reported only when the leading
-    coefficient is negative beyond three fit sigmas."""
+    """(root, None) of the least-squares quadratic, or (None, why not).  The
+    fit's covariance needs 4 samples, and the root is reported only when
+    the leading coefficient is negative beyond three fit sigmas."""
+    if len(times) < 4:
+        return None, f"{len(times)} samples before the flag, and the fit needs 4"
     coeff, cov = np.polyfit(times, values, 2, cov=True)
     sigma = math.sqrt(max(cov[0, 0], 0.0))
-    if not (coeff[0] < 0 and abs(coeff[0]) > 3.0 * sigma):
-        return None, coeff
-    roots = np.roots(coeff)
-    real = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9 and r.real > 0)
-    return (real[0] if real else None), coeff
+    real = []
+    if coeff[0] < 0 and abs(coeff[0]) > 3.0 * sigma:
+        roots = np.roots(coeff)
+        real = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9 and r.real > 0)
+    if not real:
+        return None, "leading coefficient not negative beyond 3 sigma"
+    return real[0], None
 
 
 def _step_note(leg: str, state) -> str:
@@ -582,18 +589,18 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
         report.rows.append({"time": r.time, "virial": r.virial, "virial_rhs": r.virial_rhs,
                             "energy": r.energy, "h1": r.h1_native})
 
-    worst = -math.inf
+    note = f"max centered d2V/dt2 vs 16*E0 = {bound:.6g}"
     if len(records) >= 3:
         d2v = (virials[2:] - 2.0 * virials[1:-1] + virials[:-2]) / sample_dt**2
         worst = float(d2v.max())
-    report.add("concavity_certificate", worst, bound + tol,
-               note=f"max centered d2V/dt2 vs 16*E0 = {bound:.6g}")
+    else:  # no centred second difference: NaN, which is red
+        worst = math.nan
+        note += f"; {len(records)} samples before the flag, and it needs 3"
+    report.add("concavity_certificate", worst, bound + tol, note=note)
 
-    root, coeff = _fit_parabola_root(times, virials)
+    root, why = _fit_parabola_root(times, virials)
     if root is None:
-        report.add("parabola_root", math.nan, math.nan,
-                   note="leading coefficient not negative beyond 3 sigma",
-                   comparator="finite")
+        report.add("parabola_root", math.nan, math.nan, note=why, comparator="finite")
     else:
         report.add("flag_before_1p5_root", flag_time, 1.5 * root,
                    note=f"fitted quadratic root {root:.6g}")
@@ -655,7 +662,7 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
     """Along one defocusing run, |dI/dt| / (||u||^3 ||u||_{H1x-dot}) must
     have a finite max, stable within 20% when n_x doubles, for both rho."""
     report = Report("morawetz")
-    sample_dt = 0.01
+    sample_dt = MORAWETZ_SAMPLE_DT
     report.settings["sample_dt"] = sample_dt
     samples = np.arange(0.0, cfg.horizon + 0.5 * sample_dt, sample_dt)
     maxima = {}

@@ -19,8 +19,7 @@ lambda_min), |G_ij| <= 2 sum_{k >= |i-j|} (x/4)^k / k!.  The reach R(t)
 (flow_reach) is where that tail falls below BAND_TOL / sqrt(n), so every
 entry farther out is below BAND_TOL times the largest.  FluxAxis.flow forms
 G in column blocks, each on the rows within R of its columns only, and
-FluxFlow applies those blocks; a matrix only a few blocks wide is one dense
-block.
+FluxFlow applies those blocks.
 """
 
 from __future__ import annotations
@@ -39,11 +38,9 @@ from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
 
 
 # entries of G(t) below BAND_TOL times the largest are never formed;
-# FLOW_BLOCK columns of G are formed and applied per matmul, and a flow on at
-# most DENSE_NODES nodes is one dense block
+# FLOW_BLOCK columns of G are formed and applied per matmul
 BAND_TOL = 1e-15
 FLOW_BLOCK = 32
-DENSE_NODES = 2 * FLOW_BLOCK + 4
 
 # below PHASE_TINY a nonlinear phase angle is not resolvable in float64:
 # half an ulp below 1.0 is 2^-54 and theta^2/2 < 2^-55, so cos(theta) rounds
@@ -150,13 +147,11 @@ class FluxFlow:
     reach, flow_reach) of [c0, c1); the entries farther out, all below
     BAND_TOL times the largest, are never formed.  The blocks never take
     more multiply-adds than the dense product: at a band near n each block
-    reads every row, as the dense product does.  With ``band`` None (at
-    most DENSE_NODES nodes) the one block is the dense G: there every block
-    would read over half the rows even at a band of 1.
+    reads every row, as the dense product does.
     """
 
     blocks: tuple
-    band: int | None
+    band: int
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """data @ G over the blocks (G is symmetric, so right multiplication
@@ -238,8 +233,7 @@ class FluxAxis:
     G(t) = Q exp(it Lambda) Q^T formed and applied within its reach
     (FluxFlow), and the gradient form is the face-difference form, the
     exact invariant of the semi-discrete flow.  ``bands`` records, per
-    propagator time built, the band of its flow, or None where it is one
-    dense block.
+    propagator time built, the band of its flow.
     """
 
     def __init__(self, op: DivAlphaOperator):
@@ -248,7 +242,7 @@ class FluxAxis:
         self.weights = np.full(op.n_nodes, op.spacing)
         self.measure = op.spacing
         self.gain_weight = None  # the power nonlinearity is unweighted
-        self.bands: dict[float, int | None] = {}
+        self.bands: dict[float, int] = {}
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return values
@@ -260,21 +254,22 @@ class FluxAxis:
         Columns [c0, c1) of each FLOW_BLOCK are formed from rows
         [c0 - R, c1 + R) of Q alone, since every entry farther out is below
         BAND_TOL times the largest.  The cos and sin parts are two real
-        products: a complex @ real product would first cast Q^T to complex.
-        At most DENSE_NODES nodes form the dense G as one block, with no
-        reach.
+        products, written straight into the block's real and imaginary
+        parts: a complex @ real product would first cast Q^T to complex.
         """
         q, lam = self.op.eigenvectors, self.op.eigenvalues
         n = lam.size
-        band = None if n <= DENSE_NODES else flow_reach(abs(t) * float(lam[-1] - lam[0]), n)
-        reach, width = (n, n) if band is None else (band, FLOW_BLOCK)
+        band = flow_reach(abs(t) * float(lam[-1] - lam[0]), n)
         cos, sin = np.cos(t * lam), np.sin(t * lam)
         blocks = []
-        for c0 in range(0, n, width):
-            c1 = min(c0 + width, n)
-            lo, hi = max(c0 - reach, 0), min(c1 + reach, n)
+        for c0 in range(0, n, FLOW_BLOCK):
+            c1 = min(c0 + FLOW_BLOCK, n)
+            lo, hi = max(c0 - band, 0), min(c1 + band, n)
             rows, cols = q[lo:hi], q[c0:c1].T
-            blocks.append((c0, c1, lo, hi, (rows * cos) @ cols + 1j * ((rows * sin) @ cols)))
+            block = np.empty((hi - lo, c1 - c0), np.complex128)
+            np.matmul(rows * cos, cols, out=block.real)
+            np.matmul(rows * sin, cols, out=block.imag)
+            blocks.append((c0, c1, lo, hi, block))
         self.bands[t] = band
         return FluxFlow(tuple(blocks), band)
 
@@ -292,7 +287,7 @@ class FluxAxis:
         for band, ts in times.items():
             lo, hi = min(ts), max(ts)
             span = f"{lo:.6g}" if lo == hi else f"{lo:.6g} to {hi:.6g}"
-            parts.append(f"{'dense' if band is None else band} at t {span}")
+            parts.append(f"{band} at t {span}")
         return f"div flow band of {self.op.n_nodes} nodes: {', '.join(parts)}"
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
@@ -439,8 +434,8 @@ class Machinery:
 
     def propagator(self, t: float) -> "LinearPropagator":
         """Cached exact propagator for time t on the kept rows (small LRU:
-        a div-form flow holds the band blocks of G(t), or all of G(t) on a
-        small grid, so unbounded caching would hoard memory)."""
+        a div-form flow holds the band blocks of G(t), so unbounded caching
+        would hoard memory)."""
         prop = self._propagators.pop(t, None)
         if prop is None:
             prop = build_linear_propagator(self, t)

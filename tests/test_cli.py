@@ -59,13 +59,17 @@ def test_threads_flag_is_validated_like_the_config_key(tmp_path):
     ("simulate", ["run.dt=nan"]),
     ("simulate", ["run.dt=inf"]),
     ("scattering", ["run.delta=nan"]),
+    ("scattering", ["run.delta=0"]),
+    # two samples 0.01 apart leave no centred dI/dt
+    ("morawetz", ["run.t=0.01"]),
     ("simulate", ["initial.amplitude=inf"]),
     ("simulate", ["initial.x_width=nan"]),
     ("simulate", ["initial.alpha_width=inf"]),
     ("simulate", ["initial.wavenumber=nan"]),
 ], ids=["n_x-not-power-of-two", "n_alpha-1", "div_nodes-2", "box-zero", "box-negative",
         "div-width-inf", "embeddings-band-past-n_alpha", "random-band-past-n_alpha",
-        "t-inf", "t-nan", "dt-nan", "dt-inf", "delta-nan", "amplitude-inf", "x_width-nan",
+        "t-inf", "t-nan", "dt-nan", "dt-inf", "delta-nan", "delta-zero",
+        "morawetz-t-below-three-samples", "amplitude-inf", "x_width-nan",
         "alpha_width-inf", "wavenumber-nan"])
 def test_bad_grid_value_is_a_config_error(tmp_path, capsys, command, overrides):
     out = tmp_path / "o"
@@ -74,6 +78,25 @@ def test_bad_grid_value_is_a_config_error(tmp_path, capsys, command, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:alpha truncation tail:RuntimeWarning")
+@pytest.mark.parametrize("args,red", [
+    # a ladder of one time: every ratio is 0, so no base maximum
+    (["strichartz", "--set", "run.t=0.001", "--set", "run.ensemble=2"],
+     "[FAIL] strichartz(q=6,r=6): resolution_stability_k0_q6_r6 value=nan"),
+    # the focusing leg flags at t = 3e-5, with the t = 0 sample alone
+    (["blowup", "--set", "model.model=div", "--set", "initial.amplitude=4",
+      "--set", "grid.n_x=128", "--set", f"grid.box_half_length={4 * math.pi}",
+      "--set", "grid.div_nodes=65"],
+     "[FAIL] blowup: concavity_certificate value=nan"),
+], ids=["strichartz-one-time", "blowup-one-sample"])
+def test_degenerate_run_is_a_red_verdict(tmp_path, capsys, args, red):
+    assert run_cli([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert any(line.startswith(red) for line in captured.out.splitlines()), captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_all_rejects_a_base_config_that_a_row_cannot_run(tmp_path, capsys):

@@ -2,6 +2,7 @@
 determinism and the cross-checks between detector and virial fit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ounls import experiments, stepping
 from ounls.config import ConfigError, InitialData, ScenarioConfig
 from ounls.experiments import (
+    ACCEPTANCE,
     SAMPLES_PER_UNIT_TIME,
     STRICHARTZ_PAIRS,
     _embed_x_modes,
@@ -17,6 +19,7 @@ from ounls.experiments import (
     embedding_ratios,
     gaussian_field,
     random_band_coeffs,
+    run_blowup,
     run_conservation,
     run_strichartz_ensemble,
     _ladder_ratios,
@@ -474,3 +477,39 @@ def test_virial_first_derivative_against_centered_difference():
     fd = (virial_at(delta) - virial_at(-delta)) / (2.0 * delta)
     analytic = virial_dt(data, mach)
     assert abs(fd - analytic) < 1e-4 * max(1.0, abs(analytic))
+
+
+def row7_on_65_nodes(**initial):
+    """Row 7's config on a 65-node div grid, with ``initial`` changes."""
+    cfg = next(row for row in ACCEPTANCE if row.key == "7").config(ScenarioConfig())
+    return replace(cfg, disc=replace(cfg.disc, div_nodes=65),
+                   initial=replace(cfg.initial, **initial))
+
+
+# on 65 alpha nodes the tail monitor reads above its 1e-8 from t = 0 on
+@pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:alpha truncation tail:RuntimeWarning")
+def test_blowup_row_runs_on_a_65_node_grid():
+    report = run_blowup(row7_on_65_nodes())
+    assert report.passed and len(report.checks) == 3, report.checks
+    flag = next(c for c in report.checks if c.name == "flag_before_1p5_root")
+    assert abs(flag.value - 0.0570) <= 1e-3
+    for leg in ("focusing leg", "defocusing control"):
+        note = next(n for n in report.notes if n.startswith(f"{leg}: div flow band"))
+        bands = [part.split(" at t ")[0] for part in note.split(": ")[-1].split(", ")]
+        assert bands and all(band.isdigit() for band in bands), note
+
+
+@pytest.mark.filterwarnings("ignore:boundary shell mass:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:alpha truncation tail:RuntimeWarning")
+@pytest.mark.parametrize("amplitude,samples", [(4.0, 1), (3.0, 2)])
+def test_blowup_flagged_before_four_samples_is_red(amplitude, samples):
+    # the leg flags before its third (amplitude 4) or fourth (amplitude 3)
+    # sample: no centred second difference, no fit with a covariance
+    report = run_blowup(row7_on_65_nodes(amplitude=amplitude))
+    assert len(report.rows) == samples
+    checks = {c.name: c for c in report.checks}
+    assert not checks["concavity_certificate"].passed
+    assert math.isnan(checks["concavity_certificate"].value)
+    assert not checks["parabola_root"].passed
+    assert checks["parabola_root"].note.startswith(f"{samples} samples before the flag")

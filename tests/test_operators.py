@@ -15,7 +15,6 @@ from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import mass
 from ounls.operators import (
     BAND_TOL,
-    DENSE_NODES,
     PHASE_TINY,
     FluxAxis,
     NonFiniteFieldError,
@@ -418,13 +417,14 @@ def random_spectrum(shape, seed):
 # 2.3e-15 of its largest) beyond the reach of 25
 @pytest.mark.parametrize(
     "t,n",
-    [(t, n) for t in (5e-4, 1e-3, 2e-3, 5e-2, -1e-3, -3.0) for n in (257, 513)] + [(5e-3, 513)],
+    [(t, n) for t in (5e-4, 1e-3, 2e-3, 5e-2, -1e-3, -3.0) for n in (257, 513, 65)]
+    + [(5e-3, 513)],
 )
 @pytest.mark.parametrize("x_shape", [(64,), (16, 16)], ids=["1d", "2d"])
 def test_banded_flow_matches_dense(flux_axes, n, t, x_shape):
     axis = flux_axes[n]
     flow = axis.flow(t)
-    assert flow.band is not None and axis.bands[t] == flow.band
+    assert axis.bands[t] == flow.band
     spectrum = random_spectrum(x_shape + (n,), 17)
     x_mult = np.exp(1j * random_spectrum(x_shape, 18).real)[..., None]
     got = axis.advance(spectrum, x_mult, flow)
@@ -433,23 +433,15 @@ def test_banded_flow_matches_dense(flux_axes, n, t, x_shape):
     assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
-@pytest.mark.parametrize("t", [1e-3, -3.0])
-def test_small_grid_keeps_dense_flow(flux_axes, t):
-    # 65 nodes: at most DENSE_NODES, so one dense block and no reach
-    axis = flux_axes[65]
-    flow = axis.flow(t)
-    assert flow.band is None and axis.bands[t] is None
-    assert f"dense at t {t:.6g}" in axis.flow_note()
-    data = random_spectrum((32, 65), 19)
-    assert np.array_equal(flow.apply(data), data @ dense_flow(axis.op, t))
-
-
-@pytest.mark.parametrize("t", [5e-4, 2e-3, 5e-3, 5e-2, -3.0])
-def test_banded_flow_unitary(flux_axes, t):
-    flow = flux_axes[513].flow(t)
-    assert flow.band is not None
-    g = flow.apply(np.eye(513, dtype=complex))
-    assert np.abs(g.conj().T @ g - np.eye(513)).max() <= 1e-13
+# the 513-node cases keep their time-only ids
+@pytest.mark.parametrize(
+    "t,n",
+    [pytest.param(t, n, id=f"{t}" if n == 513 else f"{t}-{n}")
+     for n in (513, 65) for t in (5e-4, 2e-3, 5e-3, 5e-2, -3.0)],
+)
+def test_banded_flow_unitary(flux_axes, t, n):
+    g = flux_axes[n].flow(t).apply(np.eye(n, dtype=complex))
+    assert np.abs(g.conj().T @ g - np.eye(n)).max() <= 1e-13
 
 
 def reach_of(op, t):
@@ -461,10 +453,11 @@ def reach_of(op, t):
 @pytest.mark.parametrize("t", [2.5e-4, 1e-3, 5e-2, -3.0])
 def test_recorded_band_is_the_numerical_band(n, t):
     # the band is the a-priori reach of the eigenvalue spread, read from no
-    # computed entry; small grids keep one dense block and record no band
+    # computed entry, on every grid; the report note names it
     axis = FluxAxis(build_div_operator(n, 12.0))
     band = axis.flow(t).band
-    assert band == (reach_of(axis.op, t) if n > DENSE_NODES else None)
+    assert band == reach_of(axis.op, t)
+    assert f"{band} at t {t:.6g}" in axis.flow_note()
 
 
 @pytest.mark.parametrize("n", [65, 257, 513])
