@@ -106,6 +106,14 @@ def _add_resolution_stability(report: Report, name: str, lo: float, hi: float, b
 # ---------------------------------------------------------------- conservation
 
 
+def _sample_schedule(horizon: float, sample_dt: float) -> np.ndarray:
+    """0, sample_dt, 2 sample_dt, ... up to the last multiple of sample_dt
+    that is <= horizon (under 1e-12 relative slack), so no run integrates
+    past its horizon."""
+    count = math.floor(horizon / sample_dt * (1.0 + 1e-12))
+    return np.arange(count + 1) * sample_dt
+
+
 def run_conservation(cfg: ScenarioConfig) -> Report:
     """Integrate to the horizon at dt and 2*dt; assert the drift invariants:
     native mass < 1e-9, energy < 1e-5, and the 2dt/dt energy-drift ratio
@@ -573,7 +581,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     n_control_samples = 41
     report.settings.update(dt_floor=dt_floor, sample_dt=sample_dt,
                            control_samples=n_control_samples)
-    samples = np.arange(0.0, cfg.horizon + 0.5 * sample_dt, sample_dt)
+    samples = _sample_schedule(cfg.horizon, sample_dt)
     control = StepControl(dt=cfg.dt, adaptive=True, dt_min=dt_floor)
     records, state = integrate(data, mach, samples, control)
     if not state.blowup_flag:
@@ -664,7 +672,7 @@ def run_morawetz(cfg: ScenarioConfig) -> Report:
     report = Report("morawetz")
     sample_dt = MORAWETZ_SAMPLE_DT
     report.settings["sample_dt"] = sample_dt
-    samples = np.arange(0.0, cfg.horizon + 0.5 * sample_dt, sample_dt)
+    samples = _sample_schedule(cfg.horizon, sample_dt)
     maxima = {}
     resolutions = (cfg.disc.n_x, 2 * cfg.disc.n_x)
     report.settings["n_x"] = list(resolutions)

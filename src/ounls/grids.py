@@ -83,15 +83,16 @@ def dealias_mask(grid: BoxGrid) -> np.ndarray:
     return keep[:, None] & keep[None, :]
 
 
-def x_fft(data: np.ndarray, grid: BoxGrid) -> np.ndarray:
+def x_fft(data: np.ndarray, grid: BoxGrid, out: np.ndarray | None = None) -> np.ndarray:
     """Unitary FFT over the x axes; trailing axes (alpha) pass through.
-    One 1-D transform per x axis, last axis first, as fftn orders them."""
+    One 1-D transform per x axis, last axis first, as fftn orders them.
+    With ``out``, every pass writes into it (a later pass in place)."""
     for axis in reversed(grid.x_axes):
-        data = np.fft.fft(data, axis=axis, norm="ortho")
+        data = np.fft.fft(data, axis=axis, norm="ortho", out=out)
     return data
 
 
-def x_ifft(data: np.ndarray, grid: BoxGrid) -> np.ndarray:
+def x_ifft(data: np.ndarray, grid: BoxGrid, out: np.ndarray | None = None) -> np.ndarray:
     for axis in reversed(grid.x_axes):
-        data = np.fft.ifft(data, axis=axis, norm="ortho")
+        data = np.fft.ifft(data, axis=axis, norm="ortho", out=out)
     return data

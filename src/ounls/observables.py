@@ -97,7 +97,9 @@ class Snapshot:
 
     @cached_property
     def amp2(self) -> np.ndarray:
-        return self.data.real**2 + self.data.imag**2
+        amp2 = self.data.real**2
+        amp2 += self.data.imag**2
+        return amp2
 
     @cached_property
     def mass_density(self) -> np.ndarray:

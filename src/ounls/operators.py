@@ -42,6 +42,10 @@ from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
 BAND_TOL = 1e-15
 FLOW_BLOCK = 32
 
+# the x-transforms of a Strang evaluation or a synthesis run per block of
+# alpha columns, about WORK_BYTES of complex128 over the x grid each
+WORK_BYTES = 2**18
+
 # below PHASE_TINY a nonlinear phase angle is not resolvable in float64:
 # half an ulp below 1.0 is 2^-54 and theta^2/2 < 2^-55, so cos(theta) rounds
 # to 1.0, and theta^3/6 < theta 2^-56 is below half an ulp of theta, so
@@ -380,6 +384,16 @@ class Machinery:
     the inverse x-FFT.  Each row is the alpha spectrum of one kept x mode,
     so every flow and norm on such a spectrum runs on the kept rows only;
     ``propagator`` binds them into each propagator, so no caller reads them.
+
+    ``synthesize`` and ``phased`` run their x-transforms per block of alpha
+    columns (``column_blocks``, about WORK_BYTES over the x grid each), so
+    every nodal array they touch is block-sized and stays in cache.  Each
+    block goes through two buffers, made on first use and reused: a scatter
+    buffer whose dropped rows stay 0, which is never transformed in place,
+    and a work buffer that the FFTs write into.  numpy transforms each
+    column alone, so the blocks give bitwise the whole-field result.  The
+    buffers are shared, so one Machinery synthesizes or phases one field
+    at a time.
     """
 
     spec: ModelSpec
@@ -388,6 +402,7 @@ class Machinery:
     dealias: np.ndarray
     _propagators: dict = field(default_factory=dict, repr=False)
     _scatter: np.ndarray | None = field(default=None, init=False, repr=False)
+    _work: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def kept(self) -> np.ndarray:
@@ -399,6 +414,31 @@ class Machinery:
         """|k|^2 at the kept modes."""
         return -laplacian_symbol(self.grid).reshape(-1)[self.kept]
 
+    @cached_property
+    def column_blocks(self) -> tuple[slice, ...]:
+        """The alpha-column blocks of the x-transforms: WORK_BYTES // (16
+        rows) columns wide at most, split evenly over as few blocks as that
+        allows (9 of 57 for 513 nodes on 256 x points, one block for 64
+        on 256)."""
+        n = self.axis.nodes.size
+        width = max(1, WORK_BYTES // (16 * self.dealias.size))
+        count = -(-n // width)
+        return tuple(slice(i * n // count, (i + 1) * n // count) for i in range(count))
+
+    def _blocks(self, nodal: np.ndarray):
+        """Per column block of the kept-row nodal values ``nodal``: (columns,
+        scatter, work), the block's rows scattered into ``scatter`` over the
+        x grid and ``work`` the block-sized buffer for the transforms."""
+        if self._scatter is None:
+            width = max(b.stop - b.start for b in self.column_blocks)
+            self._scatter = np.zeros(self.grid.shape + (width,), np.complex128)
+            self._work = np.empty_like(self._scatter)
+        for columns in self.column_blocks:
+            width = columns.stop - columns.start
+            scatter = self._scatter[..., :width]
+            scatter.reshape(-1, width)[self.kept] = nodal[:, columns]
+            yield columns, scatter, self._work[..., :width]
+
     def forward(self, data: np.ndarray, rows=None) -> np.ndarray:
         """Kept-row spectrum of the 2/3 projection of a nodal field, or,
         with ``rows`` (flat x-mode indices or a slice), its spectrum over
@@ -408,13 +448,26 @@ class Machinery:
         return self.axis.forward(hat[self.kept if rows is None else rows])
 
     def synthesize(self, spectrum: np.ndarray) -> np.ndarray:
-        """Nodal field of a kept-row spectrum.  The rows go into a zero
-        buffer, made on first use and reused, whose other rows stay 0 (so
-        one Machinery synthesizes one field at a time)."""
-        if self._scatter is None:
-            self._scatter = np.zeros((self.dealias.size, self.axis.nodes.size), np.complex128)
-        self._scatter[self.kept] = self.axis.inverse(spectrum)
-        return x_ifft(self._scatter.reshape(self.grid.shape + (-1,)), self.grid)
+        """Nodal field of a kept-row spectrum, block by block."""
+        nodal = self.axis.inverse(spectrum)
+        out = np.empty(self.grid.shape + nodal.shape[-1:], np.complex128)
+        for columns, scatter, _ in self._blocks(nodal):
+            x_ifft(scatter, self.grid, out=out[..., columns])
+        return out
+
+    def phased(self, spectrum: np.ndarray, nonlinearity) -> np.ndarray:
+        """Kept-row spectrum of the 2/3 projection of ``nonlinearity(data,
+        columns)``, with data the nodal field of the kept-row ``spectrum``
+        over alpha columns ``columns``, block by block: scatter, inverse
+        x-FFT, nonlinearity, forward x-FFT, gather."""
+        nodal = self.axis.inverse(spectrum)
+        out = np.empty(nodal.shape, np.complex128)
+        for columns, scatter, work in self._blocks(nodal):
+            data = x_ifft(scatter, self.grid, out=work)
+            x_fft(nonlinearity(data, columns), self.grid, out=work)
+            np.take(work.reshape(-1, work.shape[-1]), self.kept, axis=0,
+                    out=out[:, columns], mode="clip")
+        return self.axis.forward(out)
 
     def quadratic_forms(self, spectrum: np.ndarray, rows=None) -> tuple[float, float, float]:
         """(mass, kinetic_x, kinetic_alpha) of the field whose spectrum over
@@ -486,17 +539,22 @@ def build_linear_propagator(mach: Machinery, t: float) -> LinearPropagator:
     return LinearPropagator(mach.grid, x_phase, kept_phase, mach.axis, mach.axis.flow(t))
 
 
-def nonlinear_gain(data: np.ndarray, mach: Machinery) -> np.ndarray:
-    """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2);
-    an axis without a gain weight (the div form) skips the multiply."""
-    amp2 = data.real**2 + data.imag**2
+def nonlinear_gain(data: np.ndarray, mach: Machinery, columns=slice(None)) -> np.ndarray:
+    """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2)
+    on ``data`` over alpha columns ``columns``; an axis without a gain
+    weight (the div form) skips the multiply."""
+    amp2 = data.real**2
+    amp2 += data.imag**2
     if mach.axis.gain_weight is not None:
-        amp2 *= mach.axis.gain_weight
-    return amp2 ** (mach.spec.power // 2)
+        amp2 *= mach.axis.gain_weight[columns]
+    half = mach.spec.power // 2
+    return amp2 if half == 1 else amp2**half
 
 
-def apply_nonlinearity(data: np.ndarray, mach: Machinery, dt: float) -> np.ndarray:
-    """Exact nonlinear substep: u -> u exp(-i sign g(alpha) |u|^p dt).
+def apply_nonlinearity(data: np.ndarray, mach: Machinery, dt: float,
+                       columns=slice(None)) -> np.ndarray:
+    """Exact nonlinear substep: u -> u exp(-i sign g(alpha) |u|^p dt), on
+    ``data`` over alpha columns ``columns`` (all by default).
 
     Pure phase rotation, so |u| is preserved pointwise.  Raises
     NonFiniteFieldError on nonfinite input, which signals upstream blow-up.
@@ -509,7 +567,7 @@ def apply_nonlinearity(data: np.ndarray, mach: Machinery, dt: float) -> np.ndarr
     """
     if not np.all(np.isfinite(data.view(np.float64))):
         raise NonFiniteFieldError("nonfinite field values in nonlinear substep")
-    theta = nonlinear_gain(data, mach)
+    theta = nonlinear_gain(data, mach, columns)
     theta *= -mach.spec.sign * dt
     # cos and sin of a real array are cheaper than the complex exponential
     # of an imaginary one; a NaN angle fails the mask and stays NaN

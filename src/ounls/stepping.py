@@ -27,11 +27,14 @@ The fixed-step path keeps, after each step, c = P N(dt) S(dt/2 + l) c and
 l = dt/2: the trailing half of step i and the leading half of step i+1
 are one masked full step (first same as last; exact because both halves
 are exact flows, and 0.5*dt + 0.5*dt == dt exactly), and so are the last
-step of one segment and the first of the next.  Each step is one x-FFT
-pair, one alpha application (Hermite forward and inverse, or the div-form
-matrix G(t) over its band) and one nonlinear phase; each record adds the
-S(l) and the inverse transforms of its synthesis, and no forward
-transform.
+step of one segment and the first of the next.  Each step is one alpha
+application (Hermite forward and inverse, or the div-form matrix G(t)
+over its band) and one x-FFT pair and nonlinear phase, which
+Machinery.phased runs per block of alpha columns (Machinery.column_blocks:
+9 blocks of 57 columns for 513 div nodes on 256 x points, one block on
+the drift form's 256 x 64), so every nodal array of the step is
+block-sized; each record adds the S(l) and the inverse transforms of its
+synthesis, per block as well, and no forward transform.
 
 The adaptive path compares one step of length dt with two of dt/2 (step
 doubling) in one fused attempt:
@@ -48,11 +51,11 @@ two-half-step one S(dt/4) P b; S(dt/4) is unitary and commutes with P, so
 one vdot over the kept rows, without a synthesis.  On acceptance the
 guard's H^1 is read off the spectrum of b, and the step keeps c = P b with
 the lag l = dt/4: its last quarter step folds into the next attempt's
-leading flows.  An attempt, accepted or rejected, costs 6 x-FFTs (3
-forward, 3 inverse), 4 alpha flows (the banded div-form matrix, or a
-diagonal phase between 3 forward and 3 inverse Hermite transforms) and 3
-nonlinear phases; three separate Strang evaluations cost 12 x-FFTs, 6
-alpha flows with 6 Hermite transform pairs, and 3 phases.
+leading flows.  An attempt, accepted or rejected, costs 4 alpha flows
+(the banded div-form matrix, or a diagonal phase between 3 forward and 3
+inverse Hermite transforms), and per column block 6 x-FFTs (3 forward, 3
+inverse) and 3 nonlinear phases; three separate Strang evaluations cost
+12 x-FFTs, 6 alpha flows with 6 Hermite transform pairs, and 3 phases.
 
 The blow-up guard needs the native H^1 after every step.  That norm is
 invariant under the linear flow: the x phase is unitary and diagonal in k,
@@ -159,10 +162,11 @@ def detect_blowup(state: StepperState, control: StepControl, h1: float,
 
 def _phased(mach: Machinery, spectrum: np.ndarray, t_flow: float, t_phase: float) -> np.ndarray:
     """P N(t_phase) S(t_flow) on a kept-row spectrum: the kept-row spectrum
-    of the nonlinear phase's output.  No nodal array outlives the call,
-    which keeps div_dense's peak RSS 2 MB lower."""
-    data = mach.synthesize(mach.propagator(t_flow).advance(spectrum))
-    return mach.forward(apply_nonlinearity(data, mach, t_phase))
+    of the nonlinear phase's output, which Machinery.phased forms block by
+    block, so no full nodal array exists.  ``apply_nonlinearity`` is looked
+    up per call, so a replacement of this module's name sees every block."""
+    return mach.phased(mach.propagator(t_flow).advance(spectrum),
+                       lambda data, columns: apply_nonlinearity(data, mach, t_phase, columns))
 
 
 def _synchronize(state, carried, lag, time, target):

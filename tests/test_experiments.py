@@ -378,7 +378,8 @@ def test_scattering_emits_u_plus(monkeypatch):
 
 def test_linear_only_pullback_is_constant(monkeypatch):
     # with the nonlinearity disabled the pullback w(t) never moves
-    monkeypatch.setattr(stepping, "apply_nonlinearity", lambda data, mach, dt: data.copy())
+    monkeypatch.setattr(stepping, "apply_nonlinearity",
+                        lambda data, mach, dt, columns=slice(None): data.copy())
     spec = ModelSpec("nondiv", 1, 4)
     mach = build_machinery(spec, DiscretizationSpec(n_x=64, box_half_length=4 * math.pi))
     data = gaussian_field(mach, InitialData(amplitude=0.05))
@@ -513,3 +514,19 @@ def test_blowup_flagged_before_four_samples_is_red(amplitude, samples):
     assert math.isnan(checks["concavity_certificate"].value)
     assert not checks["parabola_root"].passed
     assert checks["parabola_root"].note.startswith(f"{samples} samples before the flag")
+
+
+def test_morawetz_samples_stop_at_the_horizon(monkeypatch):
+    # a horizon off the 0.01 sample grid: the schedule ends at the last
+    # sample before it, so neither resolution integrates past run.t
+    schedules = []
+
+    def spy(data, mach, samples, *args, **kwargs):
+        schedules.append(list(samples))
+        return integrate(data, mach, samples, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", spy)
+    experiments.run_morawetz(small_cfg(scenario="morawetz", model=ModelSpec("div", 1, 2),
+                                       disc=DiscretizationSpec(n_x=64, div_nodes=65),
+                                       horizon=0.026, dt=2e-3))
+    assert schedules == [[0.0, 0.01, 0.02]] * 2

@@ -32,10 +32,10 @@ def run_row(key: str) -> dict:
     return verdicts(row.run(row.config(base), AcceptanceReports(base)))
 
 
-def euler_phase(data, mach, dt):
+def euler_phase(data, mach, dt, columns=slice(None)):
     """u (1 + i theta) in place of u exp(i theta): first order and not
     unitary, so the mass grows by theta^2 per step."""
-    theta = -mach.spec.sign * dt * operators.nonlinear_gain(data, mach)
+    theta = -mach.spec.sign * dt * operators.nonlinear_gain(data, mach, columns)
     return data * (1.0 + 1j * theta)
 
 

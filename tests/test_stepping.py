@@ -1,6 +1,7 @@
 """Splitting integrator: per-step conservation, exactness against the
 linear flow, reversibility, convergence order and the blow-up guard."""
 
+import functools
 import math
 
 import numpy as np
@@ -47,7 +48,8 @@ def no_record(data, time, mach):
 def linear_only(monkeypatch):
     """Step with the nonlinear phase switched off: the stepper's substep
     returns its input unchanged."""
-    monkeypatch.setattr(stepping, "apply_nonlinearity", lambda data, mach, dt: data.copy())
+    monkeypatch.setattr(stepping, "apply_nonlinearity",
+                        lambda data, mach, dt, columns=slice(None): data.copy())
 
 
 def test_zero_field_stays_zero(nondiv):
@@ -478,3 +480,83 @@ def test_floor_acceptance_is_counted_apart_from_rejections(nondiv, monkeypatch):
                          record_fn=no_record)
     assert (state.step_count, state.floor_count, state.rejected_count) == (1, 1, 0)
     assert state.blowup_flag and state.blowup_time_estimate == dt
+
+
+# blocked x-transforms: (model, dim, power, n_x, div_nodes, the number of
+# column blocks of that grid and their widest); 2 blocks slice the drift
+# form's gain weight
+BLOCK_CASES = {
+    "div-513-on-256": ("div", 1, 2, 256, 513, 9, 57),
+    "drift-on-512": ("nondiv", 1, 4, 512, 513, 2, 32),
+    "div-2d-on-64": ("div", 2, 2, 64, 65, 17, 4),
+    "drift-256x64": ("nondiv", 1, 4, 256, 513, 1, 64),
+    "div-128x65": ("div", 1, 2, 128, 65, 1, 65),
+}
+
+
+@functools.cache
+def block_case(key):
+    model, dim, power, n_x, nodes, *_ = BLOCK_CASES[key]
+    return build_machinery(ModelSpec(model, dim, power, -1), DiscretizationSpec(
+        n_x=n_x, box_half_length=8 * math.pi, div_nodes=nodes))
+
+
+def rough_spectrum(mach):
+    """Kept-row spectrum of a Gaussian with a random factor, so every
+    alpha column differs from its neighbours."""
+    rng = np.random.default_rng(11)
+    noise = 1.0 + 0.2 * rng.standard_normal(mach.grid.shape + (mach.axis.nodes.size,))
+    return mach.forward(2.0 * gaussian(mach) * noise)
+
+
+def unblocked_synthesis(mach, spectrum):
+    """The whole-field synthesis: every kept row into one zero array over
+    the x grid, one inverse x-FFT."""
+    scatter = np.zeros((mach.dealias.size, mach.axis.nodes.size), np.complex128)
+    scatter[mach.kept] = mach.axis.inverse(spectrum)
+    return x_ifft(scatter.reshape(mach.grid.shape + (-1,)), mach.grid)
+
+
+@pytest.mark.parametrize("key", list(BLOCK_CASES))
+def test_column_blocks_follow_the_width_rule(key):
+    # at most WORK_BYTES // (16 rows) columns, split evenly over the fewest
+    # blocks, which tile the alpha columns in order
+    mach = block_case(key)
+    blocks = mach.column_blocks
+    widths = [b.stop - b.start for b in blocks]
+    assert (len(blocks), max(widths)) == BLOCK_CASES[key][-2:]
+    assert max(widths) - min(widths) <= 1
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == mach.axis.nodes.size
+
+
+@pytest.mark.parametrize("key", list(BLOCK_CASES))
+def test_blocked_evaluation_is_bitwise_the_whole_field_one(key):
+    mach = block_case(key)
+    spectrum = rough_spectrum(mach)
+    dt = 1e-3
+    assert np.array_equal(mach.synthesize(spectrum), unblocked_synthesis(mach, spectrum))
+    advanced = mach.propagator(0.5 * dt).advance(spectrum)
+    whole = mach.forward(apply_nonlinearity(unblocked_synthesis(mach, advanced), mach, dt))
+    assert np.array_equal(stepping._phased(mach, spectrum, 0.5 * dt, dt), whole)
+
+
+def test_nonfinite_column_of_the_last_block_flags_the_fixed_step(monkeypatch):
+    mach = block_case("div-513-on-256")
+    spectrum = rough_spectrum(mach)
+    spectrum[:, -1] = np.nan
+    seen = []
+
+    def counted(data, m, dt, columns=slice(None)):
+        seen.append(columns)
+        return apply_nonlinearity(data, m, dt, columns)
+
+    monkeypatch.setattr(stepping, "apply_nonlinearity", counted)
+    with pytest.raises(operators.NonFiniteFieldError):
+        stepping._phased(mach, spectrum, 5e-4, 1e-3)
+    # the flow's band keeps the NaN in the last block: every block ran
+    assert seen == list(mach.column_blocks)
+    state = StepperState(spectrum, 1e-3, h1_initial=1.0)
+    state = stepping._advance_fixed(state, mach, 1e-3, StepControl(dt=1e-3))
+    assert state.blowup_flag and state.blowup_time_estimate == 0.0
+    assert state.step_count == 0 and state.spectrum is spectrum and state.lag == 0.0
