@@ -402,10 +402,10 @@ def counterexample_ratio(power: int, radius: float) -> float:
 
 
 def _h1alpha_density(coeffs: np.ndarray, axis: HermiteAxis) -> np.ndarray:
-    """sum_n (1 + n)|c_n|^2 over the last axis: the squared weighted H^1 in
-    alpha, the modal mass plus the axis's gradient form."""
+    """sum_n (1 + n)|c_n|^2 over axis 0: the squared weighted H^1 in alpha,
+    the modal mass plus the axis's gradient form."""
     power = coeffs.real**2 + coeffs.imag**2
-    return power.sum(axis=-1) + axis.grad_density(coeffs, power)
+    return power.sum(axis=0) + axis.grad_density(coeffs, power)
 
 
 def embedding_ratios(
@@ -414,16 +414,18 @@ def embedding_ratios(
     """(weighted-Sobolev ratio, nonlinear-estimate ratio) per profile,
     measured end to end through the basis machinery at resolution n_alpha:
     nodal evaluation, the node sup of |u| e^{-a^2/2}, and the modal
-    weighted-H^1 norm of the quadrature projection of the nonlinear term."""
+    weighted-H^1 norm of the quadrature projection of the nonlinear term.
+    The profiles are rows of nodal values; the transforms take them
+    alpha-first, as the stepper's spectra."""
     check_alpha_band_resolved(n_alpha, band)
     axis = HermiteAxis(hermite.build_basis(n_alpha))
     u = coeffs @ axis.basis.eigenfunctions[:band]
-    h1 = np.sqrt(_h1alpha_density(axis.forward(u), axis))
+    h1 = np.sqrt(_h1alpha_density(axis.forward(u.T), axis))
     damp = np.exp(-0.5 * axis.nodes**2)
     sup = (np.abs(u) * damp).max(axis=-1)
     amp2 = u.real**2 + u.imag**2
     nonlinear = (amp2 * damp**2) ** (power // 2) * u
-    h1v = np.sqrt(_h1alpha_density(axis.forward(nonlinear), axis))
+    h1v = np.sqrt(_h1alpha_density(axis.forward(nonlinear.T), axis))
     return sup / h1, h1v / h1 ** (power + 1)
 
 

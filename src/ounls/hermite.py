@@ -123,24 +123,40 @@ def build_basis(n_modes: int) -> HermiteBasis:
 
 
 def _require_length(data: np.ndarray, basis: HermiteBasis, what: str):
-    if data.shape[-1] != basis.n_modes:
+    if data.shape[0] != basis.n_modes:
         raise ValueError(
-            f"{what} length {data.shape[-1]} does not match basis size {basis.n_modes}"
+            f"{what} length {data.shape[0]} does not match basis size {basis.n_modes}"
         )
 
 
+def float_rows(data: np.ndarray) -> np.ndarray:
+    """The float64 view of complex ``data`` as a matrix: axis 0 kept, the
+    trailing axes flattened, each entry's real and imaginary parts side by
+    side.  Copies only data that is not C-contiguous complex128."""
+    flat = np.ascontiguousarray(data, dtype=np.complex128)
+    return flat.reshape(flat.shape[0], -1).view(np.float64)
+
+
+def _along_axis0(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """``matrix`` applied along axis 0 of complex ``data``, on its
+    float_rows view: one real GEMM, with none of the multiplies by zero
+    imaginary parts that a complex product with the real matrix takes."""
+    out = (matrix @ float_rows(data)).view(np.complex128)
+    return out.reshape(matrix.shape[:1] + np.shape(data)[1:])
+
+
 def forward_tensor(values: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    """Nodal -> modal along the last axis of an (..., n_modes) tensor:
+    """Nodal -> modal along axis 0 of an (n_modes, ...) tensor:
     coeffs_n = sum_k weights_k phi_n(node_k) values_k."""
     _require_length(values, basis, "field")
-    return values @ basis.forward_matrix.T
+    return _along_axis0(basis.forward_matrix, values)
 
 
 def inverse_tensor(coeffs: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    """Modal -> nodal along the last axis of an (..., n_modes) tensor:
+    """Modal -> nodal along axis 0 of an (n_modes, ...) tensor:
     values_k = sum_n coeffs_n phi_n(node_k)."""
     _require_length(coeffs, basis, "coefficients")
-    return coeffs @ basis.eigenfunctions
+    return _along_axis0(basis.eigenfunctions.T, coeffs)
 
 
 def evaluate_modal(coeffs: np.ndarray, alphas) -> np.ndarray:

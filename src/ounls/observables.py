@@ -21,7 +21,7 @@ import numpy as np
 
 from .grids import x_fft, x_ifft
 from .models import MODEL_DIV
-from .operators import Machinery, nonlinear_gain
+from .operators import Machinery, nonlinear_gain, squared_modulus
 
 RHO_TAGS = ("abs", "bracket")
 
@@ -97,9 +97,8 @@ class Snapshot:
 
     @cached_property
     def amp2(self) -> np.ndarray:
-        amp2 = self.data.real**2
-        amp2 += self.data.imag**2
-        return amp2
+        """|u|^2, the record's one squaring pass over the nodal field."""
+        return squared_modulus(self.data)
 
     @cached_property
     def mass_density(self) -> np.ndarray:
@@ -109,7 +108,7 @@ class Snapshot:
     @cached_property
     def potential_density(self) -> np.ndarray:
         """x density of g(alpha)|u|^{p+2} against the native alpha measure."""
-        gain = nonlinear_gain(self.data, self.mach)
+        gain = nonlinear_gain(self.amp2, self.mach)
         return (gain * self.amp2) @ self.mach.axis.weights
 
     @cached_property

@@ -18,7 +18,7 @@ style of Benzi & Golub (BIT 39, 1999): with x = |t| (lambda_max -
 lambda_min), |G_ij| <= 2 sum_{k >= |i-j|} (x/4)^k / k!.  The reach R(t)
 (flow_reach) is where that tail falls below BAND_TOL / sqrt(n), so every
 entry farther out is below BAND_TOL times the largest.  FluxAxis.flow forms
-G in column blocks, each on the rows within R of its columns only, and
+G in row blocks, each on the columns within R of its rows only, and
 FluxFlow applies those blocks.
 """
 
@@ -29,6 +29,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+# imported at module level on purpose: the benchmark traces this name as
+# operators.div_eigh, and the import leaves glibc's dynamic mmap and trim
+# thresholds raised, which the stepper's transient arrays rely on.  A build
+# that never imports scipy.linalg took about 37,000 minor faults per
+# drift_fixed call, against under 1,000, and ran 5-15 % slower (README,
+# "Allocator dependence").
 from scipy.linalg import eigh_tridiagonal
 
 from . import hermite
@@ -38,7 +44,7 @@ from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
 
 
 # entries of G(t) below BAND_TOL times the largest are never formed;
-# FLOW_BLOCK columns of G are formed and applied per matmul
+# FLOW_BLOCK rows of G are formed and applied per matmul
 BAND_TOL = 1e-15
 FLOW_BLOCK = 32
 
@@ -144,13 +150,13 @@ def flow_reach(x: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class FluxFlow:
-    """G(t) as the div axis applies it, along the last axis of the data.
+    """G(t) as the div axis applies it, along axis 0 of the data.
 
-    ``blocks`` holds (c0, c1, lo, hi, G[lo:hi, c0:c1]) per FLOW_BLOCK
-    output columns, with [lo, hi) the input columns within ``band`` (the
-    reach, flow_reach) of [c0, c1); the entries farther out, all below
-    BAND_TOL times the largest, are never formed.  The blocks never take
-    more multiply-adds than the dense product: at a band near n each block
+    ``blocks`` holds (c0, c1, lo, hi, G[c0:c1, lo:hi]) per FLOW_BLOCK
+    output rows, with [lo, hi) the input rows within ``band`` (the reach,
+    flow_reach) of [c0, c1); the entries farther out, all below BAND_TOL
+    times the largest, are never formed.  The blocks never take more
+    multiply-adds than the dense product: at a band near n each block
     reads every row, as the dense product does.
     """
 
@@ -158,12 +164,11 @@ class FluxFlow:
     band: int
 
     def apply(self, data: np.ndarray) -> np.ndarray:
-        """data @ G over the blocks (G is symmetric, so right multiplication
-        applies it to each alpha row)."""
-        rows = data.reshape(-1, data.shape[-1])
+        """G @ data over the blocks, each output row block written in place."""
+        rows = data.reshape(data.shape[0], -1)
         out = np.empty_like(rows)
         for c0, c1, lo, hi, block in self.blocks:
-            np.matmul(rows[:, lo:hi], block, out=out[:, c0:c1])
+            np.matmul(block, rows[lo:hi], out=out[c0:c1])
         return out.reshape(data.shape)
 
 
@@ -187,7 +192,7 @@ class HermiteAxis:
         self._modes = -basis.eigenvalues
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Alpha spectrum along the last axis: the Hermite coefficients."""
+        """Alpha spectrum along axis 0: the Hermite coefficients."""
         return hermite.forward_tensor(values, self.basis)
 
     def flow(self, t: float) -> np.ndarray:
@@ -195,28 +200,29 @@ class HermiteAxis:
         return np.exp(1j * t * self.basis.eigenvalues)
 
     def advance(self, spectrum, x_mult, flow) -> np.ndarray:
-        """The spectrum times the x multiplier and the diagonal flow."""
-        return spectrum * (x_mult * flow)
+        """The spectrum times the diagonal flow per row and the x multiplier
+        along the trailing axes."""
+        return spectrum * np.multiply.outer(flow, x_mult)
 
     def flow_note(self) -> None:
         """The diagonal flow has no band to report."""
         return None
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Nodal values along the last axis of an alpha spectrum."""
+        """Nodal values along axis 0 of an alpha spectrum."""
         return hermite.inverse_tensor(spectrum, self.basis)
 
     def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
         """Alpha gradient form per x point, sum n |c_n|^2; ``power`` is
         |spectrum|^2."""
-        return power @ self._modes
+        return (self._modes @ power.reshape(power.shape[0], -1)).reshape(power.shape[1:])
 
     def tail_fraction(self, spectrum: np.ndarray, n_tail: int) -> float:
         """Mass fraction of the top ``n_tail`` Hermite modes; values above
         ~1e-8 mean the retained band is too small for the field."""
         power = np.abs(spectrum) ** 2
         total = float(power.sum())
-        return float(power[..., -n_tail:].sum()) / total if total else 0.0
+        return float(power[-n_tail:].sum()) / total if total else 0.0
 
     def band_shapes(self, band: int) -> np.ndarray:
         """Nodal shapes of the band+1 low profiles: the basis functions."""
@@ -255,11 +261,12 @@ class FluxAxis:
         """G(t), formed exactly from the eigendecomposition within its reach
         R (flow_reach), which is its band.
 
-        Columns [c0, c1) of each FLOW_BLOCK are formed from rows
-        [c0 - R, c1 + R) of Q alone, since every entry farther out is below
-        BAND_TOL times the largest.  The cos and sin parts are two real
-        products, written straight into the block's real and imaginary
-        parts: a complex @ real product would first cast Q^T to complex.
+        Rows [c0, c1) of each FLOW_BLOCK are formed on columns
+        [c0 - R, c1 + R) alone, since every entry farther out is below
+        BAND_TOL times the largest; only the block's own rows of Q are
+        scaled.  The cos and sin parts are two real products, written
+        straight into the block's real and imaginary parts: a complex @ real
+        product would first cast Q^T to complex.
         """
         q, lam = self.op.eigenvectors, self.op.eigenvalues
         n = lam.size
@@ -269,8 +276,8 @@ class FluxAxis:
         for c0 in range(0, n, FLOW_BLOCK):
             c1 = min(c0 + FLOW_BLOCK, n)
             lo, hi = max(c0 - band, 0), min(c1 + band, n)
-            rows, cols = q[lo:hi], q[c0:c1].T
-            block = np.empty((hi - lo, c1 - c0), np.complex128)
+            rows, cols = q[c0:c1], q[lo:hi].T
+            block = np.empty((c1 - c0, hi - lo), np.complex128)
             np.matmul(rows * cos, cols, out=block.real)
             np.matmul(rows * sin, cols, out=block.imag)
             blocks.append((c0, c1, lo, hi, block))
@@ -278,7 +285,8 @@ class FluxAxis:
         return FluxFlow(tuple(blocks), band)
 
     def advance(self, spectrum, x_mult, flow) -> np.ndarray:
-        """The spectrum times the x multiplier, then G(t) along alpha."""
+        """The spectrum times the x multiplier along the trailing axes, then
+        G(t) along alpha."""
         return flow.apply(spectrum * x_mult)
 
     def flow_note(self) -> str:
@@ -297,31 +305,28 @@ class FluxAxis:
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         return spectrum
 
-    @cached_property
-    def _face_weights2(self) -> np.ndarray:
-        """mu_f / h^2 for the real and the imaginary part of each face."""
-        return np.repeat(self.op.face_weights / self.op.spacing**2, 2)
-
     def grad_density(self, spectrum: np.ndarray, power: np.ndarray) -> np.ndarray:
         """sum_f mu_f |diff_a u|^2 / h^2 per x point (``power`` unused).
 
-        Taken on the float64 view (re, im interleaved): one real difference
-        of the slices two apart gives the real and imaginary face
-        differences side by side, squared in place and summed against the
-        face weights repeated twice, with no complex copy of the spectrum.
+        Taken on the float64 view, where each alpha row holds the real and
+        imaginary parts side by side: one real row difference gives both
+        face differences, squared in place and weighted per face, with no
+        complex copy of the spectrum.
         """
-        flat = np.ascontiguousarray(spectrum, dtype=np.complex128).view(np.float64)
-        diff = flat[..., 2:] - flat[..., :-2]
+        flat = hermite.float_rows(spectrum)
+        diff = flat[1:] - flat[:-1]
         diff *= diff
-        return diff @ self._face_weights2
+        dens = (self.op.face_weights / self.op.spacing**2) @ diff
+        return (dens[0::2] + dens[1::2]).reshape(spectrum.shape[1:])
 
     def tail_fraction(self, spectrum: np.ndarray, n_tail: int) -> float:
         """Mass fraction of the ``n_tail`` most oscillatory eigenmodes of P:
         the first columns of the real orthonormal Q (eigenvalues ascend), so
-        the total is the nodal sum of |u|^2 and only (..., n) x (n, n_tail)
-        products are taken, part by part without a complex copy of Q."""
+        the total is the nodal sum of |u|^2 and only one (n_tail, n) x
+        (n, ...) product is taken, on the float64 view without a complex
+        copy of Q."""
         q = self.op.eigenvectors[:, :n_tail]
-        tail = float(((spectrum.real @ q) ** 2 + (spectrum.imag @ q) ** 2).sum())
+        tail = float(np.square(q.T @ hermite.float_rows(spectrum)).sum())
         total = float(np.vdot(spectrum, spectrum).real)
         return tail / total if total else 0.0
 
@@ -381,9 +386,19 @@ class Machinery:
     The stepper's spectra hold only the rows of the x modes that the 2/3
     rule keeps: ``forward`` gathers them after the x-FFT (that gather is
     the 2/3 projection) and ``synthesize`` scatters them into zeros before
-    the inverse x-FFT.  Each row is the alpha spectrum of one kept x mode,
-    so every flow and norm on such a spectrum runs on the kept rows only;
-    ``propagator`` binds them into each propagator, so no caller reads them.
+    the inverse x-FFT.  Every flow and norm on such a kept-row spectrum
+    runs on the kept rows only; ``propagator`` binds them into each
+    propagator, so no caller reads them.
+
+    A kept-row spectrum is stored alpha-first: shape (alpha, kept x modes),
+    C-contiguous, one row per alpha mode or node.  A real alpha matrix then
+    acts from the left on its float64 view with no copy, so each Hermite
+    transform is one real GEMM (hermite.forward_tensor), and the div flow's
+    row blocks read contiguous rows.  The nodal blocks stay x-first, shape
+    (x grid, alpha columns), where the x-FFTs run fastest; the transposition
+    rides on the copies the 2/3 rule makes anyway: the scatter into zeros
+    reads the transposed alpha rows of a block, and the gather writes the
+    transposed kept rows into them.
 
     ``synthesize`` and ``phased`` run their x-transforms per block of alpha
     columns (``column_blocks``, about WORK_BYTES over the x grid each), so
@@ -426,9 +441,10 @@ class Machinery:
         return tuple(slice(i * n // count, (i + 1) * n // count) for i in range(count))
 
     def _blocks(self, nodal: np.ndarray):
-        """Per column block of the kept-row nodal values ``nodal``: (columns,
-        scatter, work), the block's rows scattered into ``scatter`` over the
-        x grid and ``work`` the block-sized buffer for the transforms."""
+        """Per column block of the alpha-first kept-row nodal values
+        ``nodal``: (columns, scatter, work), the block's alpha rows
+        transposed into the kept rows of ``scatter`` over the x grid, and
+        ``work`` the block-sized buffer for the transforms."""
         if self._scatter is None:
             width = max(b.stop - b.start for b in self.column_blocks)
             self._scatter = np.zeros(self.grid.shape + (width,), np.complex128)
@@ -436,7 +452,7 @@ class Machinery:
         for columns in self.column_blocks:
             width = columns.stop - columns.start
             scatter = self._scatter[..., :width]
-            scatter.reshape(-1, width)[self.kept] = nodal[:, columns]
+            scatter.reshape(-1, width)[self.kept] = nodal[columns].T
             yield columns, scatter, self._work[..., :width]
 
     def forward(self, data: np.ndarray, rows=None) -> np.ndarray:
@@ -444,13 +460,13 @@ class Machinery:
         with ``rows`` (flat x-mode indices or a slice), its spectrum over
         those rows."""
         hat = x_fft(data, self.grid)
-        hat = hat.reshape(-1, hat.shape[-1])
-        return self.axis.forward(hat[self.kept if rows is None else rows])
+        hat = hat.reshape(-1, hat.shape[-1])[self.kept if rows is None else rows]
+        return self.axis.forward(np.ascontiguousarray(hat.T))
 
     def synthesize(self, spectrum: np.ndarray) -> np.ndarray:
         """Nodal field of a kept-row spectrum, block by block."""
         nodal = self.axis.inverse(spectrum)
-        out = np.empty(self.grid.shape + nodal.shape[-1:], np.complex128)
+        out = np.empty(self.grid.shape + nodal.shape[:1], np.complex128)
         for columns, scatter, _ in self._blocks(nodal):
             x_ifft(scatter, self.grid, out=out[..., columns])
         return out
@@ -465,8 +481,7 @@ class Machinery:
         for columns, scatter, work in self._blocks(nodal):
             data = x_ifft(scatter, self.grid, out=work)
             x_fft(nonlinearity(data, columns), self.grid, out=work)
-            np.take(work.reshape(-1, work.shape[-1]), self.kept, axis=0,
-                    out=out[:, columns], mode="clip")
+            out[columns] = work.reshape(-1, work.shape[-1])[self.kept].T
         return self.axis.forward(out)
 
     def quadratic_forms(self, spectrum: np.ndarray, rows=None) -> tuple[float, float, float]:
@@ -475,9 +490,8 @@ class Machinery:
         of |s|^2, |k|^2 |s|^2 and the alpha gradient form (Parseval)."""
         k2 = self._k2_kept if rows is None else -laplacian_symbol(self.grid).reshape(-1)[rows]
         power = spectrum.real**2 + spectrum.imag**2
-        row_power = power.sum(axis=-1)
         scale = self.grid.cell_volume * self.axis.measure
-        return (scale * float(row_power.sum()), scale * float((k2 * row_power).sum()),
+        return (scale * float(power.sum()), scale * float((power @ k2).sum()),
                 scale * float(self.axis.grad_density(spectrum, power).sum()))
 
     def spectral_l2(self, spectrum: np.ndarray) -> float:
@@ -519,10 +533,13 @@ class LinearPropagator:
     flow: np.ndarray | FluxFlow
 
     def apply(self, data: np.ndarray) -> np.ndarray:
-        """exp(i t L) data, over every x mode."""
-        spectrum = self.axis.forward(x_fft(data, self.grid))
-        spectrum = self.axis.advance(spectrum, self.x_phase[..., None], self.flow)
-        return x_ifft(self.axis.inverse(spectrum), self.grid)
+        """exp(i t L) data, over every x mode; the spectrum in between is
+        alpha-first, as a kept-row one."""
+        hat = x_fft(data, self.grid)
+        spectrum = self.axis.forward(np.ascontiguousarray(hat.reshape(-1, hat.shape[-1]).T))
+        spectrum = self.axis.advance(spectrum, self.x_phase.reshape(-1), self.flow)
+        nodal = np.ascontiguousarray(self.axis.inverse(spectrum).T)
+        return x_ifft(nodal.reshape(hat.shape), self.grid)
 
     def advance(self, spectrum: np.ndarray) -> np.ndarray:
         """exp(i t L) on a kept-row spectrum."""
@@ -535,18 +552,24 @@ def build_linear_propagator(mach: Machinery, t: float) -> LinearPropagator:
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t!r}")
     x_phase = np.exp(1j * t * laplacian_symbol(mach.grid))
-    kept_phase = x_phase.reshape(-1)[mach.kept, None]
+    kept_phase = x_phase.reshape(-1)[mach.kept]
     return LinearPropagator(mach.grid, x_phase, kept_phase, mach.axis, mach.axis.flow(t))
 
 
-def nonlinear_gain(data: np.ndarray, mach: Machinery, columns=slice(None)) -> np.ndarray:
-    """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2)
-    on ``data`` over alpha columns ``columns``; an axis without a gain
-    weight (the div form) skips the multiply."""
+def squared_modulus(data: np.ndarray) -> np.ndarray:
+    """|u|^2 of a nodal array, in one squaring pass."""
     amp2 = data.real**2
     amp2 += data.imag**2
+    return amp2
+
+
+def nonlinear_gain(amp2: np.ndarray, mach: Machinery, columns=slice(None)) -> np.ndarray:
+    """Pointwise g(alpha)|u|^p = (|u|^2 times the axis gain weight)^(p/2)
+    from ``amp2`` = |u|^2 over alpha columns ``columns``; an axis without a
+    gain weight (the div form) skips the multiply.  ``amp2`` is never
+    written: at p = 2 on the div form the gain is ``amp2`` itself."""
     if mach.axis.gain_weight is not None:
-        amp2 *= mach.axis.gain_weight[columns]
+        amp2 = amp2 * mach.axis.gain_weight[columns]
     half = mach.spec.power // 2
     return amp2 if half == 1 else amp2**half
 
@@ -567,7 +590,7 @@ def apply_nonlinearity(data: np.ndarray, mach: Machinery, dt: float,
     """
     if not np.all(np.isfinite(data.view(np.float64))):
         raise NonFiniteFieldError("nonfinite field values in nonlinear substep")
-    theta = nonlinear_gain(data, mach, columns)
+    theta = nonlinear_gain(squared_modulus(data), mach, columns)
     theta *= -mach.spec.sign * dt
     # cos and sin of a real array are cheaper than the complex exponential
     # of an imaginary one; a NaN angle fails the mask and stays NaN

@@ -9,7 +9,11 @@ and a trailing linear substep on the kept-row spectrum of the phase's
 output: Machinery.forward keeps only the rows of the x modes that the 2/3
 rule keeps, which is the projection, so the trailing substep dealiases
 without a transform pair of its own and every alpha flow, x multiplier and
-norm runs on those rows (85 of 128, 171 of 256).
+norm runs on those rows (85 of 128, 171 of 256).  A kept-row spectrum is
+alpha-first, shape (alpha, kept x modes) and C-contiguous, so each Hermite
+transform is one real GEMM on its float64 view; the nodal blocks of
+Machinery.phased stay x-first, and the transposition between the two
+layouts happens in the scatter and gather that the 2/3 rule makes anyway.
 
 Both paths carry the synchronous field as a kept-row spectrum c and a lag
 l, the field being S(l) c, where the linear flow S(t) and the 2/3

@@ -35,7 +35,8 @@ def run_row(key: str) -> dict:
 def euler_phase(data, mach, dt, columns=slice(None)):
     """u (1 + i theta) in place of u exp(i theta): first order and not
     unitary, so the mass grows by theta^2 per step."""
-    theta = -mach.spec.sign * dt * operators.nonlinear_gain(data, mach, columns)
+    amp2 = operators.squared_modulus(data)
+    theta = -mach.spec.sign * dt * operators.nonlinear_gain(amp2, mach, columns)
     return data * (1.0 + 1j * theta)
 
 
@@ -94,9 +95,9 @@ def decaying_counterexample(power, radius):
 
 
 def unweighted_forward(values, basis):
-    """The Hermite projection without the Gauss weights: both norms then
-    grow with n_alpha, the nonlinear one included."""
-    return values @ basis.eigenfunctions.T
+    """The Hermite projection without the Gauss weights, along axis 0: both
+    norms then grow with n_alpha, the nonlinear one included."""
+    return basis.eigenfunctions @ values
 
 
 # (variant, owner, attribute, the checks that must go red); the others,
@@ -124,7 +125,7 @@ def test_embedding_gates_go_red(variant, monkeypatch):
 # the finite_* gates of rows 5 and 8-nondiv: a finite gate reads red only on
 # a nonfinite value, so each variant makes what its ratios divide by NaN
 def nan_h1alpha_density(coeffs, axis):
-    return np.full(coeffs.shape[:-1], np.nan)
+    return np.full(coeffs.shape[1:], np.nan)
 
 
 # (variant, row, owner, attribute, the checks that must go red); the others

@@ -169,6 +169,29 @@ def test_length_mismatch_raises():
         inverse_tensor(np.ones(32, complex), basis)
 
 
+@pytest.mark.parametrize("n_modes", [2, 63, 64])
+def test_axis_transforms_are_one_real_gemm_on_the_float_view(n_modes):
+    # an alpha-first spectrum (alpha, kept x modes): the real matrix acts
+    # from the left on its float64 view, re and im side by side, no copy
+    axis = HermiteAxis(build_basis(n_modes))
+    rng = np.random.default_rng(6)
+    spectrum = rng.standard_normal((n_modes, 171)) + 1j * rng.standard_normal((n_modes, 171))
+    flat = spectrum.view(np.float64)
+    basis = axis.basis
+    assert np.array_equal(axis.forward(spectrum),
+                          (basis.forward_matrix @ flat).view(np.complex128))
+    assert np.array_equal(axis.inverse(spectrum),
+                          (basis.eigenfunctions.T @ flat).view(np.complex128))
+    # the same values as the complex product with the real matrix
+    np.testing.assert_allclose(axis.forward(spectrum), basis.forward_matrix @ spectrum,
+                               rtol=0, atol=1e-14 * np.abs(spectrum).max())
+    # a 1-D profile and trailing axes keep their shapes
+    assert forward_tensor(spectrum[:, 0], basis).shape == (n_modes,)
+    stacked = spectrum.reshape(n_modes, 9, 19)
+    assert np.array_equal(inverse_tensor(stacked, basis),
+                          axis.inverse(spectrum).reshape(n_modes, 9, 19))
+
+
 def weighted_norms(axis, values):
     """(L2w, H1w_homogeneous) of a nodal profile through the drift axis:
     modal Parseval and the gradient form sum n |c_n|^2."""

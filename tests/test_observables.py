@@ -302,12 +302,13 @@ def separate_record(u, mach):
         return vol * dens.sum()
 
     def kin_a(u):
-        spectrum = axis.forward(u)
+        spectrum = axis.forward(u.reshape(-1, u.shape[-1]).T)
         power = spectrum.real**2 + spectrum.imag**2
         return vol * axis.measure * axis.grad_density(spectrum, power).sum()
 
     def pot(u):
-        return vol * ((nonlinear_gain(u, mach) * np.abs(u) ** 2) @ axis.weights).sum()
+        amp2 = np.abs(u) ** 2
+        return vol * ((nonlinear_gain(amp2, mach) * amp2) @ axis.weights).sum()
 
     def interaction(u, rho):
         m = m_of(u)
@@ -334,8 +335,8 @@ def separate_record(u, mach):
         tail = eigen_tail(u, mach)
     else:
         vir = vir_rhs = math.nan
-        power = np.abs(hermite.forward_tensor(u, axis.basis)) ** 2
-        tail = float(power[..., -TAIL_MODES:].sum() / power.sum())
+        power = np.abs(hermite.forward_tensor(u.reshape(-1, u.shape[-1]).T, axis.basis)) ** 2
+        tail = float(power[-TAIL_MODES:].sum() / power.sum())
     return {
         "mass": mass_,
         "energy": energy_of(u),
@@ -423,6 +424,32 @@ def test_sample_record_transforms_the_field_once(model_fixture, request, monkeyp
 
 
 @pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
+def test_record_squares_the_field_once(model_fixture, request, monkeypatch):
+    # |u|^2 is formed once per record, by Snapshot.amp2, and the potential
+    # density builds its gain from that cached array without writing it
+    mach = request.getfixturevalue(model_fixture)
+    passes = []
+
+    def counted(data):
+        passes.append(data.shape)
+        return operators.squared_modulus(data)
+
+    monkeypatch.setattr(observables, "squared_modulus", counted)
+    snap = Snapshot.of(template(mach, amp=1.3), mach)
+    sample_record(snap, 0.0, mach)
+    assert passes == [snap.data.shape]
+    # bitwise the density of a gain formed from the field by its own pass
+    amp2 = snap.data.real**2
+    amp2 += snap.data.imag**2
+    assert np.array_equal(snap.amp2, amp2)
+    gain = amp2.copy()
+    if mach.axis.gain_weight is not None:
+        gain *= mach.axis.gain_weight
+    gain = gain ** (mach.spec.power // 2)
+    assert np.array_equal(snap.potential_density, (gain * amp2) @ mach.axis.weights)
+
+
+@pytest.mark.parametrize("model_fixture", ["nondiv", "div2"])
 def test_nodal_functionals_on_an_array_run_no_forward_transform(
     model_fixture, request, monkeypatch
 ):
@@ -497,8 +524,8 @@ def test_kept_row_snapshot_matches_nodal_snapshot(model, dim):
         mach.grid.shape + (mach.axis.nodes.size,)))
     u = mach.synthesize(mach.forward(u))
     nodal, spectral = Snapshot.of(u, mach), Snapshot(mach.forward(u), mach)
-    assert nodal.spectrum.shape[0] == mach.dealias.size
-    assert spectral.spectrum.shape[0] == mach.kept.size
+    assert nodal.spectrum.shape == (mach.axis.nodes.size, mach.dealias.size)
+    assert spectral.spectrum.shape == (mach.axis.nodes.size, mach.kept.size)
     for fn in (mass, energy, h1_native, tail_mass_fraction):
         want, got = fn(nodal, mach), fn(spectral, mach)
         assert abs(got - want) <= 1e-13 * abs(want), (fn.__name__, got, want)

@@ -25,14 +25,17 @@ from ounls.operators import (
     build_machinery,
     flow_reach,
     nonlinear_gain,
+    squared_modulus,
     verify_div_identity,
 )
 
 
 def apply_ou_nondiv(values, basis):
-    """Drift-form action (d^2/da^2 - a d/da) computed modally: c_n -> -n c_n."""
-    coeffs = hermite.forward_tensor(values, basis)
-    return hermite.inverse_tensor(coeffs * basis.eigenvalues, basis)
+    """Drift-form action (d^2/da^2 - a d/da) along the last axis of nodal
+    values, computed modally: c_n -> -n c_n (the transforms act along axis
+    0)."""
+    coeffs = hermite.forward_tensor(values.T, basis).T
+    return hermite.inverse_tensor((coeffs * basis.eigenvalues).T, basis).T
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +220,7 @@ def test_div_gain_is_the_unweighted_power(div_mach):
     rng = np.random.default_rng(16)
     u = rng.standard_normal((128, 257)) + 1j * rng.standard_normal((128, 257))
     assert div_mach.axis.gain_weight is None
-    assert np.array_equal(nonlinear_gain(u, div_mach),
+    assert np.array_equal(nonlinear_gain(squared_modulus(u), div_mach),
                           (u.real**2 + u.imag**2) ** 2)
 
 
@@ -229,7 +232,7 @@ def test_nonlinearity_matches_complex_exponential(sign):
     rng = np.random.default_rng(15)
     u = rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))
     out = apply_nonlinearity(u, mach, 0.37)
-    gain = nonlinear_gain(u, mach)
+    gain = nonlinear_gain(squared_modulus(u), mach)
     np.testing.assert_allclose(out, u * np.exp(-1j * sign * 0.37 * gain), rtol=1e-15, atol=0)
     np.testing.assert_allclose(np.abs(out), np.abs(u), rtol=1e-15)
 
@@ -251,7 +254,7 @@ def test_nonlinearity_focusing_sign():
 
 def full_trig_phase(u, mach, dt):
     """The nonlinear substep with cos and sin evaluated on every node."""
-    theta = nonlinear_gain(u, mach)
+    theta = nonlinear_gain(squared_modulus(u), mach)
     theta *= -mach.spec.sign * dt
     out = np.empty(u.shape, dtype=np.complex128)
     np.cos(theta, out=out.real)
@@ -266,7 +269,7 @@ def field_with_angles(mach, angles, dt, seed):
     shape = mach.grid.shape + (mach.axis.nodes.size,)
     rng = np.random.default_rng(seed)
     unit = np.exp(2j * np.pi * rng.random(shape))
-    unit_gain = nonlinear_gain(unit, mach)
+    unit_gain = nonlinear_gain(squared_modulus(unit), mach)
     scale = (np.reshape(angles, shape) / (dt * unit_gain)) ** (1.0 / mach.spec.power)
     return scale * unit
 
@@ -284,7 +287,7 @@ def test_masked_phase_is_bitwise_the_full_trig_phase(model, sign):
     size = mach.grid.shape[0] * mach.axis.nodes.size
     angles = np.concatenate([np.logspace(-20, 1, size - len(marks)), marks])
     u = field_with_angles(mach, np.random.default_rng(24).permutation(angles), dt, 25)
-    theta = np.abs(nonlinear_gain(u, mach) * dt)
+    theta = np.abs(nonlinear_gain(squared_modulus(u), mach) * dt)
     live = theta >= PHASE_TINY
     assert 0 < np.count_nonzero(live) < theta.size
     # the data reach the angles where the trig differs from (1, theta)
@@ -310,7 +313,7 @@ def test_phase_below_tiny_is_one_and_theta_on_this_host():
                            DiscretizationSpec(n_x=64, div_nodes=65))
     angles = np.logspace(-20, math.log10(PHASE_TINY / 2), 64 * 65)
     u = field_with_angles(mach, angles, 0.1, 26)
-    gain = nonlinear_gain(u, mach)
+    gain = nonlinear_gain(squared_modulus(u), mach)
     phase = np.empty(u.shape, dtype=np.complex128)
     phase.real = 1.0
     phase.imag = -0.1 * gain
@@ -425,10 +428,10 @@ def test_banded_flow_matches_dense(flux_axes, n, t, x_shape):
     axis = flux_axes[n]
     flow = axis.flow(t)
     assert axis.bands[t] == flow.band
-    spectrum = random_spectrum(x_shape + (n,), 17)
-    x_mult = np.exp(1j * random_spectrum(x_shape, 18).real)[..., None]
+    spectrum = random_spectrum((n,) + x_shape, 17)
+    x_mult = np.exp(1j * random_spectrum(x_shape, 18).real)
     got = axis.advance(spectrum, x_mult, flow)
-    expect = (spectrum * x_mult) @ dense_flow(axis.op, t)
+    expect = np.tensordot(dense_flow(axis.op, t), spectrum * x_mult, axes=1)
     assert got.shape == expect.shape
     assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
@@ -499,15 +502,16 @@ def test_reach_edges():
 @pytest.mark.parametrize("x_shape", [(85,), (16, 16)], ids=["1d", "2d"])
 def test_flux_grad_density_matches_diff_form(flux_axes, n, x_shape):
     # the float64-view form against sum_f mu_f |diff_a u|^2 / h^2 taken
-    # with np.diff on the complex spectrum
+    # with np.diff on the complex spectrum, alpha along axis 0
     axis = flux_axes[n]
-    spectrum = random_spectrum(x_shape + (n,), 20)
-    diff = np.diff(spectrum, axis=-1)
-    expect = (diff.real**2 + diff.imag**2) @ axis.op.face_weights / axis.op.spacing**2
+    spectrum = random_spectrum((n,) + x_shape, 20)
+    diff = np.diff(spectrum, axis=0)
+    expect = np.tensordot(axis.op.face_weights, diff.real**2 + diff.imag**2,
+                          axes=1) / axis.op.spacing**2
     got = axis.grad_density(spectrum, None)
     assert got.shape == x_shape
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
     # a strided view reads the same values
-    wide = random_spectrum(x_shape + (2 * n,), 21)
-    wide[..., ::2] = spectrum
-    assert np.array_equal(axis.grad_density(wide[..., ::2], None), got)
+    wide = random_spectrum((2 * n,) + x_shape, 21)
+    wide[::2] = spectrum
+    assert np.array_equal(axis.grad_density(wide[::2], None), got)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ounls import operators, stepping
-from ounls.grids import x_fft, x_ifft
+from ounls.grids import laplacian_symbol, x_fft, x_ifft
 from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import Snapshot, h1_native, mass, sample_record
 from ounls.operators import apply_nonlinearity, build_machinery
@@ -463,7 +463,7 @@ def test_kept_rows_round_trip_is_the_dealias_projection(model_fixture, request):
     projected = stepping._dealias(u, mach)
     assert native_rel(u, projected, mach) > 1e-6
     spectrum = mach.forward(u)
-    assert spectrum.shape[0] == mach.kept.size == np.count_nonzero(mach.dealias)
+    assert spectrum.shape == (mach.axis.nodes.size, np.count_nonzero(mach.dealias))
     assert native_rel(mach.synthesize(spectrum), projected, mach) <= 1e-13
     assert native_rel(mach.synthesize(mach.forward(projected)), projected, mach) <= 1e-13
 
@@ -513,7 +513,7 @@ def unblocked_synthesis(mach, spectrum):
     """The whole-field synthesis: every kept row into one zero array over
     the x grid, one inverse x-FFT."""
     scatter = np.zeros((mach.dealias.size, mach.axis.nodes.size), np.complex128)
-    scatter[mach.kept] = mach.axis.inverse(spectrum)
+    scatter[mach.kept] = mach.axis.inverse(spectrum).T
     return x_ifft(scatter.reshape(mach.grid.shape + (-1,)), mach.grid)
 
 
@@ -544,7 +544,7 @@ def test_blocked_evaluation_is_bitwise_the_whole_field_one(key):
 def test_nonfinite_column_of_the_last_block_flags_the_fixed_step(monkeypatch):
     mach = block_case("div-513-on-256")
     spectrum = rough_spectrum(mach)
-    spectrum[:, -1] = np.nan
+    spectrum[-1] = np.nan
     seen = []
 
     def counted(data, m, dt, columns=slice(None)):
@@ -560,3 +560,135 @@ def test_nonfinite_column_of_the_last_block_flags_the_fixed_step(monkeypatch):
     state = stepping._advance_fixed(state, mach, 1e-3, StepControl(dt=1e-3))
     assert state.blowup_flag and state.blowup_time_estimate == 0.0
     assert state.step_count == 0 and state.spectrum is spectrum and state.lag == 0.0
+
+
+# the alpha-first layout against an alpha-last reference written here:
+# (model, dim, power, n_x, n_alpha, div_nodes); 9 column blocks on the
+# div_dense grid and 2 on the drift one at n_x 512
+LAYOUT_CASES = {
+    "drift-a2": ("nondiv", 1, 4, 64, 2, 65),
+    "drift-a63": ("nondiv", 1, 4, 128, 63, 65),
+    "drift-256x64": ("nondiv", 1, 4, 256, 64, 65),
+    "drift-on-512": ("nondiv", 1, 4, 512, 64, 65),
+    "drift-2d-a63": ("nondiv", 2, 2, 32, 63, 65),
+    "drift-2d-a2": ("nondiv", 2, 2, 32, 2, 65),
+    "div-513-on-256": ("div", 1, 2, 256, 64, 513),
+    "div-128x65": ("div", 1, 4, 128, 64, 65),
+    "div-2d-on-32": ("div", 2, 2, 32, 64, 65),
+}
+
+
+@functools.cache
+def layout_case(key):
+    model, dim, power, n_x, n_alpha, nodes = LAYOUT_CASES[key]
+    return build_machinery(ModelSpec(model, dim, power, -1), DiscretizationSpec(
+        n_x=n_x, box_half_length=(8 if dim == 1 else 4) * math.pi, n_alpha=n_alpha,
+        div_nodes=nodes))
+
+
+class AlphaLast:
+    """The kept-row machinery with the spectrum stored (kept x modes,
+    alpha): the transforms and the div flow act from the right."""
+
+    def __init__(self, mach):
+        self.mach, self.axis = mach, mach.axis
+        self.hermite = isinstance(mach.axis, operators.HermiteAxis)
+        self.k2 = -laplacian_symbol(mach.grid).reshape(-1)[mach.kept]
+
+    def forward(self, data):
+        hat = x_fft(data, self.mach.grid)
+        hat = hat.reshape(-1, hat.shape[-1])[self.mach.kept]
+        return hat @ self.axis.basis.forward_matrix.T if self.hermite else hat
+
+    def synthesize(self, spectrum):
+        nodal = spectrum @ self.axis.basis.eigenfunctions if self.hermite else spectrum
+        scatter = np.zeros((self.mach.dealias.size, nodal.shape[-1]), np.complex128)
+        scatter[self.mach.kept] = nodal
+        return x_ifft(scatter.reshape(self.mach.grid.shape + (-1,)), self.mach.grid)
+
+    def advance(self, spectrum, t):
+        x_phase = np.exp(1j * t * laplacian_symbol(self.mach.grid)).reshape(-1)
+        spectrum = spectrum * x_phase[self.mach.kept, None]
+        if self.hermite:
+            return spectrum * np.exp(1j * t * self.axis.basis.eigenvalues)
+        q, lam = self.axis.op.eigenvectors, self.axis.op.eigenvalues
+        return spectrum @ ((q * np.exp(1j * t * lam)) @ q.T)
+
+    def phased(self, spectrum, t_flow, t_phase):
+        data = self.synthesize(self.advance(spectrum, t_flow))
+        return self.forward(apply_nonlinearity(data, self.mach, t_phase))
+
+    def quadratic_forms(self, spectrum):
+        power = spectrum.real**2 + spectrum.imag**2
+        row_power = power.sum(axis=-1)
+        if self.hermite:
+            grad = power @ -self.axis.basis.eigenvalues
+        else:
+            diff = np.diff(spectrum, axis=-1)
+            op = self.axis.op
+            grad = (diff.real**2 + diff.imag**2) @ op.face_weights / op.spacing**2
+        scale = self.mach.grid.cell_volume * self.axis.measure
+        return scale * row_power.sum(), scale * (self.k2 * row_power).sum(), scale * grad.sum()
+
+    def tail_fraction(self, spectrum, n_tail):
+        if self.hermite:
+            power = np.abs(spectrum) ** 2
+        else:
+            power = np.abs(spectrum @ self.axis.op.eigenvectors) ** 2
+        tail = power[:, -n_tail:] if self.hermite else power[:, :n_tail]
+        return tail.sum() / power.sum()
+
+
+def frobenius_rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("key", list(LAYOUT_CASES))
+def test_alpha_first_layout_matches_the_alpha_last_reference(key):
+    mach = layout_case(key)
+    ref = AlphaLast(mach)
+    rng = np.random.default_rng(29)
+    u = 2.0 * gaussian(mach) * (1.0 + 0.2 * rng.standard_normal(
+        mach.grid.shape + (mach.axis.nodes.size,)))
+    spectrum = mach.forward(u)
+    want = ref.forward(u)
+    assert spectrum.shape == want.T.shape
+    assert frobenius_rel(spectrum, want.T) <= 1e-14
+    # the nodal fields compared in the native L^2
+    assert native_rel(mach.synthesize(spectrum), ref.synthesize(want), mach) <= 1e-14
+    dt = 1e-3
+    assert frobenius_rel(stepping._phased(mach, spectrum, 0.5 * dt, dt),
+                         ref.phased(want, 0.5 * dt, dt).T) <= 1e-14
+    for got, expect in zip(mach.quadratic_forms(spectrum), ref.quadratic_forms(want)):
+        assert abs(got - expect) <= 1e-14 * abs(expect)
+    tail = ref.tail_fraction(want, 4)
+    assert tail > 0.0
+    assert abs(mach.axis.tail_fraction(spectrum, 4) - tail) <= 1e-14 * tail
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("key", ["drift-on-512", "div-2d-on-32"])
+def test_every_spectrum_the_stepper_hands_out_is_alpha_first(key, adaptive, monkeypatch):
+    # (alpha, kept x modes), C-contiguous: what the real GEMMs and the flow's
+    # row blocks read without a copy
+    mach = layout_case(key)
+    shape = (mach.axis.nodes.size, np.count_nonzero(mach.dealias))
+    seen = []
+
+    def check(spectrum):
+        assert spectrum.shape == shape and spectrum.flags.c_contiguous
+        seen.append(spectrum)
+        return spectrum
+
+    phased, advance = stepping._phased, operators.LinearPropagator.advance
+    monkeypatch.setattr(stepping, "_phased", lambda *a: check(phased(*a)))
+    monkeypatch.setattr(operators.LinearPropagator, "advance",
+                        lambda self, s: check(advance(self, check(s))))
+
+    def record(snap, time, m):
+        check(snap.spectrum)
+
+    control = StepControl(dt=1e-3, adaptive=adaptive)
+    _, state = integrate(gaussian(mach), mach, [0.0, 2e-3], control, record_fn=record)
+    check(state.spectrum)
+    assert len(seen) > 10
