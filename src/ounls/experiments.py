@@ -11,6 +11,7 @@ acceptance tests both run it.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -180,27 +181,54 @@ def _band_dft(band: int, m: int) -> np.ndarray:
     return np.exp((2j * np.pi / m) * (np.outer(modes, np.arange(m)) % m))
 
 
-def _int_power(powers: dict, h: int) -> np.ndarray:
+class LadderWorkspace:
+    """One flat buffer per role for the ladder's per-chunk arrays.
+
+    ``take(role, shape, dtype)`` returns the leading prod(shape) elements of
+    the role's buffer as a ``shape`` array, growing the buffer to the
+    largest size asked for, so both resolutions, a short last chunk and the
+    next ensemble member reuse the same memory instead of fresh transients.
+    A role keeps one dtype; a workspace serves one thread at a time.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(role)
+        if flat is None or flat.size < size:
+            flat = self._flat[role] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _int_power(powers: dict, h: int, work: LadderWorkspace) -> np.ndarray:
     """powers[1] ** h by repeated multiplication, keeping every power it
-    forms in ``powers`` for the next exponent."""
+    forms in ``powers`` (each in its own workspace role) for the next
+    exponent."""
     if h not in powers:
         half = h // 2
-        powers[h] = _int_power(powers, half) * _int_power(powers, h - half)
+        low = _int_power(powers, half, work)
+        high = _int_power(powers, h - half, work)
+        powers[h] = np.multiply(low, high, out=work.take(f"power{h}", low.shape))
     return powers[h]
 
 
-def _space_norms(rho: np.ndarray, measure: float, cell: float, r_values, x_axes) -> dict:
+def _space_norms(
+    rho: np.ndarray, measure: float, cell: float, r_values, x_axes, work: LadderWorkspace
+) -> dict:
     """Per r, the L^r_x norm over ``x_axes`` of sqrt(measure rho), with rho
     clipped at 0: (cell * sum (measure rho)^(r/2))^(1/r), by repeated
     multiplication for an integer r/2, or sqrt(measure max rho) for r = inf."""
-    powers = {1: measure * np.maximum(rho, 0.0)}
+    density = np.maximum(rho, 0.0, out=work.take("power1", rho.shape))
+    powers = {1: np.multiply(measure, density, out=density)}
     norms = {}
     for r in r_values:
         if math.isinf(r):
             norms[r] = np.sqrt(powers[1].max(axis=x_axes))
             continue
         h = 0.5 * r
-        dens_h = _int_power(powers, int(h)) if h.is_integer() else powers[1] ** h
+        dens_h = _int_power(powers, int(h), work) if h.is_integer() else powers[1] ** h
         norms[r] = (cell * np.sum(dens_h, axis=x_axes)) ** (1.0 / r)
     return norms
 
@@ -212,6 +240,7 @@ def _ladder_ratios(
     grids: list[BoxGrid],
     horizon: float,
     pairs: list[tuple[float, float]],
+    work: LadderWorkspace | None = None,
 ) -> list[dict]:
     """Space-time ratios of the exactly evolved member for every variant and
     exponent pair on each of ``grids`` (one box, any resolutions), from one
@@ -234,7 +263,17 @@ def _ladder_ratios(
     (``_space_norms``) with rho clipped at 0: a roundoff-negative value
     would make an odd or fractional r/2 a NaN.  The time integral is a
     composite trapezoid (max for q = inf).
+
+    Every per-chunk array (w, each band-DFT product, the two squares, rho,
+    its coarse spectrum, the zero-padded ``fine`` spectrum, rho on the n_x
+    grid and its integer powers) is written with ``out=`` into a role of
+    ``work`` (a fresh ``LadderWorkspace`` when None), in the same
+    operations and order as with fresh arrays, so the results are bitwise
+    equal.  A warm workspace, reused across chunks, both resolutions and
+    ensemble members, allocates none of these arrays again.
     """
+    if work is None:
+        work = LadderWorkspace()
     band = draw.shape[0] // 2  # draw is ((2b+1)^d..., b+1)
     dim, half_length = grids[0].dim, grids[0].half_length
     modes = np.arange(-band, band + 1)
@@ -283,24 +322,36 @@ def _ladder_ratios(
         chunk = max(1, 2**14 // max(stacked[0, :, 0].size * m**dim, n_max**dim))
         for start in range(0, n_t, chunk):
             stop = min(start + chunk, n_t)
-            w = stacked[None] * x_phase[start:stop, None, None]
-            for _ in range(dim):  # one band DFT product per x axis, last first
-                values = w.reshape(-1, w.shape[-1]) @ dft
+            phase = x_phase[start:stop, None, None]
+            w = work.take("w", phase.shape[:1] + stacked.shape, np.complex128)
+            np.multiply(stacked[None], phase, out=w)
+            for axis in range(dim):  # one band DFT product per x axis, last first
+                if axis:  # gather the moved view contiguous into the w buffer
+                    moved, w = w, work.take("w", w.shape, np.complex128)
+                    np.copyto(w, moved)
+                rows = w.reshape(-1, w.shape[-1])
+                values = np.matmul(rows, dft, out=work.take("dft", (len(rows), m), np.complex128))
                 w = np.moveaxis(values.reshape(w.shape[:-1] + (m,)), -1, -dim)
-            rho = np.sum(w.real**2 + w.imag**2, axis=2)
+            squares = np.square(w.real, out=work.take("squares", w.shape))
+            imag2 = np.square(w.imag, out=work.take("imag2", w.shape))
+            rho = work.take("rho", w.shape[:2] + w.shape[3:])
+            np.sum(np.add(squares, imag2, out=squares), axis=2, out=rho)
             if m < n_max:
-                coarse = np.fft.rfftn(rho, axes=x_axes, norm="forward")
+                coarse = work.take("coarse", rho.shape[:-1] + (m // 2 + 1,), np.complex128)
+                np.fft.rfftn(rho, axes=x_axes, norm="forward", out=coarse)
             for i in shared:
                 grid = grids[i]
                 n = grid.n_points
                 if m < n:
-                    fine = np.zeros(coarse.shape[:2] + (n,) * (dim - 1) + (n // 2 + 1,),
-                                    dtype=np.complex128)
+                    fine = work.take("fine", coarse.shape[:2] + (n,) * (dim - 1) + (n // 2 + 1,),
+                                     np.complex128)
+                    fine.fill(0.0)
                     fine[spectrum_index(n)] = coarse[spectrum_index(m)]
-                    rho_n = np.fft.irfftn(fine, s=grid.shape, axes=x_axes, norm="forward")
+                    rho_n = work.take("rho_n", coarse.shape[:2] + grid.shape)
+                    np.fft.irfftn(fine, s=grid.shape, axes=x_axes, norm="forward", out=rho_n)
                 else:
                     rho_n = rho
-                norms = _space_norms(rho_n, measure, grid.cell_volume, r_values, x_axes)
+                norms = _space_norms(rho_n, measure, grid.cell_volume, r_values, x_axes, work)
                 for r, vals in norms.items():
                     space[i][r][start:stop] = vals
 
@@ -352,8 +403,12 @@ def run_strichartz_ensemble(
     box = cfg.disc.resolved_box(spec.dim)
     grids = [BoxGrid(spec.dim, box, n_x) for n_x in resolutions]
 
+    local = threading.local()  # one ladder workspace per worker thread
+
     def worker(i):
-        return _ladder_ratios(members[i], measure, factors, grids, cfg.horizon, pairs)
+        if not hasattr(local, "work"):
+            local.work = LadderWorkspace()
+        return _ladder_ratios(members[i], measure, factors, grids, cfg.horizon, pairs, local.work)
 
     results = _run_members(worker, cfg.ensemble, cfg.threads)  # [member][resolution]
     maxima = {}  # (variant, pair, n_x) -> ensemble max

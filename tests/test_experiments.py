@@ -2,6 +2,7 @@
 determinism and the cross-checks between detector and virial fit."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -248,12 +249,59 @@ def test_each_member_is_evolved_once_per_coarse_grid(monkeypatch, n_x, evolution
     assert report.settings["coarse_points"] == [min(n, 34) for n in (n_x, 2 * n_x)]
 
 
+def _ladder_setup(model, dim, band, n_x, seed):
+    spec = ModelSpec(model, dim, 4 if dim == 1 else 2)
+    disc = DiscretizationSpec(n_x=n_x)
+    measure, factors = build_axis(spec, disc).mode_factors(band)
+    grids = [BoxGrid(dim, disc.resolved_box(dim), n) for n in (n_x, 2 * n_x)]
+    return random_band_coeffs(np.random.default_rng(seed), dim, band), measure, factors, grids
+
+
+@pytest.mark.parametrize(
+    "model, dim, band, n_x, horizon",
+    [("nondiv", 1, 8, 256, 4.0), ("div", 2, 3, 16, 1.0)],
+    ids=["1d_nine_chunks", "2d"],
+)
+def test_warm_workspace_gives_fresh_ratios(model, dim, band, n_x, horizon):
+    # a workspace left by another member on the other resolution alone
+    # (larger buffers, stale values, a dirty zero-padded spectrum) gives
+    # the ratios of fresh arrays exactly; in 1-D the 257 samples run in
+    # chunks of 32, the last of one sample
+    draw, measure, factors, grids = _ladder_setup(model, dim, band, n_x, 5)
+    other = _ladder_setup(model, dim, band, n_x, 6)[0]
+    pairs = STRICHARTZ_PAIRS if dim == 1 else [(4.0, 4.0), (6.0, 3.0)]
+    work = experiments.LadderWorkspace()
+    _ladder_ratios(other, measure, factors, grids[1:], horizon, pairs, work)
+    warm = _ladder_ratios(draw, measure, factors, grids, horizon, pairs, work)
+    fresh = _ladder_ratios(draw, measure, factors, grids, horizon, pairs)
+    for got, want in zip(warm, fresh, strict=True):
+        assert got.keys() == want.keys()
+        assert np.array_equal(list(got.values()), list(want.values()))
+
+
+def test_warm_ladder_allocates_no_chunk_arrays():
+    # on the benchmark's Strichartz config (n_x 256 and 512, t 4, band 8)
+    # fresh chunk arrays peak at about 2.5 MiB; a warm workspace leaves
+    # only the per-call arrays (phases, coefficients, the time series)
+    draw, measure, factors, grids = _ladder_setup("nondiv", 1, 8, 256, 5)
+    work = experiments.LadderWorkspace()
+    _ladder_ratios(draw, measure, factors, grids, 4.0, STRICHARTZ_PAIRS, work)
+    tracemalloc.start()
+    try:
+        _ladder_ratios(draw, measure, factors, grids, 4.0, STRICHARTZ_PAIRS, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_integer_powers_match_pow():
     # repeated multiplication shares the lower powers and agrees with **
     dens = np.random.default_rng(3).random(1000)
     powers = {1: dens}
+    work = experiments.LadderWorkspace()
     for h in (3, 2, 4, 1):
-        np.testing.assert_allclose(experiments._int_power(powers, h), dens**h, rtol=1e-15)
+        np.testing.assert_allclose(experiments._int_power(powers, h, work), dens**h, rtol=1e-15)
     assert sorted(powers) == [1, 2, 3, 4]
 
 
@@ -451,11 +499,13 @@ def test_virial_identity_centered_second_difference(sign):
 
 
 def test_strichartz_threads_match_serial():
-    cfg1 = small_cfg(threads=1)
-    cfg2 = small_cfg(threads=2)
-    a = run_strichartz_ensemble(cfg1, [(6.0, 6.0)])
-    b = run_strichartz_ensemble(cfg2, [(6.0, 6.0)])
-    assert rows_csv_bytes(a.rows) == rows_csv_bytes(b.rows)
+    # n_x 64, t 1 is one chunk; n_x 256, t 4 is 257 samples in chunks of
+    # 32, the last of one sample, through each thread's own workspace
+    nine_chunks = dict(disc=DiscretizationSpec(n_x=256), horizon=4.0, initial=InitialData(band=8))
+    for changes in ({}, nine_chunks):
+        a = run_strichartz_ensemble(small_cfg(threads=1, **changes), [(6.0, 6.0)])
+        b = run_strichartz_ensemble(small_cfg(threads=2, **changes), [(6.0, 6.0)])
+        assert rows_csv_bytes(a.rows) == rows_csv_bytes(b.rows), changes
 
 
 def test_virial_first_derivative_against_centered_difference():
