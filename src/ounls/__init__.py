@@ -8,7 +8,6 @@ from .grids import BoxGrid, laplacian_symbol
 from .hermite import HermiteBasis, build_basis
 from .models import DiscretizationSpec, ModelSpec
 from .operators import (
-    DivAlphaOperator,
     FluxAxis,
     HermiteAxis,
     LinearPropagator,
@@ -26,7 +25,6 @@ from .stepping import StepControl, StepperState, detect_blowup, integrate
 __all__ = [
     "BoxGrid",
     "DiscretizationSpec",
-    "DivAlphaOperator",
     "FluxAxis",
     "HermiteAxis",
     "HermiteBasis",

@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field
 
-from .models import MODEL_NONDIV, DiscretizationSpec, ModelSpec
+from .models import MODEL_DIV, MODEL_NONDIV, DiscretizationSpec, ModelSpec
 
 # scenario name -> one-line description; the CLI subcommands are built
 # from this table
@@ -254,9 +254,21 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     return cfg
 
 
+def check_scenario_model(scenario: str, model: ModelSpec):
+    """The model a scenario runs on: the conservation audit a defocusing
+    one, scattering the drift form and blowup the divergence form (its
+    legs set their own signs)."""
+    if scenario == "conservation" and model.focusing:
+        raise ConfigError("the conservation audit needs model.sign = defocusing")
+    if scenario == "scattering" and model.model != MODEL_NONDIV:
+        raise ConfigError(f"the scattering scenario needs model.model = {MODEL_NONDIV}")
+    if scenario == "blowup" and model.model != MODEL_DIV:
+        raise ConfigError(f"the blowup scenario needs model.model = {MODEL_DIV}")
+
+
 def check_scenario(cfg: ScenarioConfig):
-    """The run keys, and what the config's scenario reads of it: the
-    exponent pair and the bands that its grids must resolve.  `ounls all`
+    """The run keys, and what the config's scenario reads of it: its model,
+    the exponent pair and the bands that its grids must resolve.  `ounls all`
     calls it on each acceptance row's config too, before any row runs."""
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
@@ -275,6 +287,7 @@ def check_scenario(cfg: ScenarioConfig):
         raise ConfigError("run.ensemble must be >= 1")
     if cfg.threads < 1:
         raise ConfigError("run.threads must be >= 1")
+    check_scenario_model(cfg.scenario, cfg.model)
     if cfg.scenario == "morawetz" and cfg.horizon < 2 * MORAWETZ_SAMPLE_DT:
         raise ConfigError(
             f"run.t must be >= {2 * MORAWETZ_SAMPLE_DT:g}: the centred dI/dt needs "

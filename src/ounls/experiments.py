@@ -21,12 +21,10 @@ import numpy as np
 from . import hermite, observables
 from .config import (
     MORAWETZ_SAMPLE_DT, ConfigError, InitialData, ScenarioConfig, check_admissible_pair,
-    check_alpha_band_resolved, check_band_resolved, check_scenario,
+    check_alpha_band_resolved, check_band_resolved, check_scenario, check_scenario_model,
 )
 from .grids import BoxGrid
-from .models import (
-    DEFOCUSING, FOCUSING, MODEL_DIV, MODEL_NONDIV, DiscretizationSpec, ModelSpec,
-)
+from .models import DEFOCUSING, FOCUSING, DiscretizationSpec, ModelSpec
 from .operators import (
     HermiteAxis, Machinery, build_axis, build_div_operator, build_machinery,
     verify_div_identity,
@@ -119,8 +117,7 @@ def run_conservation(cfg: ScenarioConfig) -> Report:
     """Integrate to the horizon at dt and 2*dt; assert the drift invariants:
     native mass < 1e-9, energy < 1e-5, and the 2dt/dt energy-drift ratio
     in [3.5, 4.5] (second-order splitting)."""
-    if cfg.model.focusing:
-        raise NumericCheckError("conservation audit expects a defocusing model")
+    check_scenario_model("conservation", cfg.model)
     report = Report("conservation")
     mach = build_machinery(cfg.model, cfg.disc)
     u0 = gaussian_field(mach, cfg.initial)
@@ -537,8 +534,7 @@ def run_scattering(cfg: ScenarioConfig) -> Report:
     """Pullback Cauchy ladder: w(t) = exp(-itL) u(t) sampled on the ladder
     (base point t = 0); differences must decrease strictly and the last must
     fall below a tenth of the first."""
-    if cfg.model.model != MODEL_NONDIV:
-        raise NumericCheckError("scattering scenario runs on the drift-form model")
+    check_scenario_model("scattering", cfg.model)
     report = Report("scattering")
     mach = build_machinery(cfg.model, cfg.disc)
     raw = gaussian_field(mach, cfg.initial)
@@ -609,8 +605,7 @@ def run_blowup(cfg: ScenarioConfig) -> Report:
     virial potential, and cross-check the flag time against the fitted
     parabola root.  A defocusing control with identical data must survive
     twice the horizon unflagged."""
-    if cfg.model.model != MODEL_DIV:
-        raise NumericCheckError("blow-up scenario runs on the divergence-form model")
+    check_scenario_model("blowup", cfg.model)
     report = Report("blowup")
     report.settings["leg_signs"] = {"focusing leg": FOCUSING, "defocusing control": DEFOCUSING}
     mach = build_machinery(replace(cfg.model, sign=FOCUSING), cfg.disc)
@@ -710,8 +705,8 @@ def run_identity(cfg: ScenarioConfig) -> Report:
     for name, fn in identity_profiles():
         residuals = []
         for n in grids:
-            op = build_div_operator(n, cfg.disc.div_half_width)
-            residuals.append(verify_div_identity(fn, basis, op))
+            axis = build_div_operator(n, cfg.disc.div_half_width)
+            residuals.append(verify_div_identity(fn, basis, axis))
         order = float(np.polyfit(np.log(spacings), np.log(residuals), 1)[0])
         for n, res in zip(grids, residuals):
             report.rows.append({"profile": name, "nodes": n, "residual": res})

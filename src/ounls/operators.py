@@ -7,9 +7,10 @@ discretization on a uniform alpha grid, diagonalized once per run.
 
 The two models differ only in the confined direction, and that difference
 lives in two axis classes: HermiteAxis (drift form) and FluxAxis
-(divergence form).  build_axis is the one place that picks one; everything
-downstream calls the axis.  Each axis keeps its own flow arithmetic: both
-unified variants measured slower (README, "The alpha axis").
+(divergence form, the discretization P_h itself).  build_axis is the one
+place that picks one; everything downstream calls the axis.  Each axis
+keeps its own flow arithmetic: both unified variants measured slower
+(README, "The alpha axis").
 
 The div flow G(t) = exp(itP_h) is dense, but P_h is tridiagonal, so the
 Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys.
@@ -64,55 +65,6 @@ class NonFiniteFieldError(FloatingPointError):
     """Nonfinite values reached the nonlinear term (upstream blow-up)."""
 
 
-@dataclass
-class DivAlphaOperator:
-    """Conservative discretization of P u = d/da(exp(-a^2/2) du/da).
-
-    Built on a uniform grid over [-half_width, half_width] with zero-flux
-    faces, which keeps the matrix symmetric negative semidefinite with the
-    constant vector in its kernel.  The eigendecomposition (ascending
-    eigenvalues, orthonormal columns) is computed lazily on first use; the
-    flux action and energy forms only need the face weights.
-    """
-
-    nodes: np.ndarray
-    spacing: float
-    face_weights: np.ndarray
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
-    @cached_property
-    def _eigenpairs(self):
-        return eigh_tridiagonal(self.diagonal, self.offdiagonal)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigenpairs[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eigenpairs[1]
-
-
-def build_div_operator(n_nodes: int = 513, half_width: float = 12.0) -> DivAlphaOperator:
-    if n_nodes < 3:
-        raise ValueError(f"n_nodes must be >= 3, got {n_nodes}")
-    nodes = np.linspace(-half_width, half_width, n_nodes)
-    h = nodes[1] - nodes[0]
-    faces = 0.5 * (nodes[1:] + nodes[:-1])
-    mu = np.exp(-0.5 * faces**2)
-
-    diag = np.zeros(n_nodes)
-    diag[:-1] -= mu
-    diag[1:] -= mu
-    diag /= h**2
-    return DivAlphaOperator(nodes, float(h), mu, diag, mu / h**2)
-
-
 def flow_reach(x: float, n: int) -> int:
     """The reach R of G(t) on n nodes, with x = |t| (lambda_max - lambda_min):
     the smallest d with 2 sum_{k>d} (x/4)^k / k! < BAND_TOL / sqrt(n), or n
@@ -153,15 +105,14 @@ class FluxFlow:
     """G(t) as the div axis applies it, along axis 0 of the data.
 
     ``blocks`` holds (c0, c1, lo, hi, G[c0:c1, lo:hi]) per FLOW_BLOCK
-    output rows, with [lo, hi) the input rows within ``band`` (the reach,
-    flow_reach) of [c0, c1); the entries farther out, all below BAND_TOL
-    times the largest, are never formed.  The blocks never take more
-    multiply-adds than the dense product: at a band near n each block
-    reads every row, as the dense product does.
+    output rows, with [lo, hi) the input rows within the reach (flow_reach)
+    of [c0, c1); the entries farther out, all below BAND_TOL times the
+    largest, are never formed.  The blocks never take more multiply-adds
+    than the dense product: at a reach near n each block reads every row,
+    as the dense product does.
     """
 
     blocks: tuple
-    band: int
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """G @ data over the blocks, each output row block written in place."""
@@ -235,24 +186,55 @@ class HermiteAxis:
         return 1.0, {"k0": np.eye(band + 1), "h1alpha": np.diag(np.sqrt(1.0 + n))}
 
 
+@dataclass(eq=False)
 class FluxAxis:
-    """Divergence form: the conservative flux operator on uniform nodes,
-    with the plain L^2 measure and an unweighted power nonlinearity.
+    """Divergence form: the conservative discretization P_h of
+    P u = d/da(exp(-a^2/2) du/da) on uniform nodes, with face weights
+    mu_f = exp(-a_f^2/2) at the midpoints and zero-flux ends, so P_h is
+    symmetric negative semidefinite with the constants in its kernel.  The
+    plain L^2 measure, an unweighted power nonlinearity.
 
     The spectrum is the nodal x-spectrum itself, the flow is
     G(t) = Q exp(it Lambda) Q^T formed and applied within its reach
-    (FluxFlow), and the gradient form is the face-difference form, the
-    exact invariant of the semi-discrete flow.  ``bands`` records, per
-    propagator time built, the band of its flow.
+    (FluxFlow), from the eigendecomposition (ascending eigenvalues,
+    orthonormal columns) computed on first use, and the gradient form is
+    the face-difference form, the exact invariant of the semi-discrete
+    flow.  ``bands`` records, per propagator time built, the band of its
+    flow; ``dataclasses.replace`` starts it empty.
     """
 
-    def __init__(self, op: DivAlphaOperator):
-        self.op = op
-        self.nodes = op.nodes
-        self.weights = np.full(op.n_nodes, op.spacing)
-        self.measure = op.spacing
-        self.gain_weight = None  # the power nonlinearity is unweighted
-        self.bands: dict[float, int] = {}
+    nodes: np.ndarray
+    spacing: float
+    face_weights: np.ndarray
+    bands: dict[float, int] = field(default_factory=dict, init=False)
+    gain_weight = None  # the power nonlinearity is unweighted
+
+    def __post_init__(self):
+        self.weights = np.full(self.n_nodes, self.spacing)
+        self.measure = self.spacing
+
+    @property
+    def n_nodes(self) -> int:
+        return self.nodes.size
+
+    @cached_property
+    def _eigenpairs(self):
+        """eigh of P_h: mu_f / h^2 off the diagonal, minus the weights of a
+        node's faces over h^2 on it."""
+        h2 = self.spacing**2
+        diag = np.zeros(self.n_nodes)
+        diag[:-1] -= self.face_weights
+        diag[1:] -= self.face_weights
+        diag /= h2
+        return eigh_tridiagonal(diag, self.face_weights / h2)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenpairs[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigenpairs[1]
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return values
@@ -268,7 +250,7 @@ class FluxAxis:
         straight into the block's real and imaginary parts: a complex @ real
         product would first cast Q^T to complex.
         """
-        q, lam = self.op.eigenvectors, self.op.eigenvalues
+        q, lam = self.eigenvectors, self.eigenvalues
         n = lam.size
         band = flow_reach(abs(t) * float(lam[-1] - lam[0]), n)
         cos, sin = np.cos(t * lam), np.sin(t * lam)
@@ -282,7 +264,7 @@ class FluxAxis:
             np.matmul(rows * sin, cols, out=block.imag)
             blocks.append((c0, c1, lo, hi, block))
         self.bands[t] = band
-        return FluxFlow(tuple(blocks), band)
+        return FluxFlow(tuple(blocks))
 
     def advance(self, spectrum, x_mult, flow) -> np.ndarray:
         """The spectrum times the x multiplier along the trailing axes, then
@@ -300,7 +282,7 @@ class FluxAxis:
             lo, hi = min(ts), max(ts)
             span = f"{lo:.6g}" if lo == hi else f"{lo:.6g} to {hi:.6g}"
             parts.append(f"{band} at t {span}")
-        return f"div flow band of {self.op.n_nodes} nodes: {', '.join(parts)}"
+        return f"div flow band of {self.n_nodes} nodes: {', '.join(parts)}"
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         return spectrum
@@ -316,7 +298,7 @@ class FluxAxis:
         flat = hermite.float_rows(spectrum)
         diff = flat[1:] - flat[:-1]
         diff *= diff
-        dens = (self.op.face_weights / self.op.spacing**2) @ diff
+        dens = (self.face_weights / self.spacing**2) @ diff
         return (dens[0::2] + dens[1::2]).reshape(spectrum.shape[1:])
 
     def tail_fraction(self, spectrum: np.ndarray, n_tail: int) -> float:
@@ -325,7 +307,7 @@ class FluxAxis:
         the total is the nodal sum of |u|^2 and only one (n_tail, n) x
         (n, ...) product is taken, on the float64 view without a complex
         copy of Q."""
-        q = self.op.eigenvectors[:, :n_tail]
+        q = self.eigenvectors[:, :n_tail]
         tail = float(np.square(q.T @ hermite.float_rows(spectrum)).sum())
         total = float(np.vdot(spectrum, spectrum).real)
         return tail / total if total else 0.0
@@ -340,24 +322,34 @@ class FluxAxis:
         """The band shapes are not orthonormal in plain L^2, so the norm
         carries the Cholesky factor of their Gram matrix."""
         shapes = self.band_shapes(band)
-        return self.op.spacing, {"k0": np.linalg.cholesky(shapes @ shapes.T)}
+        return self.spacing, {"k0": np.linalg.cholesky(shapes @ shapes.T)}
+
+
+def build_div_operator(n_nodes: int = 513, half_width: float = 12.0) -> FluxAxis:
+    """The divergence-form axis on ``n_nodes`` uniform nodes over
+    [-half_width, half_width]."""
+    if n_nodes < 3:
+        raise ValueError(f"n_nodes must be >= 3, got {n_nodes}")
+    nodes = np.linspace(-half_width, half_width, n_nodes)
+    faces = 0.5 * (nodes[1:] + nodes[:-1])
+    return FluxAxis(nodes, float(nodes[1] - nodes[0]), np.exp(-0.5 * faces**2))
 
 
 def build_axis(spec: ModelSpec, disc: DiscretizationSpec) -> HermiteAxis | FluxAxis:
     """The confined-direction discretization of the spec's model."""
     if spec.model == MODEL_NONDIV:
         return HermiteAxis(hermite.build_basis(disc.n_alpha))
-    return FluxAxis(build_div_operator(disc.div_nodes, disc.div_half_width))
+    return build_div_operator(disc.div_nodes, disc.div_half_width)
 
 
-def apply_div_operator(values: np.ndarray, op: DivAlphaOperator) -> np.ndarray:
-    """Flux-difference action of P along the last axis."""
-    if values.shape[-1] != op.n_nodes:
+def apply_div_operator(values: np.ndarray, axis: FluxAxis) -> np.ndarray:
+    """Flux-difference action of P_h along the last axis."""
+    if values.shape[-1] != axis.n_nodes:
         raise ValueError(
-            f"field alpha size {values.shape[-1]} does not match operator grid {op.n_nodes}"
+            f"field alpha size {values.shape[-1]} does not match operator grid {axis.n_nodes}"
         )
-    h = op.spacing
-    flux = op.face_weights * np.diff(values, axis=-1) / h
+    h = axis.spacing
+    flux = axis.face_weights * np.diff(values, axis=-1) / h
     out = np.zeros_like(values)
     out[..., 0] = flux[..., 0] / h
     out[..., 1:-1] = np.diff(flux, axis=-1) / h
@@ -365,7 +357,7 @@ def apply_div_operator(values: np.ndarray, op: DivAlphaOperator) -> np.ndarray:
     return out
 
 
-def verify_div_identity(f, basis: HermiteBasis, op: DivAlphaOperator) -> float:
+def verify_div_identity(f, basis: HermiteBasis, axis: FluxAxis) -> float:
     """Sup-norm residual of d/da(e^{-a^2/2} f') = e^{-a^2/2}(f'' - a f').
 
     The left side uses the conservative discretization on the uniform grid;
@@ -373,9 +365,9 @@ def verify_div_identity(f, basis: HermiteBasis, op: DivAlphaOperator) -> float:
     expansion of the callable ``f`` and resampled onto the uniform grid.
     """
     coeffs = hermite.forward_tensor(np.asarray(f(basis.nodes), dtype=np.complex128), basis)
-    lhs = apply_div_operator(np.asarray(f(op.nodes), dtype=np.complex128), op)
-    ou_f = hermite.evaluate_modal(coeffs * basis.eigenvalues, op.nodes)
-    rhs = np.exp(-0.5 * op.nodes**2) * ou_f
+    lhs = apply_div_operator(np.asarray(f(axis.nodes), dtype=np.complex128), axis)
+    ou_f = hermite.evaluate_modal(coeffs * basis.eigenvalues, axis.nodes)
+    rhs = np.exp(-0.5 * axis.nodes**2) * ou_f
     return float(np.abs(lhs - rhs).max())
 
 
@@ -522,12 +514,13 @@ class LinearPropagator:
     """Exact application of exp(i t L): the x phases and the axis flow.
 
     ``advance`` runs it on a kept-row spectrum, with the x phase at the kept
-    rows gathered once per build.  ``apply`` runs it on a nodal field over
-    every x mode: the tests' reference propagator, and a benchmark span.
+    rows formed once per build.  ``apply`` runs it on a nodal field over
+    every x mode, with the x phase over the whole grid formed per call: the
+    tests' reference propagator, and a benchmark span.
     """
 
     grid: BoxGrid
-    x_phase: np.ndarray
+    t: float
     kept_phase: np.ndarray
     axis: HermiteAxis | FluxAxis
     flow: np.ndarray | FluxFlow
@@ -537,7 +530,8 @@ class LinearPropagator:
         alpha-first, as a kept-row one."""
         hat = x_fft(data, self.grid)
         spectrum = self.axis.forward(np.ascontiguousarray(hat.reshape(-1, hat.shape[-1]).T))
-        spectrum = self.axis.advance(spectrum, self.x_phase.reshape(-1), self.flow)
+        x_phase = np.exp(1j * self.t * laplacian_symbol(self.grid))
+        spectrum = self.axis.advance(spectrum, x_phase.reshape(-1), self.flow)
         nodal = np.ascontiguousarray(self.axis.inverse(spectrum).T)
         return x_ifft(nodal.reshape(hat.shape), self.grid)
 
@@ -551,9 +545,8 @@ def build_linear_propagator(mach: Machinery, t: float) -> LinearPropagator:
     rows; unitary in the model's native L^2."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t!r}")
-    x_phase = np.exp(1j * t * laplacian_symbol(mach.grid))
-    kept_phase = x_phase.reshape(-1)[mach.kept]
-    return LinearPropagator(mach.grid, x_phase, kept_phase, mach.axis, mach.axis.flow(t))
+    kept_phase = np.exp(-1j * t * mach._k2_kept)
+    return LinearPropagator(mach.grid, t, kept_phase, mach.axis, mach.axis.flow(t))
 
 
 def squared_modulus(data: np.ndarray) -> np.ndarray:

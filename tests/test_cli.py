@@ -66,11 +66,16 @@ def test_threads_flag_is_validated_like_the_config_key(tmp_path):
     ("simulate", ["initial.x_width=nan"]),
     ("simulate", ["initial.alpha_width=inf"]),
     ("simulate", ["initial.wavenumber=nan"]),
+    # a scenario on a model it does not run on
+    ("conservation", ["model.sign=focusing"]),
+    ("scattering", ["model.model=div"]),
+    ("blowup", ["model.model=nondiv"]),
 ], ids=["n_x-not-power-of-two", "n_alpha-1", "div_nodes-2", "box-zero", "box-negative",
         "div-width-inf", "embeddings-band-past-n_alpha", "random-band-past-n_alpha",
         "t-inf", "t-nan", "dt-nan", "dt-inf", "delta-nan", "delta-zero",
         "morawetz-t-below-three-samples", "amplitude-inf", "x_width-nan",
-        "alpha_width-inf", "wavenumber-nan"])
+        "alpha_width-inf", "wavenumber-nan", "conservation-focusing", "scattering-div",
+        "blowup-nondiv"])
 def test_bad_grid_value_is_a_config_error(tmp_path, capsys, command, overrides):
     out = tmp_path / "o"
     args = [arg for item in overrides for arg in ("--set", item)]

@@ -107,7 +107,9 @@ def test_every_cli_subcommand_is_a_config_scenario(tmp_path):
     parser = _build_parser()
     for name in SCENARIOS:
         assert parser.parse_args([name]).command == name
-        cfg = parse_config(write_cfg(tmp_path, f"[run]\nscenario = {name}\n"))
+        # blowup runs on the divergence form only, not the default model
+        model = "[model]\nmodel = div\n" if name == "blowup" else ""
+        cfg = parse_config(write_cfg(tmp_path, f"{model}[run]\nscenario = {name}\n"))
         assert cfg.scenario == name
     with pytest.raises(ConfigError, match="unknown scenario"):
         parse_config(write_cfg(tmp_path, "[run]\nscenario = morawitz\n"))

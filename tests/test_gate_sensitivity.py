@@ -151,10 +151,10 @@ def test_finite_gates_go_red(variant, monkeypatch):
 
 
 # criterion 2 (divergence/drift identity), row 2
-def left_node_flux(values, op):
+def left_node_flux(values, axis):
     """The flux form with each face weight exp(-a^2/2) taken at the face's
     left node instead of its midpoint: a first-order discretization."""
-    left = replace(op, face_weights=np.exp(-0.5 * op.nodes[:-1] ** 2))
+    left = replace(axis, face_weights=np.exp(-0.5 * axis.nodes[:-1] ** 2))
     return apply_div_operator(values, left)
 
 

@@ -283,7 +283,7 @@ def test_sample_record_fields(nondiv, div2):
 
 def eigen_tail(u, mach):
     """Div-form tail written out on the full eigen-spectrum u @ Q."""
-    power = np.abs(u @ mach.axis.op.eigenvectors) ** 2
+    power = np.abs(u @ mach.axis.eigenvectors) ** 2
     return float(power[..., :TAIL_MODES].sum() / power.sum())
 
 
@@ -396,7 +396,7 @@ def test_div_tail_monitor_against_full_eigen_spectrum(div2):
 def test_div_truncation_monitor_warns_on_first_eigenvectors(div2):
     # the most oscillatory eigenvectors are the first columns of Q (the
     # eigenvalues ascend); content there must trip the tail monitor
-    q = div2.axis.op.eigenvectors
+    q = div2.axis.eigenvectors
     (x,) = div2.grid.coordinates()
     hot = np.exp(-x**2 / 2.0)[:, None] * (q[:, 0] + 1e3 * q[:, -1]) + 0j
     assert abs(tail_mass_fraction(hot, div2) - 1.0 / (1.0 + 1e6)) < 1e-12

@@ -9,14 +9,13 @@ import pytest
 from scipy.ndimage import gaussian_filter1d
 
 from ounls import hermite
-from ounls.grids import BoxGrid
+from ounls.grids import BoxGrid, laplacian_symbol
 from ounls.hermite import build_basis
 from ounls.models import DiscretizationSpec, ModelSpec
 from ounls.observables import mass
 from ounls.operators import (
     BAND_TOL,
     PHASE_TINY,
-    FluxAxis,
     NonFiniteFieldError,
     apply_div_operator,
     apply_nonlinearity,
@@ -374,6 +373,17 @@ def test_kept_row_advance_matches_full_grid_apply(model, dim, t):
     assert math.sqrt(mass(got - expect, mach)) <= 1e-13 * math.sqrt(mass(expect, mach))
 
 
+@pytest.mark.parametrize("t", [0.3, -0.3])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_kept_phase_is_the_full_grid_phase_at_the_kept_rows(dim, t):
+    # the build forms the phase from |k|^2 at the kept rows alone; it is
+    # bitwise the full-grid phase that apply forms, gathered at those rows
+    n_x = 128 if dim == 1 else 32
+    mach = build_machinery(ModelSpec("nondiv", dim, 2), DiscretizationSpec(n_x=n_x, n_alpha=8))
+    full = np.exp(1j * t * laplacian_symbol(mach.grid)).reshape(-1)
+    assert np.array_equal(mach.propagator(t).kept_phase, full[mach.kept])
+
+
 def test_propagator_rejects_nonfinite_time(nondiv_mach):
     with pytest.raises(ValueError):
         build_linear_propagator(nondiv_mach, math.inf)
@@ -387,7 +397,7 @@ def test_div_generator_plain_self_adjoint(div_mach):
 
     def apply_gen(u):
         lap = x_ifft(laplacian_symbol(mach.grid)[..., None] * x_fft(u, mach.grid), mach.grid)
-        return lap + apply_div_operator(u, mach.axis.op)
+        return lap + apply_div_operator(u, mach.axis)
 
     for _ in range(5):
         u = rng.standard_normal((128, 257)) + 1j * rng.standard_normal((128, 257))
@@ -400,15 +410,15 @@ def test_div_generator_plain_self_adjoint(div_mach):
 # ------------------------------------------------- banded div-form flow
 
 
-def dense_flow(op, t):
+def dense_flow(axis, t):
     """G(t) = Q exp(it Lambda) Q^T, the dense product the band replaces."""
-    q = op.eigenvectors
-    return (q * np.exp(1j * t * op.eigenvalues)) @ q.T
+    q = axis.eigenvectors
+    return (q * np.exp(1j * t * axis.eigenvalues)) @ q.T
 
 
 @pytest.fixture(scope="module")
 def flux_axes():
-    return {n: FluxAxis(build_div_operator(n, 12.0)) for n in (65, 257, 513)}
+    return {n: build_div_operator(n, 12.0) for n in (65, 257, 513)}
 
 
 def random_spectrum(shape, seed):
@@ -427,11 +437,11 @@ def random_spectrum(shape, seed):
 def test_banded_flow_matches_dense(flux_axes, n, t, x_shape):
     axis = flux_axes[n]
     flow = axis.flow(t)
-    assert axis.bands[t] == flow.band
+    assert axis.bands[t] == reach_of(axis, t)
     spectrum = random_spectrum((n,) + x_shape, 17)
     x_mult = np.exp(1j * random_spectrum(x_shape, 18).real)
     got = axis.advance(spectrum, x_mult, flow)
-    expect = np.tensordot(dense_flow(axis.op, t), spectrum * x_mult, axes=1)
+    expect = np.tensordot(dense_flow(axis, t), spectrum * x_mult, axes=1)
     assert got.shape == expect.shape
     assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
@@ -447,9 +457,9 @@ def test_banded_flow_unitary(flux_axes, t, n):
     assert np.abs(g.conj().T @ g - np.eye(n)).max() <= 1e-13
 
 
-def reach_of(op, t):
-    lam = op.eigenvalues
-    return flow_reach(abs(t) * (lam.max() - lam.min()), op.n_nodes)
+def reach_of(axis, t):
+    lam = axis.eigenvalues
+    return flow_reach(abs(t) * (lam.max() - lam.min()), axis.n_nodes)
 
 
 @pytest.mark.parametrize("n", [65, 257, 513])
@@ -457,9 +467,10 @@ def reach_of(op, t):
 def test_recorded_band_is_the_numerical_band(n, t):
     # the band is the a-priori reach of the eigenvalue spread, read from no
     # computed entry, on every grid; the report note names it
-    axis = FluxAxis(build_div_operator(n, 12.0))
-    band = axis.flow(t).band
-    assert band == reach_of(axis.op, t)
+    axis = build_div_operator(n, 12.0)
+    axis.flow(t)
+    band = axis.bands[t]
+    assert band == reach_of(axis, t)
     assert f"{band} at t {t:.6g}" in axis.flow_note()
 
 
@@ -506,8 +517,8 @@ def test_flux_grad_density_matches_diff_form(flux_axes, n, x_shape):
     axis = flux_axes[n]
     spectrum = random_spectrum((n,) + x_shape, 20)
     diff = np.diff(spectrum, axis=0)
-    expect = np.tensordot(axis.op.face_weights, diff.real**2 + diff.imag**2,
-                          axes=1) / axis.op.spacing**2
+    expect = np.tensordot(axis.face_weights, diff.real**2 + diff.imag**2,
+                          axes=1) / axis.spacing**2
     got = axis.grad_density(spectrum, None)
     assert got.shape == x_shape
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()

@@ -611,7 +611,7 @@ class AlphaLast:
         spectrum = spectrum * x_phase[self.mach.kept, None]
         if self.hermite:
             return spectrum * np.exp(1j * t * self.axis.basis.eigenvalues)
-        q, lam = self.axis.op.eigenvectors, self.axis.op.eigenvalues
+        q, lam = self.axis.eigenvectors, self.axis.eigenvalues
         return spectrum @ ((q * np.exp(1j * t * lam)) @ q.T)
 
     def phased(self, spectrum, t_flow, t_phase):
@@ -625,8 +625,7 @@ class AlphaLast:
             grad = power @ -self.axis.basis.eigenvalues
         else:
             diff = np.diff(spectrum, axis=-1)
-            op = self.axis.op
-            grad = (diff.real**2 + diff.imag**2) @ op.face_weights / op.spacing**2
+            grad = (diff.real**2 + diff.imag**2) @ self.axis.face_weights / self.axis.spacing**2
         scale = self.mach.grid.cell_volume * self.axis.measure
         return scale * row_power.sum(), scale * (self.k2 * row_power).sum(), scale * grad.sum()
 
@@ -634,7 +633,7 @@ class AlphaLast:
         if self.hermite:
             power = np.abs(spectrum) ** 2
         else:
-            power = np.abs(spectrum @ self.axis.op.eigenvectors) ** 2
+            power = np.abs(spectrum @ self.axis.eigenvectors) ** 2
         tail = power[:, -n_tail:] if self.hermite else power[:, :n_tail]
         return tail.sum() / power.sum()
 
